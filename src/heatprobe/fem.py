@@ -9,6 +9,11 @@ the previous time level so every step is one symmetric sparse solve.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +105,111 @@ class BoundaryTrace:
 
 @dataclass
 class Trajectory:
-    """One nodal field per time node of a segment grid."""
+    """One nodal field per time node of a segment grid (or its values at
+    the vertices a march was asked to keep)."""
 
     grid: SegmentGrid
-    values: np.ndarray      # (steps + 1, V)
+    values: np.ndarray      # (steps + 1, V) or (steps + 1, kept vertices)
+
+
+class _Operators:
+    """Fixed-pattern P1 operators of one mesh, built on first use.
+
+    Every assembled matrix shares one CSR pattern.  ``scatter`` sends the
+    nine entries of each cell block (row-major) to their position in the
+    data array, so assembling a weighted operator is one ``np.bincount``
+    over the constant per-cell blocks.  Loads are products with sparse
+    cell->vertex and boundary-vertex->vertex matrices.
+    """
+
+    def __init__(self, mesh: Mesh):
+        tri = mesh.triangles
+        n = mesh.num_vertices
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        keys, self.scatter = np.unique(rows * n + cols, return_inverse=True)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(
+            np.int32)
+        # every matrix built here shares these arrays: none may change them
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.shape = (n, n)
+        areas = mesh.cell_areas
+        g = mesh.basis_gradients
+        self.stiffness_blocks = areas[:, None] * np.einsum(
+            "tid,tjd->tij", g, g).reshape(-1, 9)
+        self.mass_blocks = areas[:, None] * _LOCAL_MASS
+        cells = np.arange(mesh.num_cells)
+        self.cell_load = sparse.csr_array(
+            (np.repeat(areas / 3.0, 3), (tri.ravel(), np.repeat(cells, 3))),
+            shape=(n, mesh.num_cells))
+        # edge i runs from boundary vertex i to i + 1 (cyclically)
+        nb = mesh.num_boundary_vertices
+        lens = mesh.boundary_edge_lengths / 6.0
+        here = np.arange(nb)
+        nxt = np.roll(here, -1)
+        e0, e1 = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+        self.neumann_load = sparse.csr_array(
+            (np.concatenate([2.0 * lens, lens, lens, 2.0 * lens]),
+             (np.concatenate([e0, e0, e1, e1]),
+              np.concatenate([here, nxt, here, nxt]))), shape=(n, nb))
+        self.unperturbed = None     # (grid ref, (lu, s_minus)), see below
+
+    def matrix(self, data: np.ndarray, fmt=sparse.csr_array):
+        """A matrix on the shared pattern.  Every operator here is exactly
+        symmetric, so its CSR arrays are also its CSC arrays."""
+        return fmt((data, self.indices, self.indptr), shape=self.shape)
+
+    def assemble(self, weights: np.ndarray, blocks: np.ndarray):
+        data = np.bincount(self.scatter, (weights[:, None] * blocks).ravel(),
+                           minlength=self.indices.size)
+        return self.matrix(data)
+
+    def release_unperturbed(self, grid_ref) -> None:
+        """Drop the held system of a grid that is gone, and hand the C
+        heap's free pages back to the system (glibc only).
+
+        SuperLU allocates several times a factor's size, and the held factor
+        stays alive while the other marches of its segment factorize and
+        free, so the heap around it keeps their pages: without the trim,
+        peak RSS of a two-component reconstruction rises by 10-20%.
+        """
+        if self.unperturbed is not None and self.unperturbed[0] is grid_ref:
+            self.unperturbed = None
+            if _MALLOC_TRIM is not None:
+                _MALLOC_TRIM(0)
+
+
+_LOCAL_MASS = ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (OSError, AttributeError, TypeError):    # not glibc
+    _MALLOC_TRIM = None
+
+_OPERATORS: dict[int, _Operators] = {}
+_OPERATORS_LOCK = threading.Lock()
+
+
+def _operators(mesh: Mesh) -> _Operators:
+    """The mesh's operator cache; it is dropped when the mesh is."""
+    cache = _OPERATORS.get(id(mesh))
+    if cache is None:
+        with _OPERATORS_LOCK:
+            cache = _OPERATORS.get(id(mesh))
+            if cache is None:
+                cache = _OPERATORS[id(mesh)] = _Operators(mesh)
+                weakref.finalize(mesh, _OPERATORS.pop, id(mesh), None)
+    return cache
 
 
 def assemble_mass(mesh: Mesh) -> sparse.csr_array:
     """Consistent P1 mass matrix."""
     if np.any(mesh.cell_areas <= 0):
         raise FemError("mesh contains a degenerate (zero-area) triangle")
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    data = mesh.cell_areas[:, None, None] * local
-    return _scatter(mesh, data)
+    cache = _operators(mesh)
+    return cache.assemble(np.ones(mesh.num_cells), cache.mass_blocks)
 
 
 def assemble_stiffness(mesh: Mesh, coefficient: np.ndarray) -> sparse.csr_array:
@@ -121,10 +218,8 @@ def assemble_stiffness(mesh: Mesh, coefficient: np.ndarray) -> sparse.csr_array:
     if coefficient.min() <= 0:
         raise FemError(f"nonpositive diffusion coefficient "
                        f"(min {coefficient.min():.3e}) violates ellipticity")
-    g = mesh.basis_gradients
-    local = np.einsum("tid,tjd->tij", g, g)
-    data = (coefficient * mesh.cell_areas)[:, None, None] * local
-    return _scatter(mesh, data)
+    cache = _operators(mesh)
+    return cache.assemble(coefficient, cache.stiffness_blocks)
 
 
 def assemble_reaction(mesh: Mesh, weight: np.ndarray) -> sparse.csr_array:
@@ -132,19 +227,8 @@ def assemble_reaction(mesh: Mesh, weight: np.ndarray) -> sparse.csr_array:
     weight = np.asarray(weight, dtype=float)
     if not np.all(np.isfinite(weight)):
         raise FemError("reaction weight must be finite")
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    data = (weight * mesh.cell_areas)[:, None, None] * local
-    return _scatter(mesh, data)
-
-
-def _scatter(mesh: Mesh, cell_blocks: np.ndarray) -> sparse.csr_array:
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.num_vertices
-    mat = sparse.csr_array((cell_blocks.ravel(), (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+    cache = _operators(mesh)
+    return cache.assemble(weight, cache.mass_blocks)
 
 
 def assemble_neumann_load(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
@@ -153,25 +237,13 @@ def assemble_neumann_load(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
     ``flux`` is ordered like ``mesh.boundary_vertices``; edge ``i`` runs from
     boundary vertex ``i`` to ``i + 1`` (cyclically) by construction.
     """
-    flux = np.asarray(flux, dtype=float)
-    gi = flux
-    gj = np.roll(flux, -1)
-    lens = mesh.boundary_edge_lengths
-    load = np.zeros(mesh.num_vertices)
-    np.add.at(load, mesh.boundary_edges[:, 0], lens / 6.0 * (2.0 * gi + gj))
-    np.add.at(load, mesh.boundary_edges[:, 1], lens / 6.0 * (gi + 2.0 * gj))
-    return load
+    return _operators(mesh).neumann_load @ np.asarray(flux, dtype=float)
 
 
 def assemble_cell_load(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Load vector of a cell field source (one third of the cell integral
     to each corner)."""
-    values = np.asarray(values, dtype=float)
-    load = np.zeros(mesh.num_vertices)
-    contrib = values * mesh.cell_areas / 3.0
-    for c in range(3):
-        np.add.at(load, mesh.triangles[:, c], contrib)
-    return load
+    return _operators(mesh).cell_load @ np.asarray(values, dtype=float)
 
 
 def _resolve_u(u, ops, mesh: Mesh, transfer: TransferOps | None):
@@ -225,15 +297,79 @@ def _lagged_weight(mesh: Mesh, lagged, y: np.ndarray) -> np.ndarray:
     return w
 
 
-def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_mat: sparse.csr_array,
-                   dt: float):
-    s_plus = (mass / dt + 0.5 * k_mat).tocsc()
-    s_minus = (mass / dt - 0.5 * k_mat).tocsr()
+def _is_static(u_sample, u_const: np.ndarray, ops) -> bool:
+    """Whether every step has the same operator: no time sampler, and each
+    power-potential component vanishes, so its lagged weight is zero."""
+    return u_sample is None and not any(
+        op.kind == POWER_POTENTIAL and np.any(u_const[op.component])
+        for op in ops)
+
+
+def _operator_data(mesh: Mesh, coeff: np.ndarray,
+                   weight: np.ndarray) -> np.ndarray:
+    """Data of K(coeff) + R(weight) on the mesh's shared pattern."""
+    return (assemble_stiffness(mesh, coeff).data
+            + assemble_reaction(mesh, weight).data)
+
+
+def _cn_data(mass: sparse.csr_array, k_data: np.ndarray, dt: float):
+    """Data of S+ = M/dt + K/2 and S- = M/dt - K/2."""
+    scaled, half = mass.data / dt, 0.5 * k_data
+    return scaled + half, scaled - half
+
+
+def _factorize(matrix):
+    """SuperLU in its symmetric mode (Li 2005, "An overview of SuperLU").
+
+    Minimum degree on A^T + A with diagonal pivots suits the symmetric
+    positive definite systems here: at 13870 triangles it fills 30% less
+    than the default column ordering and factors in two thirds the time.
+    """
     try:
-        lu = splu(s_plus)
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FemError(f"sparse factorization failed: {exc}") from exc
-    return lu, s_minus
+
+
+def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
+                   dt: float):
+    """Factorized S+ and the explicit S- of a Crank-Nicolson step."""
+    cache = _operators(mesh)
+    plus, minus = _cn_data(mass, k_data, dt)
+    return (_factorize(cache.matrix(plus, sparse.csc_array)),
+            cache.matrix(minus))
+
+
+def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array,
+                        grid: SegmentGrid):
+    """The system of M/dt + K(1)/2, shared by background and adjoint marches.
+
+    The mesh's cache holds it for one segment grid (or an equal one) while
+    that grid lives, so a reconstruction shares it within a segment and
+    frees it with the segment, and a shared factorization is the one a
+    fresh build would give.
+    """
+    cache = _operators(mesh)
+    held = cache.unperturbed
+    if held is not None and held[0]() == grid:
+        return held[1]
+    system = _linear_system(
+        mesh, mass, assemble_stiffness(mesh, np.ones(mesh.num_cells)).data,
+        grid.dt)
+    grid_ref = weakref.ref(grid)
+    cache.unperturbed = (grid_ref, system)
+    weakref.finalize(grid, cache.release_unperturbed, grid_ref)
+    return system
+
+
+def _static_system(mesh: Mesh, mass: sparse.csr_array, u_const: np.ndarray,
+                   ops, grid: SegmentGrid):
+    coeff, react, _ = _split_ops(u_const, ops)
+    if np.all(coeff == 1.0) and not np.any(react):
+        return _unperturbed_system(mesh, mass, grid)
+    return _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
+                          grid.dt)
 
 
 def _check_solution(y: np.ndarray) -> np.ndarray:
@@ -255,9 +391,72 @@ def _be_startup(lu, mass, dt, y0, load_half, load_full):
     return _check_solution(lu.solve(0.5 * (scale * (mass @ y_half) + load_full)))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity API on this platform
+        return 1
+
+
+def _march_serial(steps: int, prepare, advance, y0: np.ndarray, store):
+    """Run ``y_{k+1} = advance(k, prepare(k), y_k)`` for every step."""
+    y = y0
+    for k in range(steps):
+        y = advance(k, prepare(k), y)
+        store(k + 1, y)
+
+
+def _march_time_only(steps: int, prepare, advance, y0: np.ndarray, store):
+    """``_march_serial`` with the next step's system prepared on a second CPU.
+
+    ``prepare`` builds and factorizes a step's system without the solution,
+    so with two usable CPUs the odd steps go to one worker thread, which
+    factorizes step k+1 while the calling thread factorizes and solves step
+    k (SuperLU releases the GIL).  Each step runs the same code on either
+    thread, so the result is bitwise that of the serial march.  A step's
+    factorization is dropped on the thread that made it (a SuperLU object
+    freed on another thread leaks its memory), and at most two are alive.
+    With one usable CPU the march stays serial: there the two threads only
+    take turns, and the second factorization in flight costs memory.
+    """
+    if _usable_cpus() < 2:
+        _march_serial(steps, prepare, advance, y0, store)
+        return
+
+    def odd_step(k: int, handoff: Future) -> np.ndarray:
+        system = prepare(k)
+        try:
+            return advance(k, system, handoff.result())
+        finally:
+            del system              # also when the calling thread gave up
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        y, pending = y0, None
+        for k in range(0, steps, 2):
+            handoff = Future()
+            odd = pool.submit(odd_step, k + 1, handoff) \
+                if k + 1 < steps else None
+            try:
+                system = prepare(k)
+                if pending is not None:
+                    y = pending.result()
+                    store(k, y)
+                y = advance(k, system, y)
+                del system              # before the next prepare factorizes
+                store(k + 1, y)
+            except BaseException:
+                handoff.cancel()        # the worker must not wait for y
+                raise
+            handoff.set_result(y)
+            pending = odd
+        if pending is not None:
+            store(steps, pending.result())
+
+
 def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
                   init: np.ndarray, transfer: TransferOps | None = None,
-                  picard_sweeps: int = 0, rannacher: bool = True) -> Trajectory:
+                  picard_sweeps: int = 0, rannacher: bool = True,
+                  rows: np.ndarray | None = None) -> Trajectory:
     """Crank-Nicolson march of the Neumann problem over one segment.
 
     ``u`` may be None, a (coarse or fine) cell field constant in time, or a
@@ -265,60 +464,69 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     samplers for the interior source (cell field) and the boundary flux
     (boundary-vertex values); either may be None.  The first step defaults to
     two backward-Euler half steps to keep second-order accuracy for rough
-    starting data.
+    starting data.  ``rows`` selects the vertices whose values the returned
+    trajectory keeps (all of them by default).
+
+    A sampler ``u`` without power-potential terms gives an operator that
+    depends on time only; its march factorizes one step ahead on a second
+    thread when the process may use two CPUs (see ``_march_time_only``).
     """
     u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
     mass = assemble_mass(mesh)
     dt = grid.dt
-    values = np.empty((grid.num_times, mesh.num_vertices))
-    values[0] = _check_init(init, mesh)
-
-    static = u_sample is None and not any(
-        op.kind == POWER_POTENTIAL for op in ops)
-    lu = s_minus = None
-    if static:
-        coeff, react, _ = _split_ops(u_const, ops)
-        k_mat = assemble_stiffness(mesh, coeff) + assemble_reaction(mesh, react)
-        lu, s_minus = _linear_system(mesh, mass, k_mat, dt)
-
     times = grid.times()
-    for k in range(grid.steps):
-        t_mid = times[k] + 0.5 * dt
-        startup = rannacher and k == 0
-        if static:
-            if startup:
-                values[1] = _be_startup(lu, mass, dt, values[0],
-                                        _load_at(mesh, f, g, times[0] + 0.5 * dt),
-                                        _load_at(mesh, f, g, times[1]))
-            else:
-                rhs = s_minus @ values[k] + _load_at(mesh, f, g, t_mid)
-                values[k + 1] = _check_solution(lu.solve(rhs))
-            continue
-        u_fine = u_sample(t_mid) if u_sample is not None else u_const
-        coeff, react, lagged = _split_ops(u_fine, ops)
-        y_prev = values[k]
+    y0 = _check_init(init, mesh)
+    keep = slice(None) if rows is None else np.asarray(rows)
+    values = np.empty((grid.num_times, y0[keep].size))
+    values[0] = y0[keep]
 
-        def advance(weight):
-            k_mat = assemble_stiffness(mesh, coeff) + \
-                assemble_reaction(mesh, weight)
-            lu_k, s_minus_k = _linear_system(mesh, mass, k_mat, dt)
-            if startup:
-                return _be_startup(lu_k, mass, dt, y_prev,
-                                   _load_at(mesh, f, g, times[0] + 0.5 * dt),
-                                   _load_at(mesh, f, g, times[1]))
-            return _check_solution(
-                lu_k.solve(s_minus_k @ y_prev + _load_at(mesh, f, g, t_mid)))
+    def store(k, y):
+        values[k] = y[keep]
 
-        y_new = advance(react + _lagged_weight(mesh, lagged, y_prev))
-        for _ in range(picard_sweeps if lagged else 0):
-            y_next = advance(react + _lagged_weight(
-                mesh, lagged, 0.5 * (y_prev + y_new)))
-            done = np.linalg.norm(y_next - y_new) <= 1e-8 * max(
-                np.linalg.norm(y_new), 1e-30)
-            y_new = y_next
-            if done:
-                break
-        values[k + 1] = y_new
+    def advance(k, system, y_prev):
+        lu, s_minus = system
+        if rannacher and k == 0:
+            return _be_startup(lu, mass, dt, y_prev,
+                               _load_at(mesh, f, g, times[0] + 0.5 * dt),
+                               _load_at(mesh, f, g, times[1]))
+        rhs = s_minus @ y_prev + _load_at(mesh, f, g, times[k] + 0.5 * dt)
+        return _check_solution(lu.solve(rhs))
+
+    if _is_static(u_sample, u_const, ops):
+        system = _static_system(mesh, mass, u_const, ops, grid)
+        _march_serial(grid.steps, lambda k: system, advance, y0, store)
+    elif u_sample is not None and not any(
+            op.kind == POWER_POTENTIAL for op in ops):
+        def prepare(k):
+            coeff, react, _ = _split_ops(u_sample(times[k] + 0.5 * dt), ops)
+            return _linear_system(mesh, mass,
+                                  _operator_data(mesh, coeff, react), dt)
+        _march_time_only(grid.steps, prepare, advance, y0, store)
+    else:
+        # the power weight is lagged at the previous level, then refined by
+        # Picard sweeps at the step midpoint
+        y = y0
+        for k in range(grid.steps):
+            u_fine = u_sample(times[k] + 0.5 * dt) if u_sample is not None \
+                else u_const
+            coeff, react, lagged = _split_ops(u_fine, ops)
+            stiff = assemble_stiffness(mesh, coeff).data
+            y_new = None
+            for _ in range(1 + picard_sweeps):
+                y_lag = y if y_new is None else 0.5 * (y + y_new)
+                weight = react + _lagged_weight(mesh, lagged, y_lag)
+                # no name keeps the system, so it is freed before the next
+                # one factorizes
+                y_next = advance(k, _linear_system(
+                    mesh, mass, stiff + assemble_reaction(mesh, weight).data,
+                    dt), y)
+                done = y_new is not None and np.linalg.norm(
+                    y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
+                y_new = y_next
+                if done:
+                    break
+            y = y_new
+            store(k + 1, y)
     return Trajectory(grid, values)
 
 
@@ -354,6 +562,7 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
         raise FemError("trace does not cover the segment's time nodes")
     u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
     mass = assemble_mass(mesh)
+    cache = _operators(mesh)
     dt = grid.dt
     bnd = mesh.boundary_vertices
     interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
@@ -362,23 +571,16 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
     values = np.empty((grid.num_times, mesh.num_vertices))
     values[0] = _check_init(init, mesh)
 
-    static = u_sample is None and not any(
-        op.kind == POWER_POTENTIAL for op in ops)
+    static = _is_static(u_sample, u_const, ops)
 
     def build(u_fine, y_prev):
         coeff, react, lagged = _split_ops(u_fine, ops)
         weight = react + _lagged_weight(mesh, lagged, y_prev)
-        k_mat = assemble_stiffness(mesh, coeff) + assemble_reaction(mesh, weight)
-        s_plus = (mass / dt + 0.5 * k_mat).tocsr()
-        s_minus = (mass / dt - 0.5 * k_mat).tocsr()
-        s_pi = s_plus[interior, :].tocsr()
+        plus, minus = _cn_data(mass, _operator_data(mesh, coeff, weight), dt)
+        s_pi = cache.matrix(plus)[interior, :].tocsr()
         s_ii = s_pi[:, interior].tocsc()
         s_ib = s_pi[:, bnd].tocsr()
-        try:
-            lu = splu(s_ii)
-        except RuntimeError as exc:
-            raise FemError(f"sparse factorization failed: {exc}") from exc
-        return lu, s_ib, s_minus
+        return _factorize(s_ii), s_ib, cache.matrix(minus)
 
     def be_half(lu, s_ib, y_prev, t_sub, trace_sub):
         # (2M/dt + K)_II = 2 * S_plus_II, so reuse the factorization
@@ -427,8 +629,7 @@ def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,
     if flux_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("flux does not cover the segment's time nodes")
     mass = assemble_mass(mesh)
-    k_mat = assemble_stiffness(mesh, np.ones(mesh.num_cells))
-    lu, s_minus = _linear_system(mesh, mass, k_mat, grid.dt)
+    lu, s_minus = _unperturbed_system(mesh, mass, grid)
     rev = flux_values[::-1]
     z = np.zeros((grid.num_times, mesh.num_vertices))
     for k in range(grid.steps):

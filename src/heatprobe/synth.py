@@ -72,16 +72,16 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
         return eval_truth(scn, min(t, scn.horizon), ref_mesh)
 
     u_arg = None if not scn.inclusions else truth
-    traj = fem.forward_solve(ref_mesh, grid, u_arg, scn.ops, f_fn, g_fn, h,
-                             picard_sweeps=picard_sweeps)
-    ref_trace = fem.boundary_trace(traj, ref_mesh)
+    ref_values = fem.forward_solve(ref_mesh, grid, u_arg, scn.ops, f_fn, g_fn,
+                                   h, picard_sweeps=picard_sweeps,
+                                   rows=ref_mesh.boundary_vertices).values
 
     src = boundary_angles(ref_mesh)
     order = np.argsort(src)
     dst = boundary_angles(inversion_mesh)
     values = np.empty((grid.num_times, inversion_mesh.num_boundary_vertices))
     for k in range(grid.num_times):
-        values[k] = np.interp(dst, src[order], ref_trace.values[k][order],
+        values[k] = np.interp(dst, src[order], ref_values[k][order],
                               period=2.0 * np.pi)
     _, _, h_inv = samplers(scn, inversion_mesh)
     values[0] = h_inv[inversion_mesh.boundary_vertices]

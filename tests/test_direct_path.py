@@ -1,0 +1,424 @@
+"""The fast solver paths against a plain direct march.
+
+The plain march below is the straightforward scheme: at every step it
+assembles the operators from COO triplets, factorizes with SuperLU's
+default options and solves.  The library caches operator patterns and
+factorizations, factorizes in SuperLU's symmetric mode and runs time-only
+marches on two threads; none of that may move a result by more than
+``RTOL`` (relative L2 over all time nodes).
+"""
+
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
+
+from heatprobe import fem
+from heatprobe import mesh as hm
+from heatprobe import scenario, synth
+
+RTOL = 1e-10
+SCENARIOS = ["ex1", "ex2", "ex3", "ex4", "ex5", "null"]
+LOCAL_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+# -- the plain march ---------------------------------------------------------
+
+def plain_matrix(mesh, cell_blocks):
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    n = mesh.num_vertices
+    mat = sparse.csr_array((cell_blocks.ravel(), (rows, cols)), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
+
+
+def plain_operator(mesh, coeff, weight):
+    g = mesh.basis_gradients
+    stiff = (coeff * mesh.cell_areas)[:, None, None] * np.einsum(
+        "tid,tjd->tij", g, g)
+    react = (weight * mesh.cell_areas)[:, None, None] * LOCAL_MASS
+    return plain_matrix(mesh, stiff) + plain_matrix(mesh, react)
+
+
+def plain_cell_load(mesh, values):
+    load = np.zeros(mesh.num_vertices)
+    for c in range(3):
+        np.add.at(load, mesh.triangles[:, c], values * mesh.cell_areas / 3.0)
+    return load
+
+
+def plain_neumann_load(mesh, flux):
+    gi = np.asarray(flux, dtype=float)
+    gj = np.roll(gi, -1)
+    lens = mesh.boundary_edge_lengths / 6.0
+    load = np.zeros(mesh.num_vertices)
+    np.add.at(load, mesh.boundary_edges[:, 0], lens * (2.0 * gi + gj))
+    np.add.at(load, mesh.boundary_edges[:, 1], lens * (gi + 2.0 * gj))
+    return load
+
+
+def plain_load(mesh, f, g, t):
+    load = np.zeros(mesh.num_vertices)
+    if f is not None:
+        load += plain_cell_load(mesh, f(t))
+    if g is not None:
+        load += plain_neumann_load(mesh, g(t))
+    return load
+
+
+def plain_split(u_fine, ops):
+    coeff = np.ones(u_fine.shape[1])
+    react = np.zeros(u_fine.shape[1])
+    lagged = []
+    for op in ops:
+        comp = u_fine[op.component]
+        if op.kind == fem.CONDUCTIVITY:
+            coeff = coeff + comp
+        elif op.kind == fem.POTENTIAL:
+            react = react + comp
+        else:
+            lagged.append((comp, op.power))
+    return coeff, react, lagged
+
+
+def plain_lagged(mesh, lagged, y):
+    ybar = y[mesh.triangles].mean(axis=1)
+    w = np.zeros(mesh.num_cells)
+    for comp, power in lagged:
+        w += comp * np.abs(ybar) ** (power - 2.0)
+    return w
+
+
+def plain_fine(u, n_comp, mesh, transfer):
+    arr = np.asarray(u, dtype=float)
+    arr = arr[None, :] if arr.ndim == 1 else arr
+    if arr.shape[1] != mesh.num_cells:
+        arr = hm.prolong(arr, transfer)
+    return arr
+
+
+def plain_step(mesh, mass, k_mat, dt, y, load_half, load_full, startup):
+    """One Crank-Nicolson step (two backward-Euler halves when starting)."""
+    lu = splu((mass / dt + 0.5 * k_mat).tocsc())
+    if startup:
+        y_half = lu.solve(0.5 * ((2.0 / dt) * (mass @ y) + load_half))
+        return lu.solve(0.5 * ((2.0 / dt) * (mass @ y_half) + load_full))
+    return lu.solve((mass / dt - 0.5 * k_mat) @ y + load_half)
+
+
+def plain_forward(mesh, grid, u, ops, f, g, init, transfer=None,
+                  picard_sweeps=0, rannacher=True, rows=None):
+    n_comp = len(ops)
+    if u is None:
+        u_at = lambda t: np.zeros((n_comp, mesh.num_cells))  # noqa: E731
+    elif callable(u):
+        u_at = lambda t: plain_fine(u(t), n_comp, mesh, transfer)  # noqa
+    else:
+        u_fixed = plain_fine(u, n_comp, mesh, transfer)
+        u_at = lambda t: u_fixed  # noqa: E731
+    mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
+    dt, times = grid.dt, grid.times()
+    values = [np.asarray(init, dtype=float)]
+    for k in range(grid.steps):
+        t_mid = times[k] + 0.5 * dt
+        startup = rannacher and k == 0
+        loads = (plain_load(mesh, f, g, t_mid),
+                 plain_load(mesh, f, g, times[1]) if startup else None)
+        coeff, react, lagged = plain_split(u_at(t_mid), ops)
+        y_prev = values[-1]
+
+        def advance(weight):
+            return plain_step(mesh, mass, plain_operator(mesh, coeff, weight),
+                              dt, y_prev, *loads, startup)
+
+        y_new = advance(react + plain_lagged(mesh, lagged, y_prev))
+        for _ in range(picard_sweeps if lagged else 0):
+            y_next = advance(react + plain_lagged(
+                mesh, lagged, 0.5 * (y_prev + y_new)))
+            done = np.linalg.norm(y_next - y_new) <= 1e-8 * max(
+                np.linalg.norm(y_new), 1e-30)
+            y_new = y_next
+            if done:
+                break
+        values.append(y_new)
+    values = np.array(values)
+    return fem.Trajectory(grid, values if rows is None else values[:, rows])
+
+
+def plain_dirichlet(mesh, grid, u, ops, f, trace_values, init, transfer):
+    u_fine = plain_fine(u, len(ops), mesh, transfer)
+    coeff, react, lagged = plain_split(u_fine, ops)
+    mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
+    dt, times = grid.dt, grid.times()
+    bnd = mesh.boundary_vertices
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
+    values = [np.asarray(init, dtype=float)]
+    for k in range(grid.steps):
+        y_prev = values[-1]
+        k_mat = plain_operator(mesh, coeff,
+                               react + plain_lagged(mesh, lagged, y_prev))
+        s_plus = (mass / dt + 0.5 * k_mat).tocsr()
+        s_ii = s_plus[interior][:, interior].tocsc()
+        s_ib = s_plus[interior][:, bnd]
+        lu = splu(s_ii)
+
+        def pinned(rhs_int, trace):
+            y = np.empty(mesh.num_vertices)
+            y[bnd] = trace
+            y[interior] = lu.solve(rhs_int - s_ib @ trace)
+            return y
+
+        if k == 0:
+            half = 0.5 * (trace_values[0] + trace_values[1])
+            rhs = (2.0 / dt) * (mass @ y_prev) + plain_cell_load(
+                mesh, f(times[0] + 0.5 * dt))
+            y_half = pinned(0.5 * rhs[interior], half)
+            rhs = (2.0 / dt) * (mass @ y_half) + plain_cell_load(
+                mesh, f(times[1]))
+            values.append(pinned(0.5 * rhs[interior], trace_values[1]))
+            continue
+        rhs = (mass / dt - 0.5 * k_mat) @ y_prev + plain_cell_load(
+            mesh, f(times[k] + 0.5 * dt))
+        values.append(pinned(rhs[interior], trace_values[k + 1]))
+    return np.array(values)
+
+
+def plain_adjoint(mesh, grid, flux_values):
+    rev = np.asarray(flux_values, dtype=float)[::-1]
+    mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
+    k_mat = plain_operator(mesh, np.ones(mesh.num_cells),
+                           np.zeros(mesh.num_cells))
+    z = [np.zeros(mesh.num_vertices)]
+    for k in range(grid.steps):
+        load_half = plain_neumann_load(mesh, 0.5 * (rev[k] + rev[k + 1]))
+        load_full = plain_neumann_load(mesh, rev[1]) if k == 0 else None
+        z.append(plain_step(mesh, mass, k_mat, grid.dt, z[-1], load_half,
+                            load_full, k == 0))
+    return np.array(z[::-1])
+
+
+def rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+# -- fixtures ----------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """Grant the process one or two CPUs, as ``os.sched_getaffinity`` sees."""
+    granted = set(range(request.param))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: granted,
+                        raising=False)
+    return request.param
+
+
+def make_scenario(name):
+    return scenario.null_scenario() if name == "null" \
+        else scenario.builtin(name)
+
+
+# -- agreement with the plain march ----------------------------------------
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
+                                                monkeypatch):
+    scn = make_scenario(name)
+    fast = synth.generate_reference(scn, small_coarse,
+                                    reference_triangles=3000, horizon=0.2)
+    monkeypatch.setattr(fem, "forward_solve", plain_forward)
+    plain = synth.generate_reference(scn, small_coarse,
+                                     reference_triangles=3000, horizon=0.2)
+    assert rel(fast.values, plain.values) <= RTOL
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
+                                   small_transfer):
+    scn = make_scenario(name)
+    mesh = small_fine
+    grid = fem.SegmentGrid(0.25, 0.5, 20)
+    f_fn, g_fn, h = scenario.samplers(scn, mesh)
+    init = h + 0.1 * mesh.vertices[:, 0]
+
+    def truth(t):
+        return scenario.eval_truth(scn, t, mesh)
+
+    u_coarse = hm.restrict(truth(0.4), small_transfer)
+    for u, picard in ((truth, 1), (None, 1), (u_coarse, 0)):
+        fast = fem.forward_solve(mesh, grid, u, scn.ops, f_fn, g_fn, init,
+                                 transfer=small_transfer,
+                                 picard_sweeps=picard).values
+        plain = plain_forward(mesh, grid, u, scn.ops, f_fn, g_fn, init,
+                              transfer=small_transfer,
+                              picard_sweeps=picard).values
+        assert rel(fast, plain) <= RTOL
+
+    trace = plain[:, mesh.boundary_vertices]
+    fast = fem.dirichlet_solve(mesh, grid, u_coarse, scn.ops, f_fn, trace,
+                               init, transfer=small_transfer).values
+    plain = plain_dirichlet(mesh, grid, u_coarse, scn.ops, f_fn, trace, init,
+                            small_transfer)
+    assert rel(fast, plain) <= RTOL
+
+    fast = fem.backward_adjoint_solve(mesh, grid, trace).values
+    assert rel(fast, plain_adjoint(mesh, grid, trace)) <= RTOL
+
+
+# -- what the fast paths promise beyond the tolerance ------------------------
+
+def test_two_thread_march_is_bitwise_serial(small_fine, monkeypatch):
+    """Also with the interpreter switching threads as often as it can, so a
+    step that read a stale or foreign solution would show."""
+    scn = scenario.builtin("ex2")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    grid = fem.SegmentGrid(0.0, 0.15, 15)
+
+    def march(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        return fem.forward_solve(
+            small_fine, grid,
+            lambda t: scenario.eval_truth(scn, t, small_fine), scn.ops,
+            f_fn, g_fn, h, rows=small_fine.boundary_vertices).values
+
+    serial = march(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [march(2) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for values in threaded:
+        assert np.array_equal(values, serial)
+
+
+def counted_splu(monkeypatch):
+    """Record every factorization made through ``fem.splu``."""
+    calls = []
+    original = fem.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting)
+    return calls
+
+
+def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
+                                                        monkeypatch):
+    """ex3's background march (u=None) factorizes at most once, and its
+    trajectory is the one the per-step march with the same zero power
+    component gives."""
+    scn = scenario.builtin("ex3")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    grid = fem.SegmentGrid(0.0, 0.1, 8)
+    zero = np.zeros((1, small_fine.num_cells))
+    calls = counted_splu(monkeypatch)
+    static = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn,
+                               h, picard_sweeps=1).values
+    assert len(calls) <= 1
+    calls.clear()
+    dynamic = fem.forward_solve(small_fine, grid, lambda t: zero, scn.ops,
+                                f_fn, g_fn, h, picard_sweeps=1).values
+    assert len(calls) >= grid.steps
+    assert np.array_equal(static, dynamic)
+
+
+def test_background_and_adjoint_share_one_factorization(small_fine,
+                                                        monkeypatch):
+    """One factorization per segment grid, freed with the grid."""
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    calls = counted_splu(monkeypatch)
+    cache = fem._operators(small_fine)
+    cache.unperturbed = None                    # start from no entry
+
+    def segment(t_start, steps):
+        grid = fem.SegmentGrid(t_start, t_start + 0.25, steps)
+        flux = np.ones((grid.num_times, small_fine.num_boundary_vertices))
+        bg = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn, h)
+        z = fem.backward_adjoint_solve(small_fine, grid, flux)
+        again = fem.SegmentGrid(t_start, t_start + 0.25, steps)   # equal grid
+        fem.backward_adjoint_solve(small_fine, again, flux)
+        assert cache.unperturbed is not None
+        assert rel(bg.values, plain_forward(small_fine, grid, None, scn.ops,
+                                            f_fn, g_fn, h).values) <= RTOL
+        assert rel(z.values, plain_adjoint(small_fine, grid, flux)) <= RTOL
+
+    segment(0.0, 20)
+    assert len(calls) == 1
+    assert cache.unperturbed is None            # the grid is gone
+    segment(0.25, 20)                           # same dt, a new segment
+    segment(0.5, 25)
+    assert len(calls) == 3
+    assert cache.unperturbed is None
+
+
+# -- the two-thread march: failures and memory -------------------------------
+
+@pytest.mark.parametrize("bad_step", [4, 7], ids=["even", "odd"])
+def test_two_thread_failure_raises_without_blocking(bad_step, small_fine,
+                                                    monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    grid = fem.SegmentGrid(0.0, 0.1, 10)
+    ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
+
+    def coefficient_drop(t):
+        step = int(np.floor((t - grid.t_start) / grid.dt))
+        # 1 + u turns nonpositive at the bad step: ellipticity fails
+        return np.full(small_fine.num_cells, -1.5 if step == bad_step else 0.0)
+
+    outcome = {}
+    threads_before = set(threading.enumerate())
+
+    def call():
+        try:
+            fem.forward_solve(small_fine, grid, coefficient_drop, ops, None,
+                              None, np.ones(small_fine.num_vertices))
+        except Exception as exc:        # noqa: BLE001 - checked below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the march blocked"
+    assert isinstance(outcome.get("error"), fem.FemError)
+    assert "ellipticity" in str(outcome["error"])
+    assert set(threading.enumerate()) - threads_before == set()
+
+
+def _rss_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm")
+def test_two_thread_march_memory_is_flat(monkeypatch):
+    """Each factorization is freed on the thread that made it; freeing it
+    on the other thread leaks about 5 MB a time."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    mesh = hm.build_disk_mesh(13870)
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(scn, mesh)
+
+    def march(steps):
+        grid = fem.SegmentGrid(0.0, 0.01 * steps, steps)
+        fem.forward_solve(mesh, grid,
+                          lambda t: scenario.eval_truth(scn, t, mesh),
+                          scn.ops, f_fn, g_fn, h,
+                          rows=mesh.boundary_vertices)
+
+    march(4)                # the operator cache and both threads' arenas
+    before = _rss_mb()
+    march(40)
+    assert _rss_mb() - before < 30.0

@@ -67,6 +67,15 @@ class TestAssembly:
         w = fem.assemble_reaction(disk1800, np.zeros(disk1800.num_cells))
         assert w.nnz == 0 or np.abs(w.data).max() == 0
 
+    def test_assembled_pattern_cannot_change_later_ones(self, disk1800,
+                                                        mass1800):
+        w = fem.assemble_reaction(disk1800, np.zeros(disk1800.num_cells))
+        with pytest.raises(ValueError):
+            w.eliminate_zeros()     # would rewrite the mesh's shared pattern
+        again = fem.assemble_mass(disk1800)
+        assert again.nnz == mass1800.nnz
+        assert np.abs(again - mass1800).max() == 0
+
     def test_reaction_unit_weight_is_mass(self, disk1800, mass1800):
         w = fem.assemble_reaction(disk1800, np.ones(disk1800.num_cells))
         assert np.abs(w - mass1800).max() <= 1e-12
