@@ -2,8 +2,7 @@
 of lateral boundary measurements."""
 
 from .mesh import (Mesh, MeshError, TransferOps, boundary_distance,
-                   build_disk_mesh, build_transfer, load_mesh, prolong,
-                   restrict, save_mesh)
+                   build_disk_mesh, build_transfer, prolong, restrict)
 from .fem import (BoundaryTrace, FemError, InhomogeneityOp, SegmentGrid,
                   Trajectory, assemble_mass, assemble_neumann_load,
                   assemble_reaction, assemble_stiffness,

@@ -192,18 +192,25 @@ def centroid_errors(mesh: Mesh, recon_mask: np.ndarray,
     return float(dists.min(axis=1).max())
 
 
+def score_segment(coarse: Mesh, u: np.ndarray, truth: np.ndarray,
+                  adjacency) -> tuple[list[float], list[float]]:
+    """Per-component Jaccard index and centroid error of an estimate's
+    support against the truth's."""
+    jac, cent = [], []
+    for comp in range(len(u)):
+        recon, t_mask = support_mask(u[comp]), truth[comp] != 0
+        jac.append(area_jaccard(coarse, recon, t_mask))
+        cent.append(centroid_errors(coarse, recon, t_mask, adjacency))
+    return jac, cent
+
+
 def compute_metrics(result: reconstruction.RunResult, scn: Scenario) -> list[MetricsRow]:
     adjacency = cell_adjacency(result.coarse)
     rows = []
     for seg in result.segments:
-        truth = eval_truth(scn, seg.t_mid, result.coarse)
-        jac, cent = [], []
-        for comp in range(scn.num_components):
-            recon = support_mask(seg.u[comp])
-            t_mask = truth[comp] != 0
-            jac.append(area_jaccard(result.coarse, recon, t_mask))
-            cent.append(centroid_errors(result.coarse, recon, t_mask,
-                                        adjacency))
+        jac, cent = score_segment(result.coarse, seg.u,
+                                  eval_truth(scn, seg.t_mid, result.coarse),
+                                  adjacency)
         rows.append(MetricsRow(
             segment=seg.index, t_mid=seg.t_mid, residual=seg.residual,
             background=seg.counters.background, adjoint=seg.counters.adjoint,
@@ -323,8 +330,10 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     scn = resolve_scenario(cfg.scenario)
     fine = build_disk_mesh(cfg.fine_triangles)
     if measurement_base is not None:
-        mset = synth.load_measurement_set(measurement_base,
-                                          cfg.reference_triangles,
+        # the inverse-crime guard needs the mesh the data was made on
+        reference = int(_read_config_value(measurement_base + "_manifest.txt",
+                                           "reference_triangles"))
+        mset = synth.load_measurement_set(measurement_base, reference,
                                           binary=binary)
     else:
         mset = synth.build_measurement_set(
@@ -391,13 +400,14 @@ def _write_summary(path, cfg: RunConfig, result: reconstruction.RunResult,
         fh.write(f"\nwall time seconds = {elapsed:.1f}\n")
 
 
-def _read_config_value(run_dir: str, key: str) -> str:
-    with open(os.path.join(run_dir, "config.txt")) as fh:
+def _read_config_value(path: str, key: str) -> str:
+    """A ``key = value`` entry of a manifest or config file."""
+    with open(path) as fh:
         for line in fh:
             name, _, value = line.partition("=")
             if name.strip() == key:
                 return value.strip()
-    raise KeyError(key)
+    raise OSError(f"{path} has no {key} entry")
 
 
 def cmd_metrics(run_dir: str, scenario_name: str) -> str:
@@ -406,9 +416,10 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
     seg_dir = os.path.join(run_dir, "segments")
     if not os.path.isdir(seg_dir):
         raise OSError(f"{run_dir} has no segments/ directory")
-    coarse = build_disk_mesh(int(_read_config_value(run_dir,
+    config = os.path.join(run_dir, "config.txt")
+    coarse = build_disk_mesh(int(_read_config_value(config,
                                                     "coarse_triangles")))
-    seg_len = float(_read_config_value(run_dir, "segment_length"))
+    seg_len = float(_read_config_value(config, "segment_length"))
     files = sorted(f for f in os.listdir(seg_dir)
                    if f.startswith("u_") and f.endswith(".csv"))
     if not files:
@@ -436,16 +447,13 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
                 cols += [f"centroid_error_{c}" for c in range(len(u))]
                 fh.write(",".join(cols) + "\n")
                 header_written = True
-            jac, cent = [], []
+            jac, cent = score_segment(coarse, u, truth, adjacency)
             for comp in range(len(u)):
-                recon = support_mask(u[comp])
-                t_mask = truth[comp] != 0
-                jac.append(area_jaccard(coarse, recon, t_mask))
-                cent.append(centroid_errors(coarse, recon, t_mask, adjacency))
-                img = render_heatmap(raster, u[comp], truth_mask=t_mask)
+                img = render_heatmap(raster, u[comp],
+                                     truth_mask=truth[comp] != 0)
                 write_pgm(os.path.join(map_dir, f"seg{n:04d}_c{comp}.pgm"),
                           img)
-                med.setdefault(comp, []).append(jac[-1])
+                med.setdefault(comp, []).append(jac[comp])
             fh.write(",".join([str(n), f"{t_mid:.6f}"]
                               + [f"{x:.6f}" for x in jac]
                               + [f"{x:.6f}" for x in cent]) + "\n")

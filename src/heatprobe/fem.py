@@ -312,12 +312,6 @@ def _operator_data(mesh: Mesh, coeff: np.ndarray,
             + assemble_reaction(mesh, weight).data)
 
 
-def _cn_data(mass: sparse.csr_array, k_data: np.ndarray, dt: float):
-    """Data of S+ = M/dt + K/2 and S- = M/dt - K/2."""
-    scaled, half = mass.data / dt, 0.5 * k_data
-    return scaled + half, scaled - half
-
-
 def _factorize(matrix):
     """SuperLU in its symmetric mode (Li 2005, "An overview of SuperLU").
 
@@ -333,12 +327,16 @@ def _factorize(matrix):
 
 
 def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
-                   dt: float):
-    """Factorized S+ and the explicit S- of a Crank-Nicolson step."""
+                   dt: float, factor=None):
+    """The solver of S+ = M/dt + K/2 and the explicit S- = M/dt - K/2 of a
+    Crank-Nicolson step.  ``factor`` makes the solver from the data of S+
+    on the mesh's pattern; by default it factorizes all of S+."""
     cache = _operators(mesh)
-    plus, minus = _cn_data(mass, k_data, dt)
-    return (_factorize(cache.matrix(plus, sparse.csc_array)),
-            cache.matrix(minus))
+    scaled, half = mass.data / dt, 0.5 * k_data
+    plus = scaled + half
+    solver = factor(plus) if factor is not None \
+        else _factorize(cache.matrix(plus, sparse.csc_array))
+    return solver, cache.matrix(scaled - half)
 
 
 def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array,
@@ -363,32 +361,10 @@ def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array,
     return system
 
 
-def _static_system(mesh: Mesh, mass: sparse.csr_array, u_const: np.ndarray,
-                   ops, grid: SegmentGrid):
-    coeff, react, _ = _split_ops(u_const, ops)
-    if np.all(coeff == 1.0) and not np.any(react):
-        return _unperturbed_system(mesh, mass, grid)
-    return _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
-                          grid.dt)
-
-
 def _check_solution(y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise FemError("linear solve produced non-finite values")
     return y
-
-
-def _be_startup(lu, mass, dt, y0, load_half, load_full):
-    """Two backward-Euler half steps replacing the first Crank-Nicolson step.
-
-    Damps the weakly decaying high-frequency transients that plain
-    Crank-Nicolson would carry through the march (Rannacher startup); the
-    half-step operator 2M/dt + K is exactly twice the Crank-Nicolson matrix,
-    so the already-factorized system is reused.
-    """
-    scale = 2.0 / dt
-    y_half = _check_solution(lu.solve(0.5 * (scale * (mass @ y0) + load_half)))
-    return _check_solution(lu.solve(0.5 * (scale * (mass @ y_half) + load_full)))
 
 
 def _usable_cpus() -> int:
@@ -453,28 +429,64 @@ def _march_time_only(steps: int, prepare, advance, y0: np.ndarray, store):
             store(steps, pending.result())
 
 
-def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
-                  init: np.ndarray, transfer: TransferOps | None = None,
-                  picard_sweeps: int = 0, rannacher: bool = True,
-                  rows: np.ndarray | None = None) -> Trajectory:
-    """Crank-Nicolson march of the Neumann problem over one segment.
+def _check_init(init: np.ndarray, mesh: Mesh) -> np.ndarray:
+    init = np.asarray(init, dtype=float)
+    if init.shape != (mesh.num_vertices,):
+        raise FemError("initial field does not match the mesh")
+    return init
 
-    ``u`` may be None, a (coarse or fine) cell field constant in time, or a
-    sampler ``t -> field`` evaluated at step midpoints.  ``f`` and ``g`` are
-    samplers for the interior source (cell field) and the boundary flux
-    (boundary-vertex values); either may be None.  The first step defaults to
-    two backward-Euler half steps to keep second-order accuracy for rough
-    starting data.  ``rows`` selects the vertices whose values the returned
-    trajectory keeps (all of them by default).
 
-    A sampler ``u`` without power-potential terms gives an operator that
-    depends on time only; its march factorizes one step ahead on a second
-    thread when the process may use two CPUs (see ``_march_time_only``).
+def _half_node(values: np.ndarray, j: int) -> np.ndarray:
+    """Value at the half-step node j (time t_start + j*dt/2) of an array
+    with one row per time node."""
+    k = j // 2
+    return values[k] if j % 2 == 0 else 0.5 * (values[k] + values[k + 1])
+
+
+def _source_load(mesh: Mesh, grid: SegmentGrid, f, g):
+    """Load at the half-step nodes of the interior source sampler ``f`` and
+    the boundary flux sampler ``g`` (either may be None)."""
+    times, half = grid.times(), 0.5 * grid.dt
+
+    def load(j: int) -> np.ndarray:
+        t = times[j // 2] + half * (j % 2)
+        out = np.zeros(mesh.num_vertices)
+        if f is not None:
+            out += assemble_cell_load(mesh, f(t))
+        if g is not None:
+            out += assemble_neumann_load(mesh, g(t))
+        return out
+    return load
+
+
+def _solve_all(lu, rhs: np.ndarray, j: int) -> np.ndarray:
+    return _check_solution(lu.solve(rhs))
+
+
+def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
+           transfer: TransferOps | None, load, factor=None, solve=_solve_all,
+           picard_sweeps: int = 0, rows: np.ndarray | None = None
+           ) -> Trajectory:
+    """The Crank-Nicolson march behind every solve of this module.
+
+    ``load(j)`` is the load at the half-step node j (time t_start + j*dt/2).
+    ``factor`` makes a step's solver from the data of S+ (see
+    ``_linear_system``), and ``solve(solver, rhs, j)`` returns the solution
+    at node j.  The first step is two backward-Euler half steps (Rannacher
+    startup), which damp the weakly decaying high-frequency transients that
+    plain Crank-Nicolson would carry through the march; their operator
+    2M/dt + K is twice S+, so the step's system serves them as well.
+
+    A static operator (no sampler, every power weight zero) gets one system
+    for all steps; with the default ``factor`` and no inhomogeneity that is
+    the factorization shared per segment grid (``_unperturbed_system``).
+    An operator that depends on time only gets ``_march_time_only``.  A
+    lagged power weight gets a system per step, refined by ``picard_sweeps``
+    sweeps that lag the weight at the step midpoint.
     """
     u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
     mass = assemble_mass(mesh)
-    dt = grid.dt
-    times = grid.times()
+    dt, times = grid.dt, grid.times()
     y0 = _check_init(init, mesh)
     keep = slice(None) if rows is None else np.asarray(rows)
     values = np.empty((grid.num_times, y0[keep].size))
@@ -483,73 +495,88 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     def store(k, y):
         values[k] = y[keep]
 
+    def build(k_data):
+        return _linear_system(mesh, mass, k_data, dt, factor)
+
     def advance(k, system, y_prev):
-        lu, s_minus = system
-        if rannacher and k == 0:
-            return _be_startup(lu, mass, dt, y_prev,
-                               _load_at(mesh, f, g, times[0] + 0.5 * dt),
-                               _load_at(mesh, f, g, times[1]))
-        rhs = s_minus @ y_prev + _load_at(mesh, f, g, times[k] + 0.5 * dt)
-        return _check_solution(lu.solve(rhs))
+        solver, s_minus = system
+        if k > 0:
+            return solve(solver, s_minus @ y_prev + load(2 * k + 1), 2 * k + 2)
+        for j in (1, 2):
+            y_prev = solve(solver, 0.5 * ((2.0 / dt) * (mass @ y_prev)
+                                          + load(j)), j)
+        return y_prev
+
+    def split(k):
+        return _split_ops(u_const if u_sample is None
+                          else u_sample(times[k] + 0.5 * dt), ops)
 
     if _is_static(u_sample, u_const, ops):
-        system = _static_system(mesh, mass, u_const, ops, grid)
-        _march_serial(grid.steps, lambda k: system, advance, y0, store)
+        coeff, react, _ = split(0)
+        fixed = _unperturbed_system(mesh, mass, grid) \
+            if factor is None and np.all(coeff == 1.0) and not np.any(react) \
+            else build(_operator_data(mesh, coeff, react))
+        _march_serial(grid.steps, lambda k: fixed, advance, y0, store)
     elif u_sample is not None and not any(
             op.kind == POWER_POTENTIAL for op in ops):
         def prepare(k):
-            coeff, react, _ = _split_ops(u_sample(times[k] + 0.5 * dt), ops)
-            return _linear_system(mesh, mass,
-                                  _operator_data(mesh, coeff, react), dt)
+            coeff, react, _ = split(k)
+            return build(_operator_data(mesh, coeff, react))
         _march_time_only(grid.steps, prepare, advance, y0, store)
     else:
-        # the power weight is lagged at the previous level, then refined by
-        # Picard sweeps at the step midpoint
-        y = y0
-        for k in range(grid.steps):
-            u_fine = u_sample(times[k] + 0.5 * dt) if u_sample is not None \
-                else u_const
-            coeff, react, lagged = _split_ops(u_fine, ops)
-            stiff = assemble_stiffness(mesh, coeff).data
+        def prepare(k):
+            coeff, react, lagged = split(k)
+            return react, lagged, assemble_stiffness(mesh, coeff).data
+
+        def picard(k, step, y_prev):
+            # the power weight is lagged at the previous level, then refined
+            # by Picard sweeps at the step midpoint
+            react, lagged, stiff = step
             y_new = None
             for _ in range(1 + picard_sweeps):
-                y_lag = y if y_new is None else 0.5 * (y + y_new)
+                y_lag = y_prev if y_new is None else 0.5 * (y_prev + y_new)
                 weight = react + _lagged_weight(mesh, lagged, y_lag)
                 # no name keeps the system, so it is freed before the next
                 # one factorizes
-                y_next = advance(k, _linear_system(
-                    mesh, mass, stiff + assemble_reaction(mesh, weight).data,
-                    dt), y)
+                y_next = advance(k, build(
+                    stiff + assemble_reaction(mesh, weight).data), y_prev)
                 done = y_new is not None and np.linalg.norm(
                     y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
                 y_new = y_next
                 if done:
                     break
-            y = y_new
-            store(k + 1, y)
+            return y_new
+        _march_serial(grid.steps, prepare, picard, y0, store)
     return Trajectory(grid, values)
 
 
-def _check_init(init: np.ndarray, mesh: Mesh) -> np.ndarray:
-    init = np.asarray(init, dtype=float)
-    if init.shape != (mesh.num_vertices,):
-        raise FemError("initial field does not match the mesh")
-    return init
+def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
+                  init: np.ndarray, transfer: TransferOps | None = None,
+                  picard_sweeps: int = 0,
+                  rows: np.ndarray | None = None) -> Trajectory:
+    """Crank-Nicolson march of the Neumann problem over one segment.
 
+    ``u`` may be None, a (coarse or fine) cell field constant in time, or a
+    sampler ``t -> field`` evaluated at step midpoints.  ``f`` and ``g`` are
+    samplers for the interior source (cell field) and the boundary flux
+    (boundary-vertex values); either may be None.  The first step is always
+    two backward-Euler half steps, which keep second-order accuracy for
+    rough starting data.  ``picard_sweeps`` refines a lagged power weight
+    within each step.  ``rows`` selects the vertices whose values the
+    returned trajectory keeps (all of them by default).
 
-def _load_at(mesh: Mesh, f, g, t: float) -> np.ndarray:
-    load = np.zeros(mesh.num_vertices)
-    if f is not None:
-        load += assemble_cell_load(mesh, f(t))
-    if g is not None:
-        load += assemble_neumann_load(mesh, g(t))
-    return load
+    A sampler ``u`` without power-potential terms gives an operator that
+    depends on time only; its march factorizes one step ahead on a second
+    thread when the process may use two CPUs (see ``_march_time_only``).
+    """
+    return _march(mesh, grid, u, ops, init, transfer,
+                  _source_load(mesh, grid, f, g),
+                  picard_sweeps=picard_sweeps, rows=rows)
 
 
 def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
                     trace_values: np.ndarray, init: np.ndarray,
-                    transfer: TransferOps | None = None,
-                    rannacher: bool = True) -> Trajectory:
+                    transfer: TransferOps | None = None) -> Trajectory:
     """Crank-Nicolson march with the boundary rows pinned to measured values.
 
     ``trace_values`` holds one row per grid time node over the boundary
@@ -560,65 +587,28 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
     trace_values = np.asarray(trace_values, dtype=float)
     if trace_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("trace does not cover the segment's time nodes")
-    u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
-    mass = assemble_mass(mesh)
     cache = _operators(mesh)
-    dt = grid.dt
     bnd = mesh.boundary_vertices
     interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
-    m_int = mass[interior, :].tocsr()
 
-    values = np.empty((grid.num_times, mesh.num_vertices))
-    values[0] = _check_init(init, mesh)
-
-    static = _is_static(u_sample, u_const, ops)
-
-    def build(u_fine, y_prev):
-        coeff, react, lagged = _split_ops(u_fine, ops)
-        weight = react + _lagged_weight(mesh, lagged, y_prev)
-        plus, minus = _cn_data(mass, _operator_data(mesh, coeff, weight), dt)
+    def factor(plus):
         s_pi = cache.matrix(plus)[interior, :].tocsr()
-        s_ii = s_pi[:, interior].tocsc()
-        s_ib = s_pi[:, bnd].tocsr()
-        return _factorize(s_ii), s_ib, cache.matrix(minus)
+        return _factorize(s_pi[:, interior].tocsc()), s_pi[:, bnd].tocsr()
 
-    def be_half(lu, s_ib, y_prev, t_sub, trace_sub):
-        # (2M/dt + K)_II = 2 * S_plus_II, so reuse the factorization
-        rhs = (2.0 / dt) * (m_int @ y_prev)
-        if f is not None:
-            rhs = rhs + assemble_cell_load(mesh, f(t_sub))[interior]
+    def pinned(solver, rhs, j):
+        lu, s_ib = solver
         y = np.empty(mesh.num_vertices)
-        y[bnd] = trace_sub
-        y[interior] = _check_solution(lu.solve(0.5 * rhs - s_ib @ trace_sub))
+        trace = _half_node(trace_values, j)
+        y[bnd] = trace
+        y[interior] = _check_solution(lu.solve(rhs[interior] - s_ib @ trace))
         return y
 
-    if static:
-        lu, s_ib, s_minus = build(u_const, values[0])
-    times = grid.times()
-    for k in range(grid.steps):
-        if not static:
-            u_fine = u_sample(times[k] + 0.5 * dt) if u_sample is not None \
-                else u_const
-            lu, s_ib, s_minus = build(u_fine, values[k])
-        if rannacher and k == 0:
-            tr_half = 0.5 * (trace_values[0] + trace_values[1])
-            y_half = be_half(lu, s_ib, values[0], times[0] + 0.5 * dt, tr_half)
-            values[1] = be_half(lu, s_ib, y_half, times[1], trace_values[1])
-            continue
-        rhs = s_minus @ values[k]
-        if f is not None:
-            rhs += assemble_cell_load(mesh, f(times[k] + 0.5 * dt))
-        y_new = np.empty(mesh.num_vertices)
-        y_new[bnd] = trace_values[k + 1]
-        y_new[interior] = _check_solution(
-            lu.solve(rhs[interior] - s_ib @ trace_values[k + 1]))
-        values[k + 1] = y_new
-    return Trajectory(grid, values)
+    return _march(mesh, grid, u, ops, init, transfer,
+                  _source_load(mesh, grid, f, None), factor, pinned)
 
 
 def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,
-                           flux_values: np.ndarray,
-                           rannacher: bool = True) -> Trajectory:
+                           flux_values: np.ndarray) -> Trajectory:
     """Backward heat equation with Neumann flux data and zero terminal value.
 
     Solved as a forward Crank-Nicolson march in the reversed time
@@ -628,20 +618,10 @@ def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,
     flux_values = np.asarray(flux_values, dtype=float)
     if flux_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("flux does not cover the segment's time nodes")
-    mass = assemble_mass(mesh)
-    lu, s_minus = _unperturbed_system(mesh, mass, grid)
     rev = flux_values[::-1]
-    z = np.zeros((grid.num_times, mesh.num_vertices))
-    for k in range(grid.steps):
-        if rannacher and k == 0:
-            z[1] = _be_startup(lu, mass, grid.dt, z[0],
-                               assemble_neumann_load(mesh, 0.5 * (rev[0] + rev[1])),
-                               assemble_neumann_load(mesh, rev[1]))
-            continue
-        half = 0.5 * (rev[k] + rev[k + 1])
-        rhs = s_minus @ z[k] + assemble_neumann_load(mesh, half)
-        z[k + 1] = _check_solution(lu.solve(rhs))
-    return Trajectory(grid, z[::-1].copy())
+    z = _march(mesh, grid, None, (), np.zeros(mesh.num_vertices), None,
+               lambda j: assemble_neumann_load(mesh, _half_node(rev, j)))
+    return Trajectory(grid, z.values[::-1].copy())
 
 
 def boundary_trace(traj: Trajectory, mesh: Mesh) -> BoundaryTrace:

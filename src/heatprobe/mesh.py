@@ -343,40 +343,3 @@ def cell_adjacency(mesh: Mesh) -> list[np.ndarray]:
                 neighbors[t].append(other)
                 neighbors[other].append(t)
     return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write the plain-text mesh format: header ``V T B``, then vertex,
-    triangle and boundary-edge lines with 0-based indices."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_vertices} {mesh.num_cells} "
-                 f"{len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        for i, j in mesh.boundary_edges:
-            fh.write(f"{i} {j}\n")
-
-
-def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise MeshError(f"{path}: truncated mesh file")
-    nv, nt, nb = (int(t) for t in tokens[:3])
-    need = 3 + 2 * nv + 3 * nt + 2 * nb
-    if len(tokens) != need:
-        raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    pos = 3
-    vertices = np.array(tokens[pos:pos + 2 * nv], dtype=float).reshape(nv, 2)
-    pos += 2 * nv
-    triangles = np.array(tokens[pos:pos + 3 * nt], dtype=np.int64).reshape(nt, 3)
-    pos += 3 * nt
-    stored_edges = np.array(tokens[pos:pos + 2 * nb], dtype=np.int64).reshape(nb, 2)
-    mesh = make_mesh(vertices, triangles)
-    if sorted(map(tuple, stored_edges)) != sorted(map(tuple, mesh.boundary_edges)):
-        raise MeshError(f"{path}: stored boundary edges do not match the "
-                        "triangulation")
-    return mesh

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,6 @@ class Options:
     rank_cap: int = 24
     max_inner: int = 8
     eta_hat_variant: str = "zeta"    # zeta | r_zeta
-    picard_sweeps: int = 0
     horizon: float | None = None     # defaults to the scenario horizon
 
     def __post_init__(self):
@@ -343,8 +343,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     counters = Counters()
     ops, bounds = scn.ops, scn.bounds
 
-    y_bg = fem.forward_solve(fine, grid, None, ops, f_fn, g_fn, init,
-                             picard_sweeps=opts.picard_sweeps)
+    y_bg = fem.forward_solve(fine, grid, None, ops, f_fn, g_fn, init)
     counters.background += 1
     bg_trace = fem.boundary_trace(y_bg, fine).values
     y_d = sample_measurement(mset, grid.times())
@@ -365,8 +364,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
         u_st = project(eta, bounds)
         u_avg = time_average(u_st, grid)
         y_cur = fem.forward_solve(fine, grid, u_avg, ops, f_fn, g_fn, init,
-                                  transfer=transfer,
-                                  picard_sweeps=opts.picard_sweeps)
+                                  transfer=transfer)
         counters.forward += 1
         residual = fem.boundary_rel_error(
             fine, grid, fem.boundary_trace(y_cur, fine).values, y_d)
@@ -509,34 +507,43 @@ def _save_checkpoint(run_dir: str, report: SegmentReport,
         writer.writerow(row)
 
 
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of a whole file: ``np.savetxt`` ends each with a newline."""
+    with open(path) as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"{path} is truncated")
+    return np.loadtxt(text.splitlines(), **kwargs)
+
+
+def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+
+
 def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh,
                      init: np.ndarray, kernel: ResolverKernel):
-    done = sorted(int(f[2:6]) for f in os.listdir(run_dir)
-                  if f.startswith("u_") and f.endswith(".csv"))
-    last = -1
-    for n in done:
-        needed = [f"terminal_{n:04d}.txt", f"kernel_{n:04d}.npz"]
-        if all(os.path.exists(os.path.join(run_dir, p)) for p in needed):
-            last = n
-        else:
-            break
-    if last < 0:
-        return 0, init, kernel, []
-    terminal = np.loadtxt(os.path.join(run_dir, f"terminal_{last:04d}.txt"))
-    data = np.load(os.path.join(run_dir, f"kernel_{last:04d}.npz"))
-    kernel = ResolverKernel(
-        diag=data["diag"],
-        terms=[KernelTerm(m, n_, w, d) for m, n_, w, d in
-               zip(data["m"], data["n"], data["weight"], data["damp"])],
-        rank_cap=int(data["rank_cap"]))
+    """Restore the segments before the first one that lacks a file or its
+    ``segments.csv`` row.  Rows after it are dropped, so that segment and
+    every later one run again.  A restored file that does not parse or does
+    not fit this run raises OSError."""
+    path = os.path.join(run_dir, "segments.csv")
+    lines = []
+    if os.path.exists(path):
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    shape = (scn.num_components, coarse.num_cells)
     reports = []
-    with open(os.path.join(run_dir, "segments.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            n = int(row["segment"])
-            if n > last:
+    try:
+        for n, row in enumerate(csv.DictReader(lines)):
+            names = [f"u_{n:04d}.csv", f"terminal_{n:04d}.txt",
+                     f"kernel_{n:04d}.npz"]
+            if int(row["segment"]) != n or not all(
+                    os.path.exists(os.path.join(run_dir, p)) for p in names):
                 break
-            u = np.loadtxt(os.path.join(run_dir, f"u_{n:04d}.csv"),
-                           delimiter=",", skiprows=1, ndmin=2).T
+            u = _loadtxt(os.path.join(run_dir, names[0]), delimiter=",",
+                         skiprows=1, ndmin=2).T
+            _expect_shape(u, shape, names[0])
             reports.append(SegmentReport(
                 index=n, t_mid=float(row["t_mid"]), u=u,
                 residual=float(row["residual"]),
@@ -545,6 +552,28 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh,
                 iterations=int(row["iterations"]),
                 warned=bool(int(row["warned"])),
                 kernel_rank=int(row["kernel_rank"])))
+        if not reports:
+            return 0, init, kernel, []
+        last = len(reports) - 1
+        terminal = _loadtxt(os.path.join(run_dir, f"terminal_{last:04d}.txt"))
+        _expect_shape(terminal, init.shape, f"terminal_{last:04d}.txt")
+        with np.load(os.path.join(run_dir, f"kernel_{last:04d}.npz")) as data:
+            diag, m, n_, weight, damp = (data[k] for k in
+                                         ("diag", "m", "n", "weight", "damp"))
+            rank_cap = int(data["rank_cap"])
+        _expect_shape(diag, shape, "kernel diagonal")
+        _expect_shape(m, (len(weight),) + m.shape[1:-2] + shape, "kernel m")
+        _expect_shape(n_, m.shape, "kernel n")
+        _expect_shape(damp, weight.shape, "kernel damping")
+    except (ValueError, LookupError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc
+    kernel = ResolverKernel(
+        diag=diag, rank_cap=rank_cap,
+        terms=[KernelTerm(*term) for term in zip(m, n_, weight, damp)])
+    if len(lines) > last + 2:           # the header plus one row a segment
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines[:last + 2])
     logger.info("resuming after segment %d (%d reports restored)",
                 last, len(reports))
     return last + 1, terminal, kernel, reports

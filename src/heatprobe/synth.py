@@ -51,8 +51,7 @@ def boundary_angles(mesh: Mesh) -> np.ndarray:
 def generate_reference(scn: Scenario, inversion_mesh: Mesh,
                        reference_triangles: int = REFERENCE_TRIANGLES,
                        sample_dt: float = SAMPLE_DT,
-                       horizon: float | None = None,
-                       picard_sweeps: int = 1) -> fem.BoundaryTrace:
+                       horizon: float | None = None) -> fem.BoundaryTrace:
     """Solve the true problem on a dedicated mesh and sample its trace.
 
     The trace is interpolated onto the inversion mesh's boundary vertices
@@ -73,7 +72,7 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
 
     u_arg = None if not scn.inclusions else truth
     ref_values = fem.forward_solve(ref_mesh, grid, u_arg, scn.ops, f_fn, g_fn,
-                                   h, picard_sweeps=picard_sweeps,
+                                   h, picard_sweeps=1,
                                    rows=ref_mesh.boundary_vertices).values
 
     src = boundary_angles(ref_mesh)

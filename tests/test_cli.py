@@ -1,6 +1,7 @@
 """CLI subcommands, metrics computation, heatmaps, and exit codes."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -203,6 +204,12 @@ class TestCommands:
         assert len(lines) == 1 + 5
         assert os.listdir(os.path.join(run_dir, "heatmaps_truth"))
         assert "median jaccard" in capsys.readouterr().out
+        # the same scoring as the run's own metrics.csv
+        run = np.genfromtxt(os.path.join(run_dir, "metrics.csv"),
+                            delimiter=",", names=True)
+        truth = np.genfromtxt(out, delimiter=",", names=True)
+        for col in ("jaccard_0", "centroid_error_0"):
+            assert np.array_equal(truth[col], run[col])
 
     def test_sweep(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -211,6 +218,53 @@ class TestCommands:
         assert len(dirs) == 2
         for d in dirs:
             assert os.path.exists(os.path.join(d, "summary.txt"))
+
+
+class TestCheckpoints:
+    def test_resume_reruns_a_segment_without_its_row(self, tmp_path):
+        """A crash between a segment's files and its segments.csv row."""
+        cfg = micro_config(tmp_path, scenario="ex1", noise=0.05)
+        base = cli.cmd_generate(cfg)
+        run_dir = cli.cmd_reconstruct(cfg, measurement_base=base)
+        with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
+            fresh = fh.read()
+        table = os.path.join(run_dir, "segments", "segments.csv")
+        with open(table, newline="") as fh:
+            lines = fh.readlines()
+        with open(table, "w", newline="") as fh:
+            fh.writelines(lines[:3] + lines[4:])       # drop segment 2's row
+        cli.cmd_reconstruct(cfg, measurement_base=base, resume=True)
+        with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
+            assert fh.read() == fresh
+        with open(table, newline="") as fh:
+            assert [row.split(",")[0] for row in fh.readlines()[1:]] \
+                == ["0", "1", "2", "3", "4"]
+
+    @pytest.fixture(scope="class")
+    def short_run(self, tmp_path_factory):
+        """Outdir of a finished two-segment run (segments 0 and 1)."""
+        out = tmp_path_factory.mktemp("short")
+        cli.cmd_reconstruct(micro_config(out, horizon=0.2))
+        return out / "runs"
+
+    @pytest.mark.parametrize("cut", ["line_end", "mid_number"])
+    def test_truncated_terminal_field_is_io_error(self, cut, short_run,
+                                                  tmp_path, capsys):
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        path = out / run_dir / "segments" / "terminal_0001.txt"
+        text = path.read_text()
+        # a cut inside the last number leaves a shorter one that still parses
+        path.write_text(text[:text.rindex("\n", 0, -1) + 1]
+                        if cut == "line_end" else text[:-8])
+        code = cli.main(["reconstruct", "--scenario", "null",
+                         "--noise", "0.02", "--seed", "1",
+                         "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.5",
+                         "--out", str(out), "--resume"])
+        assert code == cli.EXIT_IO
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
 
 class TestMainExitCodes:
@@ -228,6 +282,21 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    def test_reference_mesh_comes_from_the_manifest(self, tmp_path, capsys):
+        """Data made on 960 triangles cannot be inverted on 960, whatever
+        --reference-triangles says.  Both 960 and 1000 triangles give 76
+        boundary vertices, so the stored trace fits the inversion mesh."""
+        out = str(tmp_path / "runs")
+        base = cli.cmd_generate(micro_config(tmp_path, horizon=0.2,
+                                             reference_triangles=960))
+        argv = ["reconstruct", "--scenario", "null", "--measurement", base,
+                "--fine-triangles", "960", "--coarse-triangles", "300",
+                "--horizon", "0.2", "--out", out]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "inverse-crime" in capsys.readouterr().err
+        os.remove(base + "_manifest.txt")
+        assert cli.main(argv) == cli.EXIT_IO
 
     def test_solver_failure_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(*a, **k):

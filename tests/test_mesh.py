@@ -187,27 +187,8 @@ class TestLocateCells:
         assert np.linalg.norm(mesh.centroids[cell] - [1.0, 0.0]) < 0.2
 
 
-class TestMeshIO:
-    def test_round_trip(self, tmp_path):
-        mesh = hm.build_disk_mesh(300)
-        path = tmp_path / "disk.mesh"
-        hm.save_mesh(mesh, path)
-        back = hm.load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
-        assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-        assert np.allclose(back.cell_areas, mesh.cell_areas)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        mesh = hm.build_disk_mesh(100)
-        path = tmp_path / "disk.mesh"
-        hm.save_mesh(mesh, path)
-        text = path.read_text().splitlines()
-        path.write_text("\n".join(text[:-3]))
-        with pytest.raises(hm.MeshError):
-            hm.load_mesh(path)
-
-    def test_clockwise_triangle_rejected(self, tmp_path):
+class TestMakeMesh:
+    def test_clockwise_triangle_rejected(self):
         mesh = hm.build_disk_mesh(100)
         tri = mesh.triangles.copy()
         tri[0] = tri[0][::-1]
