@@ -13,13 +13,15 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import reconstruction, synth
 from .fem import FemError
 from .mesh import Mesh, build_disk_mesh, cell_adjacency, locate_cells
+from .reconstruction import param
 from .scenario import (Scenario, ScenarioError, builtin, eval_truth,
                        load_scenario_config, null_scenario, BUILTIN_NAMES)
 
@@ -46,58 +48,42 @@ RASTER_SIZE = 256
 NEUTRAL_GRAY = 128
 
 
-@dataclass
-class RunConfig:
-    """Everything one reconstruction run depends on."""
+def _per_scenario(name: str):
+    """Redeclare option ``name`` with a None default, which
+    ``RunConfig.__post_init__`` resolves from EXAMPLE_DEFAULTS."""
+    (spec,) = (f for f in fields(reconstruction.Options) if f.name == name)
+    return param(None, spec.metadata["help"] + " (default: per scenario)")
 
-    scenario: str = "ex1"
-    noise: float = 0.05
-    seed: int = 1
-    segment_length: float = 0.1
-    dt: float = 0.0125
-    reference_triangles: int = 13870
-    sample_dt: float = 0.01
-    fine_triangles: int = 7002
-    coarse_triangles: int = 1120
-    nu: float = 1.4
-    eps_cut: float = 0.05
-    damping: float = 0.6
-    tol: float | None = None          # None: per-scenario default
-    scheme: str | None = None         # None: per-scenario default
-    rank_cap: int = 24
-    max_inner: int = 8
-    eta_hat_variant: str = "zeta"
-    horizon: float | None = None
-    outdir: str = "runs"
+
+@dataclass
+class RunConfig(reconstruction.Options):
+    """Everything one reconstruction run depends on: the algorithm's options
+    plus the data and output settings.  Each field is one command-line flag.
+    ``tol`` and ``scheme`` left at None take the scenario's EXAMPLE_DEFAULTS
+    entry when the config is made, so ``config.txt`` records the values used.
+    """
+
+    tol: float | None = _per_scenario("tol")
+    scheme: str | None = _per_scenario("scheme")
+    scenario: str = param("ex1", "ex1..ex5, null, or a scenario config file")
+    noise: float = param(0.05, "multiplicative noise level of the data")
+    seed: int = param(1, "noise seed")
+    reference_triangles: int = param(synth.REFERENCE_TRIANGLES,
+                                     "triangles of the reference mesh the "
+                                     "data is generated on")
+    sample_dt: float = param(synth.SAMPLE_DT, "time step of the reference "
+                                              "data")
+    outdir: str = param("runs", "output directory", flag="--out")
 
     def __post_init__(self):
+        example = EXAMPLE_DEFAULTS.get(self.scenario, {})
+        if self.tol is None:
+            self.tol = example.get("tol", reconstruction.Options.tol)
+        if self.scheme is None:
+            self.scheme = example.get("scheme", reconstruction.Options.scheme)
         if self.noise < 0:
             raise ScenarioError("noise level must be nonnegative")
-        if not 0.0 < self.damping < 1.0:
-            raise ScenarioError("damping factor must lie in (0, 1)")
-        ratio = self.segment_length / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ScenarioError("segment length must be divisible by dt")
-
-    def resolved_tol(self) -> float:
-        if self.tol is not None:
-            return self.tol
-        return EXAMPLE_DEFAULTS.get(self.scenario, {}).get("tol", 0.08)
-
-    def resolved_scheme(self) -> str:
-        if self.scheme is not None:
-            return self.scheme
-        return EXAMPLE_DEFAULTS.get(self.scenario, {}).get("scheme", "dfp")
-
-    def options(self) -> reconstruction.Options:
-        return reconstruction.Options(
-            segment_length=self.segment_length, dt=self.dt,
-            fine_triangles=self.fine_triangles,
-            coarse_triangles=self.coarse_triangles, nu=self.nu,
-            eps_cut=self.eps_cut, damping=self.damping,
-            tol=self.resolved_tol(), scheme=self.resolved_scheme(),
-            rank_cap=self.rank_cap, max_inner=self.max_inner,
-            eta_hat_variant=self.eta_hat_variant, horizon=self.horizon)
+        super().__post_init__()
 
 
 @dataclass
@@ -279,22 +265,27 @@ def render_heatmap(raster: _Raster, u_comp: np.ndarray,
     return img
 
 
-def _config_lines(cfg: RunConfig) -> list[str]:
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {value}")
-    lines.append(f"resolved_tol = {cfg.resolved_tol()}")
-    lines.append(f"resolved_scheme = {cfg.resolved_scheme()}")
-    return lines
+def _config_items(cfg: RunConfig) -> dict[str, str]:
+    return {f.name: str(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _write_manifest(path, cfg: RunConfig, extra: dict | None = None) -> None:
     with open(path, "w") as fh:
-        for line in _config_lines(cfg):
-            fh.write(line + "\n")
-        for key, value in (extra or {}).items():
+        for key, value in {**_config_items(cfg), **(extra or {})}.items():
             fh.write(f"{key} = {value}\n")
+
+
+# parameters a resumed run may change: extending the horizon appends segments
+RESUMABLE_CHANGES = ("horizon", "outdir")
+
+
+def _check_resume_config(path: str, cfg: RunConfig) -> None:
+    """Refuse to resume a run made with other parameters than ``cfg``."""
+    stored = _read_config(path)
+    for name, value in _config_items(cfg).items():
+        if name not in RESUMABLE_CHANGES and stored.get(name) != value:
+            raise OSError(f"cannot resume: {path} has {name} = "
+                          f"{stored.get(name)}, this run {value}")
 
 
 def _measurement_base(cfg: RunConfig, directory: str) -> str:
@@ -303,7 +294,7 @@ def _measurement_base(cfg: RunConfig, directory: str) -> str:
                         f"_seed{cfg.seed}")
 
 
-def cmd_generate(cfg: RunConfig, binary: bool = False) -> str:
+def cmd_generate(cfg: RunConfig) -> str:
     """Generate and persist one measurement set; returns the base path."""
     scn = resolve_scenario(cfg.scenario)
     mesh = build_disk_mesh(cfg.fine_triangles)
@@ -313,7 +304,7 @@ def cmd_generate(cfg: RunConfig, binary: bool = False) -> str:
         sample_dt=cfg.sample_dt, horizon=cfg.horizon)
     os.makedirs(cfg.outdir, exist_ok=True)
     base = _measurement_base(cfg, cfg.outdir)
-    synth.save_measurement_set(mset, base, binary=binary)
+    synth.save_measurement_set(mset, base)
     _write_manifest(base + "_manifest.txt", cfg, {
         "samples": len(mset.sample_times),
         "boundary_vertices": mset.clean.shape[1]})
@@ -321,36 +312,40 @@ def cmd_generate(cfg: RunConfig, binary: bool = False) -> str:
 
 
 def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
-                    binary: bool = False, resume: bool = False) -> str:
+                    resume: bool = False) -> str:
     """Run the reconstruction and write the full run directory.
 
-    With ``resume=True`` an interrupted run restarts after its last fully
-    checkpointed segment instead of from scratch.
+    ``config.txt`` is written before the first segment.  With
+    ``resume=True`` an interrupted run restarts after its last fully
+    checkpointed segment instead of from scratch; its ``config.txt`` must
+    match ``cfg`` except in RESUMABLE_CHANGES, else OSError.
     """
     scn = resolve_scenario(cfg.scenario)
+    run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"
+    seg_dir = os.path.join(run_dir, "segments")
+    map_dir = os.path.join(run_dir, "heatmaps")
+    config = os.path.join(run_dir, "config.txt")
+    if resume and os.path.exists(os.path.join(seg_dir, "segments.csv")):
+        _check_resume_config(config, cfg)
+
     fine = build_disk_mesh(cfg.fine_triangles)
     if measurement_base is not None:
         # the inverse-crime guard needs the mesh the data was made on
         reference = int(_read_config_value(measurement_base + "_manifest.txt",
                                            "reference_triangles"))
-        mset = synth.load_measurement_set(measurement_base, reference,
-                                          binary=binary)
+        mset = synth.load_measurement_set(measurement_base, reference)
     else:
         mset = synth.build_measurement_set(
             scn, fine, cfg.noise, cfg.seed,
             reference_triangles=cfg.reference_triangles,
             sample_dt=cfg.sample_dt, horizon=cfg.horizon)
 
-    run_dir = os.path.join(
-        cfg.outdir, f"{os.path.basename(cfg.scenario)}_eps{cfg.noise:g}"
-        f"_seed{cfg.seed}_{cfg.resolved_scheme()}")
-    seg_dir = os.path.join(run_dir, "segments")
-    map_dir = os.path.join(run_dir, "heatmaps")
     os.makedirs(seg_dir, exist_ok=True)
     os.makedirs(map_dir, exist_ok=True)
+    _write_manifest(config, cfg)
 
     started = time.perf_counter()
-    result = reconstruction.run(scn, mset, cfg.options(), fine=fine,
+    result = reconstruction.run(scn, mset, cfg, fine=fine,
                                 checkpoint_dir=seg_dir, resume=resume)
     elapsed = time.perf_counter() - started
 
@@ -364,7 +359,6 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     rows = compute_metrics(result, scn)
     write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows,
                       scn.num_components)
-    _write_manifest(os.path.join(run_dir, "config.txt"), cfg)
     _write_summary(os.path.join(run_dir, "summary.txt"), cfg, result, rows,
                    elapsed)
     return run_dir
@@ -400,14 +394,18 @@ def _write_summary(path, cfg: RunConfig, result: reconstruction.RunResult,
         fh.write(f"\nwall time seconds = {elapsed:.1f}\n")
 
 
-def _read_config_value(path: str, key: str) -> str:
-    """A ``key = value`` entry of a manifest or config file."""
+def _read_config(path: str) -> dict[str, str]:
+    """The ``key = value`` entries of a manifest or config file."""
     with open(path) as fh:
-        for line in fh:
-            name, _, value = line.partition("=")
-            if name.strip() == key:
-                return value.strip()
-    raise OSError(f"{path} has no {key} entry")
+        return {name.strip(): value.strip() for name, _, value in
+                (line.partition("=") for line in fh)}
+
+
+def _read_config_value(path: str, key: str) -> str:
+    value = _read_config(path).get(key)
+    if value is None:
+        raise OSError(f"{path} has no {key} entry")
+    return value
 
 
 def cmd_metrics(run_dir: str, scenario_name: str) -> str:
@@ -473,35 +471,22 @@ def cmd_sweep(cfg: RunConfig, noises: list[float], dampings: list[float],
             for scheme in schemes:
                 sub = os.path.join(base_out,
                                    f"sweep_eps{eps:g}_lam{lam:g}_{scheme}")
-                combo = RunConfig(**{**cfg.__dict__, "noise": eps,
-                                     "damping": lam, "scheme": scheme,
-                                     "outdir": sub})
+                combo = replace(cfg, noise=eps, damping=lam, scheme=scheme,
+                                outdir=sub)
                 out.append(cmd_reconstruct(combo))
     return out
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default="ex1",
-                   help="ex1..ex5, null, or a scenario config file")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--segment-length", type=float, default=0.1)
-    p.add_argument("--dt", type=float, default=0.0125)
-    p.add_argument("--reference-triangles", type=int, default=13870)
-    p.add_argument("--sample-dt", type=float, default=0.01)
-    p.add_argument("--fine-triangles", type=int, default=7002)
-    p.add_argument("--coarse-triangles", type=int, default=1120)
-    p.add_argument("--nu", type=float, default=1.4)
-    p.add_argument("--eps-cut", type=float, default=0.05)
-    p.add_argument("--damping", type=float, default=0.6)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--scheme", choices=("dfp", "bfg"), default=None)
-    p.add_argument("--rank-cap", type=int, default=24)
-    p.add_argument("--max-inner", type=int, default=8)
-    p.add_argument("--eta-hat-variant", choices=("zeta", "r_zeta"),
-                   default="zeta")
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--out", dest="outdir", default="runs")
+    """One flag per RunConfig field; the dataclass validates the values."""
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kind = hints[f.name]
+        kind = next(t for t in typing.get_args(kind) or (kind,)
+                    if t is not type(None))
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=kind, default=f.default,
+                       help=f.metadata["help"])
 
 
 def _config_from_args(args) -> RunConfig:
@@ -518,15 +503,12 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("generate", help="synthesize measurement files")
     _add_run_flags(p_gen)
-    p_gen.add_argument("--binary", action="store_true",
-                       help="write the binary twin format")
 
     p_rec = sub.add_parser("reconstruct", help="run the full reconstruction")
     _add_run_flags(p_rec)
     p_rec.add_argument("--measurement", default=None,
                        help="base path of stored measurement files "
                             "(default: generate in memory)")
-    p_rec.add_argument("--binary", action="store_true")
     p_rec.add_argument("--resume", action="store_true",
                        help="continue an interrupted run from its last "
                             "checkpointed segment")
@@ -545,12 +527,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
-            base = cmd_generate(_config_from_args(args), binary=args.binary)
+            base = cmd_generate(_config_from_args(args))
             print(f"wrote measurement files at {base}_*")
         elif args.command == "reconstruct":
             run_dir = cmd_reconstruct(_config_from_args(args),
                                       measurement_base=args.measurement,
-                                      binary=args.binary, resume=args.resume)
+                                      resume=args.resume)
             print(f"run directory: {run_dir}")
         elif args.command == "metrics":
             out = cmd_metrics(args.run, args.scenario)
@@ -562,7 +544,7 @@ def main(argv=None) -> int:
             dampings = [float(x) for x in args.dampings.split(",")] \
                 if args.dampings else [cfg.damping]
             schemes = args.schemes.split(",") if args.schemes \
-                else [cfg.resolved_scheme()]
+                else [cfg.scheme]
             for run_dir in cmd_sweep(cfg, noises, dampings, schemes):
                 print(f"run directory: {run_dir}")
     except (ScenarioError, ValueError) as exc:

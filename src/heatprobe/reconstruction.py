@@ -24,7 +24,7 @@ from . import fem
 from .fem import SegmentGrid, Trajectory
 from .mesh import (Mesh, TransferOps, boundary_distance, build_disk_mesh,
                    build_transfer, restrict)
-from .scenario import Scenario, samplers
+from .scenario import Scenario, ScenarioError, samplers
 from .synth import MeasurementSet, sample_measurement
 
 logger = logging.getLogger(__name__)
@@ -34,33 +34,53 @@ SECANT_TOL = 1e-8
 DAMP_DROP = 1e-8
 
 
+def param(default, help: str, **metadata):
+    """A parameter field: its default and the one help string of its flag."""
+    return field(default=default, metadata={"help": help, **metadata})
+
+
 @dataclass
 class Options:
-    """Algorithm parameters (defaults follow the benchmark setup)."""
+    """Algorithm parameters (defaults follow the benchmark setup).
 
-    segment_length: float = 0.1
-    dt: float = 0.0125
-    fine_triangles: int = 7002
-    coarse_triangles: int = 1120
-    nu: float = 1.4
-    eps_cut: float = 0.05
-    damping: float = 0.6
-    tol: float = 0.08
-    scheme: str = "dfp"              # dfp | bfg
-    rank_cap: int = 24
-    max_inner: int = 8
-    eta_hat_variant: str = "zeta"    # zeta | r_zeta
-    horizon: float | None = None     # defaults to the scenario horizon
+    The only declaration of each parameter: the CLI's flags are derived from
+    these fields (see ``cli.RunConfig``).
+    """
+
+    segment_length: float = param(0.1, "length of one reconstruction segment")
+    dt: float = param(0.0125, "inversion time step; must divide the "
+                              "segment length")
+    fine_triangles: int = param(7002, "triangles of the fine (state) mesh")
+    coarse_triangles: int = param(1120, "triangles of the coarse "
+                                        "(inhomogeneity) mesh")
+    nu: float = param(1.4, "exponent of the kernel's boundary-distance "
+                           "weight")
+    eps_cut: float = param(0.05, "boundary distance below which the kernel "
+                                 "weight is zero")
+    damping: float = param(0.6, "per-segment fading of the kernel's "
+                                "low-rank terms, in (0, 1)")
+    tol: float = param(0.08, "boundary residual that ends the inner loop")
+    scheme: str = param("dfp", "kernel correction scheme: dfp or bfg")
+    rank_cap: int = param(24, "most low-rank kernel terms kept")
+    max_inner: int = param(8, "inner-iteration cap per segment")
+    eta_hat_variant: str = param("zeta", "preimage at active bounds: zeta "
+                                         "or r_zeta")
+    horizon: float | None = param(None, "end time of the reconstruction "
+                                        "(default: the scenario's horizon)")
 
     def __post_init__(self):
         if self.scheme not in ("dfp", "bfg"):
-            raise ValueError(f"unknown correction scheme {self.scheme!r}")
+            raise ScenarioError(f"unknown correction scheme {self.scheme!r}")
         if self.eta_hat_variant not in ("zeta", "r_zeta"):
-            raise ValueError(f"unknown eta_hat variant {self.eta_hat_variant!r}")
+            raise ScenarioError(
+                f"unknown eta_hat variant {self.eta_hat_variant!r}")
         if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping factor must lie in (0, 1)")
+            raise ScenarioError("damping factor must lie in (0, 1)")
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ScenarioError("tolerance must be positive")
+        steps = round(self.segment_length / self.dt)
+        if abs(steps * self.dt - self.segment_length) > 1e-12:
+            raise ScenarioError("segment length is not divisible by dt")
 
 
 @dataclass
@@ -79,11 +99,12 @@ class ResolverKernel:
 
     diag: np.ndarray               # (L, Tc)
     terms: list[KernelTerm] = field(default_factory=list)
-    rank_cap: int = 24
+    rank_cap: int = Options.rank_cap
 
 
-def make_kernel(coarse: Mesh, n_components: int, nu: float = 1.4,
-                eps_cut: float = 0.05, rank_cap: int = 24) -> ResolverKernel:
+def make_kernel(coarse: Mesh, n_components: int, nu: float = Options.nu,
+                eps_cut: float = Options.eps_cut,
+                rank_cap: int = Options.rank_cap) -> ResolverKernel:
     """Initial kernel: distance-to-boundary weight, cut off near the boundary."""
     d = boundary_distance(coarse)
     diag = np.where(d >= eps_cut, d**nu, 0.0)
@@ -442,14 +463,16 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     if abs(n_segments * opts.segment_length - horizon) > 1e-9:
         raise ValueError("segment length does not partition the horizon")
     steps = round(opts.segment_length / opts.dt)
-    if abs(steps * opts.dt - opts.segment_length) > 1e-12:
-        raise ValueError("segment length is not divisible by dt")
 
     fine = fine or build_disk_mesh(opts.fine_triangles)
     coarse = coarse or build_disk_mesh(opts.coarse_triangles)
     if fine.num_cells == mset.reference_triangles:
         raise ValueError("inversion mesh equals the reference mesh "
                          "(inverse-crime guard)")
+    if mset.noisy.shape[1] != fine.num_boundary_vertices:
+        raise ValueError(f"measurement has {mset.noisy.shape[1]} boundary "
+                         f"values per sample but the inversion mesh has "
+                         f"{fine.num_boundary_vertices} boundary vertices")
     transfer = transfer or build_transfer(fine, coarse)
     f_fn, g_fn, h = samplers(scn, fine)
 

@@ -157,49 +157,19 @@ def load_trace_text(path):
     return data[:, 0].copy(), data[:, 1:].copy(), noise_level, seed
 
 
-def save_trace_binary(path, times: np.ndarray, values: np.ndarray,
-                      noise_level: float, seed: int) -> None:
-    """Binary twin of the text trace format (little-endian float64)."""
-    with open(path, "wb") as fh:
-        fh.write(np.array([len(times), values.shape[1], seed],
-                          dtype="<i8").tobytes())
-        fh.write(np.array([noise_level], dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def load_trace_binary(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = np.frombuffer(raw[:24], dtype="<i8")
-    s, b, seed = (int(x) for x in header)
-    noise_level = float(np.frombuffer(raw[24:32], dtype="<f8")[0])
-    need = 32 + 8 * s + 8 * s * b
-    if len(raw) != need:
-        raise SynthError(f"{path}: expected {need} bytes, found {len(raw)}")
-    times = np.frombuffer(raw[32:32 + 8 * s], dtype="<f8").copy()
-    values = np.frombuffer(raw[32 + 8 * s:], dtype="<f8").reshape(s, b).copy()
-    return times, values, noise_level, seed
-
-
-def save_measurement_set(mset: MeasurementSet, base_path, binary: bool = False):
+def save_measurement_set(mset: MeasurementSet, base_path):
     """Write the clean/noisy pair next to each other; returns the two paths."""
-    ext = ".bin" if binary else ".txt"
-    writer = save_trace_binary if binary else save_trace_text
-    clean_path = f"{base_path}_clean{ext}"
-    noisy_path = f"{base_path}_noisy{ext}"
-    writer(clean_path, mset.sample_times, mset.clean, 0.0, mset.seed)
-    writer(noisy_path, mset.sample_times, mset.noisy, mset.noise_level,
-           mset.seed)
+    clean_path = f"{base_path}_clean.txt"
+    noisy_path = f"{base_path}_noisy.txt"
+    save_trace_text(clean_path, mset.sample_times, mset.clean, 0.0, mset.seed)
+    save_trace_text(noisy_path, mset.sample_times, mset.noisy,
+                    mset.noise_level, mset.seed)
     return clean_path, noisy_path
 
 
-def load_measurement_set(base_path, reference_triangles: int,
-                         binary: bool = False) -> MeasurementSet:
-    ext = ".bin" if binary else ".txt"
-    reader = load_trace_binary if binary else load_trace_text
-    times, clean, _, _ = reader(f"{base_path}_clean{ext}")
-    times_n, noisy, noise_level, seed = reader(f"{base_path}_noisy{ext}")
+def load_measurement_set(base_path, reference_triangles: int) -> MeasurementSet:
+    times, clean, _, _ = load_trace_text(f"{base_path}_clean.txt")
+    times_n, noisy, noise_level, seed = load_trace_text(f"{base_path}_noisy.txt")
     if len(times) != len(times_n) or not np.array_equal(times, times_n):
         raise SynthError("clean and noisy traces disagree on sample times")
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0

@@ -1,6 +1,9 @@
 """CLI subcommands, metrics computation, heatmaps, and exit codes."""
 
+import argparse
+import dataclasses
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -19,21 +22,65 @@ def micro_config(tmp_path, **kw):
     return cli.RunConfig(scenario=merged.pop("scenario", "null"), **merged)
 
 
+def resume_argv(out):
+    """``reconstruct --resume`` of ``micro_config`` on the null scenario."""
+    return ["reconstruct", "--scenario", "null", "--noise", "0.02",
+            "--seed", "1", "--fine-triangles", "1000",
+            "--coarse-triangles", "300", "--horizon", "0.5",
+            "--out", str(out), "--resume"]
+
+
+def file_bytes(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in pathlib.Path(directory).rglob("*") if path.is_file()}
+
+
+# every run flag at a value other than its default
+NON_DEFAULT_FLAGS = {
+    "--scenario": "ex3", "--noise": "0.1", "--seed": "7",
+    "--segment-length": "0.2", "--dt": "0.025",
+    "--reference-triangles": "9000", "--sample-dt": "0.02",
+    "--fine-triangles": "3000", "--coarse-triangles": "600", "--nu": "1.2",
+    "--eps-cut": "0.1", "--damping": "0.3", "--tol": "0.05",
+    "--scheme": "dfp", "--rank-cap": "12", "--max-inner": "4",
+    "--eta-hat-variant": "r_zeta", "--horizon": "1.5", "--out": "elsewhere"}
+
+
 class TestRunConfig:
     def test_per_scenario_defaults(self):
         cfg = cli.RunConfig(scenario="ex1")
-        assert cfg.resolved_tol() == 0.10
-        assert cfg.resolved_scheme() == "bfg"
+        assert cfg.tol == 0.10
+        assert cfg.scheme == "bfg"
         cfg3 = cli.RunConfig(scenario="ex3")
-        assert cfg3.resolved_tol() == 0.08
-        assert cfg3.resolved_scheme() == "bfg"
+        assert cfg3.tol == 0.08
+        assert cfg3.scheme == "bfg"
         cfg2 = cli.RunConfig(scenario="ex2")
-        assert cfg2.resolved_scheme() == "dfp"
+        assert cfg2.scheme == "dfp"
 
     def test_explicit_overrides_win(self):
         cfg = cli.RunConfig(scenario="ex1", tol=0.05, scheme="dfp")
-        assert cfg.resolved_tol() == 0.05
-        assert cfg.resolved_scheme() == "dfp"
+        assert cfg.tol == 0.05
+        assert cfg.scheme == "dfp"
+
+    def test_flags_parse_to_the_config(self):
+        parser = argparse.ArgumentParser()
+        cli._add_run_flags(parser)
+        argv = [word for pair in NON_DEFAULT_FLAGS.items() for word in pair]
+        cfg = cli._config_from_args(parser.parse_args(argv))
+        assert cfg == cli.RunConfig(
+            scenario="ex3", noise=0.1, seed=7, segment_length=0.2, dt=0.025,
+            reference_triangles=9000, sample_dt=0.02, fine_triangles=3000,
+            coarse_triangles=600, nu=1.2, eps_cut=0.1, damping=0.3, tol=0.05,
+            scheme="dfp", rank_cap=12, max_inner=4, eta_hat_variant="r_zeta",
+            horizon=1.5, outdir="elsewhere")
+        default = cli.RunConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(cli.RunConfig))
+        assert cli._config_from_args(parser.parse_args([])) == default
+
+    def test_invalid_flag_value_is_config_error(self, capsys):
+        assert cli.main(["reconstruct", "--scheme", "xyz"]) == cli.EXIT_CONFIG
+        assert "unknown correction scheme" in capsys.readouterr().err
 
     def test_validation(self):
         with pytest.raises(sc.ScenarioError):
@@ -258,13 +305,23 @@ class TestCheckpoints:
         # a cut inside the last number leaves a shorter one that still parses
         path.write_text(text[:text.rindex("\n", 0, -1) + 1]
                         if cut == "line_end" else text[:-8])
-        code = cli.main(["reconstruct", "--scenario", "null",
-                         "--noise", "0.02", "--seed", "1",
-                         "--fine-triangles", "1000",
-                         "--coarse-triangles", "300", "--horizon", "0.5",
-                         "--out", str(out), "--resume"])
-        assert code == cli.EXIT_IO
+        assert cli.main(resume_argv(out)) == cli.EXIT_IO
         assert "corrupt checkpoint" in capsys.readouterr().err
+
+    def test_resume_refuses_changed_parameters(self, short_run, tmp_path,
+                                               capsys):
+        """Only the horizon may change when a run resumes."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        before = file_bytes(out)
+        assert cli.main(resume_argv(out) + ["--damping", "0.3"]) \
+            == cli.EXIT_IO
+        assert "damping" in capsys.readouterr().err
+        assert file_bytes(out) == before
+        os.remove(out / run_dir / "config.txt")
+        assert cli.main(resume_argv(out)) == cli.EXIT_IO
+        assert "config.txt" in capsys.readouterr().err
 
 
 class TestMainExitCodes:
@@ -297,6 +354,21 @@ class TestMainExitCodes:
         assert "inverse-crime" in capsys.readouterr().err
         os.remove(base + "_manifest.txt")
         assert cli.main(argv) == cli.EXIT_IO
+
+    def test_measurement_on_another_mesh_is_config_error(self, tmp_path,
+                                                         capsys):
+        """Data interpolated onto 1000 triangles' 76 boundary vertices does
+        not fit the 136 of a 3000-triangle inversion mesh."""
+        base = cli.cmd_generate(micro_config(tmp_path, horizon=0.2,
+                                             reference_triangles=960))
+        code = cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", base, "--fine-triangles", "3000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(tmp_path / "runs")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "76 boundary values" in err
+        assert "136 boundary vertices" in err
 
     def test_solver_failure_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(*a, **k):

@@ -161,36 +161,6 @@ class TestPersistence:
         assert np.array_equal(back.noisy, m.noisy)
         assert back.noise_level == m.noise_level and back.seed == m.seed
 
-    def test_binary_round_trip_exact(self, tmp_path, small_fine):
-        m = self._mset(small_fine)
-        base = str(tmp_path / "m")
-        synth.save_measurement_set(m, base, binary=True)
-        back = synth.load_measurement_set(base, synth.REFERENCE_TRIANGLES,
-                                          binary=True)
-        assert np.array_equal(back.clean, m.clean)
-        assert np.array_equal(back.noisy, m.noisy)
-
-    def test_text_and_binary_agree(self, tmp_path, small_fine):
-        m = self._mset(small_fine)
-        synth.save_measurement_set(m, str(tmp_path / "t"))
-        synth.save_measurement_set(m, str(tmp_path / "b"), binary=True)
-        t = synth.load_measurement_set(str(tmp_path / "t"),
-                                       synth.REFERENCE_TRIANGLES)
-        b = synth.load_measurement_set(str(tmp_path / "b"),
-                                       synth.REFERENCE_TRIANGLES, binary=True)
-        assert np.array_equal(t.noisy, b.noisy)
-
-    def test_corrupt_binary_rejected(self, tmp_path, small_fine):
-        m = self._mset(small_fine)
-        base = str(tmp_path / "m")
-        paths = synth.save_measurement_set(m, base, binary=True)
-        raw = open(paths[0], "rb").read()
-        with open(paths[0], "wb") as fh:
-            fh.write(raw[:-8])
-        with pytest.raises(synth.SynthError):
-            synth.load_measurement_set(base, synth.REFERENCE_TRIANGLES,
-                                       binary=True)
-
     def test_malformed_text_header_rejected(self, tmp_path):
         path = tmp_path / "x_clean.txt"
         path.write_text("1 2\n0 1 2\n")
