@@ -10,6 +10,7 @@ deterministic, so reruns produce byte-identical metrics files.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -87,18 +88,9 @@ class RunConfig(reconstruction.Options):
 
 
 @dataclass
-class MetricsRow:
-    """One reconstruction segment scored against the ground truth."""
+class MetricsRow(reconstruction.SegmentReport):
+    """One segment's report scored against the ground truth."""
 
-    segment: int
-    t_mid: float
-    residual: float
-    background: int
-    adjoint: int
-    forward: int
-    dirichlet: int
-    iterations: int
-    warned: bool
     jaccard: list[float]        # per component
     centroid_error: list[float]  # per component; nan when truth is empty
 
@@ -197,12 +189,7 @@ def compute_metrics(result: reconstruction.RunResult, scn: Scenario) -> list[Met
         jac, cent = score_segment(result.coarse, seg.u,
                                   eval_truth(scn, seg.t_mid, result.coarse),
                                   adjacency)
-        rows.append(MetricsRow(
-            segment=seg.index, t_mid=seg.t_mid, residual=seg.residual,
-            background=seg.counters.background, adjoint=seg.counters.adjoint,
-            forward=seg.counters.forward, dirichlet=seg.counters.dirichlet,
-            iterations=seg.iterations, warned=seg.warned,
-            jaccard=jac, centroid_error=cent))
+        rows.append(MetricsRow(**vars(seg), jaccard=jac, centroid_error=cent))
     return rows
 
 
@@ -214,9 +201,9 @@ def write_metrics_csv(path, rows: list[MetricsRow], n_components: int) -> None:
         head += [f"centroid_error_{c}" for c in range(n_components)]
         fh.write(",".join(head) + "\n")
         for r in rows:
-            cells = [str(r.segment), f"{r.t_mid:.6f}", f"{r.residual:.8e}",
-                     str(r.background), str(r.adjoint), str(r.forward),
-                     str(r.dirichlet), str(r.iterations), str(int(r.warned))]
+            cells = [str(r.index), f"{r.t_mid:.6f}", f"{r.residual:.8e}",
+                     *map(str, r.counters.as_tuple()), str(r.iterations),
+                     str(int(r.warned))]
             cells += [f"{j:.6f}" for j in r.jaccard]
             cells += [f"{c:.6f}" for c in r.centroid_error]
             fh.write(",".join(cells) + "\n")
@@ -279,10 +266,26 @@ def _write_manifest(path, cfg: RunConfig, extra: dict | None = None) -> None:
 RESUMABLE_CHANGES = ("horizon", "outdir")
 
 
-def _check_resume_config(path: str, cfg: RunConfig) -> None:
-    """Refuse to resume a run made with other parameters than ``cfg``."""
+def _measurement_digest(mset: synth.MeasurementSet, scn: Scenario,
+                        horizon: str) -> str:
+    """Digest of the samples on [0, horizon] ("None": the scenario's); times
+    to 1e-9, as those of data made for a longer horizon may differ in bits."""
+    end = scn.horizon if horizon == "None" else float(horizon)
+    kept = mset.sample_times <= end + 1e-9
+    return hashlib.sha256(np.round(mset.sample_times[kept], 9).tobytes()
+                          + mset.noisy[kept].tobytes()).hexdigest()
+
+
+def _check_resume_config(path: str, cfg: RunConfig, scn: Scenario,
+                         mset: synth.MeasurementSet) -> None:
+    """Refuse to resume a run made with other parameters than ``cfg`` (but
+    RESUMABLE_CHANGES) or from other samples on its horizon than ``mset``'s."""
     stored = _read_config(path)
-    for name, value in _config_items(cfg).items():
+    try:
+        digest = _measurement_digest(mset, scn, stored.get("horizon", "None"))
+    except ValueError as exc:
+        raise OSError(f"cannot resume: {path} has a bad horizon") from exc
+    for name, value in {**_config_items(cfg), "measurement": digest}.items():
         if name not in RESUMABLE_CHANGES and stored.get(name) != value:
             raise OSError(f"cannot resume: {path} has {name} = "
                           f"{stored.get(name)}, this run {value}")
@@ -318,15 +321,13 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     ``config.txt`` is written before the first segment.  With
     ``resume=True`` an interrupted run restarts after its last fully
     checkpointed segment instead of from scratch; its ``config.txt`` must
-    match ``cfg`` except in RESUMABLE_CHANGES, else OSError.
+    match ``cfg`` and the measurement, see ``_check_resume_config``.
     """
     scn = resolve_scenario(cfg.scenario)
     run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"
     seg_dir = os.path.join(run_dir, "segments")
     map_dir = os.path.join(run_dir, "heatmaps")
     config = os.path.join(run_dir, "config.txt")
-    if resume and os.path.exists(os.path.join(seg_dir, "segments.csv")):
-        _check_resume_config(config, cfg)
 
     fine = build_disk_mesh(cfg.fine_triangles)
     if measurement_base is not None:
@@ -339,10 +340,13 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
             scn, fine, cfg.noise, cfg.seed,
             reference_triangles=cfg.reference_triangles,
             sample_dt=cfg.sample_dt, horizon=cfg.horizon)
+    if resume and os.path.exists(os.path.join(seg_dir, "segments.csv")):
+        _check_resume_config(config, cfg, scn, mset)
 
     os.makedirs(seg_dir, exist_ok=True)
     os.makedirs(map_dir, exist_ok=True)
-    _write_manifest(config, cfg)
+    _write_manifest(config, cfg, {"measurement": _measurement_digest(
+        mset, scn, str(cfg.horizon))})
 
     started = time.perf_counter()
     result = reconstruction.run(scn, mset, cfg, fine=fine,

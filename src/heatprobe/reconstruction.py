@@ -16,7 +16,7 @@ import csv
 import logging
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 CURVATURE_GUARD = 1e-12
 SECANT_TOL = 1e-8
 DAMP_DROP = 1e-8
+INSTALLED_TERMS = {"dfp": 2, "bfg": 3}     # terms one update installs
 
 
 def param(default, help: str, **metadata):
@@ -69,7 +70,7 @@ class Options:
                                         "(default: the scenario's horizon)")
 
     def __post_init__(self):
-        if self.scheme not in ("dfp", "bfg"):
+        if self.scheme not in INSTALLED_TERMS:
             raise ScenarioError(f"unknown correction scheme {self.scheme!r}")
         if self.eta_hat_variant not in ("zeta", "r_zeta"):
             raise ScenarioError(
@@ -84,22 +85,32 @@ class Options:
 
 
 @dataclass
-class KernelTerm:
-    """One symmetric-pair factor of the low-rank kernel part."""
-
-    m: np.ndarray           # (nt, L, Tc)
-    n: np.ndarray           # (nt, L, Tc)
-    weight: float
-    damp: float = 1.0       # cumulative damping applied to m
-
-
-@dataclass
 class ResolverKernel:
-    """Diagonal boundary-distance part plus a capped list of rank-1 terms."""
+    """Diagonal boundary-distance part plus a capped stack of rank-1 terms.
 
-    diag: np.ndarray               # (L, Tc)
-    terms: list[KernelTerm] = field(default_factory=list)
+    Term ``r`` adds ``weight[r] * damp[r] * <n[r], zeta> * m[r]``.  The
+    stacks hold the terms oldest first (the compact form of Byrd, Nocedal &
+    Schnabel 1994); empty ones have shape ``(0, L, Tc)``, as checkpointed.
+    """
+
+    diag: np.ndarray        # (L, Tc)
+    m: np.ndarray           # (rank, nt, L, Tc)
+    n: np.ndarray           # (rank, nt, L, Tc)
+    weight: np.ndarray      # (rank,)
+    damp: np.ndarray        # (rank,) fading since each term's install
     rank_cap: int = Options.rank_cap
+
+    @property
+    def rank(self) -> int:
+        return len(self.weight)
+
+    def keep(self, index) -> None:
+        """Keep the terms a slice or boolean mask selects, in their order."""
+        self.weight, self.damp = self.weight[index], self.damp[index]
+        if self.rank:
+            self.m, self.n = self.m[index], self.n[index]
+        else:
+            self.m = self.n = np.zeros((0,) + self.diag.shape)
 
 
 def make_kernel(coarse: Mesh, n_components: int, nu: float = Options.nu,
@@ -107,8 +118,10 @@ def make_kernel(coarse: Mesh, n_components: int, nu: float = Options.nu,
                 rank_cap: int = Options.rank_cap) -> ResolverKernel:
     """Initial kernel: distance-to-boundary weight, cut off near the boundary."""
     d = boundary_distance(coarse)
-    diag = np.where(d >= eps_cut, d**nu, 0.0)
-    return ResolverKernel(np.tile(diag, (n_components, 1)), [], rank_cap)
+    diag = np.tile(np.where(d >= eps_cut, d**nu, 0.0), (n_components, 1))
+    empty = np.zeros((0,) + diag.shape)
+    return ResolverKernel(diag, empty, empty, np.zeros(0), np.zeros(0),
+                          rank_cap)
 
 
 def segment_inner(coarse: Mesh, grid: SegmentGrid, a: np.ndarray,
@@ -154,9 +167,13 @@ def apply_kernel(kernel: ResolverKernel, zeta: np.ndarray, coarse: Mesh,
                  grid: SegmentGrid) -> np.ndarray:
     """Index field: diagonal product plus the separable low-rank sum."""
     eta = kernel.diag[None, :, :] * zeta
-    for term in kernel.terms:
-        coef = term.weight * term.damp * segment_inner(coarse, grid, term.n, zeta)
-        eta = eta + coef * term.m
+    if kernel.rank:
+        inner = np.einsum("k,rklc,klc,c->r", fem.trapezoid_weights(grid),
+                          kernel.n, zeta, coarse.cell_areas)
+        # one term at a time, oldest first, into a new C-ordered array: a
+        # batched or in-place sum rounds the estimate's time average apart
+        for coef, m in zip(kernel.weight * kernel.damp * inner, kernel.m):
+            eta = eta + coef * m
     return eta
 
 
@@ -190,31 +207,44 @@ def eta_hat(zeta_hat: np.ndarray, r_zeta_hat: np.ndarray, u: np.ndarray,
 
 def prune_for(kernel: ResolverKernel, incoming: int) -> None:
     """Drop oldest terms until ``incoming`` more fit under the rank cap."""
-    while kernel.terms and len(kernel.terms) + incoming > kernel.rank_cap:
-        kernel.terms.pop(0)
+    kernel.keep(slice(max(kernel.rank + incoming - kernel.rank_cap, 0), None))
 
 
-def _curvature_ok(d: float, na: float, nb: float, label: str) -> bool:
-    if abs(d) < CURVATURE_GUARD * max(na * nb, 1e-300):
-        logger.warning("curvature breakdown in %s pairing; update skipped",
-                       label)
-        return False
-    return True
+def _correct(kernel: ResolverKernel, scheme: str, divisors: tuple[str, ...],
+             table, eta_hat_field: np.ndarray, zeta_hat: np.ndarray,
+             coarse: Mesh, grid: SegmentGrid,
+             r_zeta_hat: np.ndarray | None) -> bool:
+    """Install the (m, n, weight) rows of ``table(e, rz, d1, d2)``, with
+    e = eta_hat, rz = R zeta_hat, d1 = <zeta_hat, e>, d2 = <zeta_hat, rz>,
+    if each pairing in ``divisors`` is well-conditioned.  Keep them only if
+    the secant relation then holds: near-degenerate pairings amplify
+    round-off, and such terms would poison later index fields."""
+    prune_for(kernel, INSTALLED_TERMS[scheme])
+    rz = apply_kernel(kernel, zeta_hat, coarse, grid) \
+        if r_zeta_hat is None else r_zeta_hat
+    d1 = segment_inner(coarse, grid, zeta_hat, eta_hat_field)
+    d2 = segment_inner(coarse, grid, zeta_hat, rz)
+    nz = segment_norm(coarse, grid, zeta_hat)
+    for d, b, name in ((d1, eta_hat_field, "eta"), (d2, rz, "R zeta")):
+        if name in divisors and abs(d) < CURVATURE_GUARD * max(
+                nz * segment_norm(coarse, grid, b), 1e-300):
+            logger.warning("curvature breakdown in %s (zeta, %s) pairing; "
+                           "update skipped", scheme.upper(), name)
+            return False
+    m, n, weight = map(np.array, zip(*table(eta_hat_field, rz, d1, d2)))
+    if kernel.rank:
+        m, n = np.concatenate((kernel.m, m)), np.concatenate((kernel.n, n))
+    kernel.m, kernel.n = m, n
+    kernel.weight = np.append(kernel.weight, weight)
+    kernel.damp = np.append(kernel.damp, np.ones(len(weight)))
 
-
-def _verify_secant(kernel: ResolverKernel, zeta_hat: np.ndarray,
-                   eta_hat_field: np.ndarray, installed: int, coarse: Mesh,
-                   grid: SegmentGrid, label: str) -> bool:
-    """Accept the freshly installed terms only if the secant relation holds
-    numerically; near-degenerate pairings amplify round-off past any useful
-    bound, and such corrections would poison later index fields."""
     err = apply_kernel(kernel, zeta_hat, coarse, grid) - eta_hat_field
     rel = segment_norm(coarse, grid, err) \
         / max(segment_norm(coarse, grid, eta_hat_field), 1e-300)
     if rel > SECANT_TOL:
-        del kernel.terms[-installed:]
+        kernel.keep(slice(None, -len(weight)))
         logger.warning("%s update rolled back: secant residual %.2e exceeds "
-                       "%.0e (ill-conditioned pairing)", label, rel,
+                       "%.0e (ill-conditioned pairing)", scheme.upper(), rel,
                        SECANT_TOL)
         return False
     return True
@@ -224,44 +254,21 @@ def update_dfp(kernel: ResolverKernel, eta_hat_field: np.ndarray,
                zeta_hat: np.ndarray, coarse: Mesh, grid: SegmentGrid,
                r_zeta_hat: np.ndarray | None = None) -> bool:
     """Symmetric rank-2 correction enforcing kernel(zeta_hat) = eta_hat."""
-    prune_for(kernel, 2)
-    rz = apply_kernel(kernel, zeta_hat, coarse, grid) \
-        if r_zeta_hat is None else r_zeta_hat
-    d1 = segment_inner(coarse, grid, zeta_hat, eta_hat_field)
-    d2 = segment_inner(coarse, grid, zeta_hat, rz)
-    nz = segment_norm(coarse, grid, zeta_hat)
-    if not _curvature_ok(d1, nz, segment_norm(coarse, grid, eta_hat_field),
-                         "DFP (zeta, eta)"):
-        return False
-    if not _curvature_ok(d2, nz, segment_norm(coarse, grid, rz),
-                         "DFP (zeta, R zeta)"):
-        return False
-    kernel.terms.append(KernelTerm(eta_hat_field.copy(), eta_hat_field.copy(),
-                                   1.0 / d1))
-    kernel.terms.append(KernelTerm(rz.copy(), rz.copy(), -1.0 / d2))
-    return _verify_secant(kernel, zeta_hat, eta_hat_field, 2, coarse, grid,
-                          "DFP")
+    return _correct(kernel, "dfp", ("eta", "R zeta"),
+                    lambda e, rz, d1, d2: ((e, e, 1.0 / d1),
+                                           (rz, rz, -1.0 / d2)),
+                    eta_hat_field, zeta_hat, coarse, grid, r_zeta_hat)
 
 
 def update_bfg(kernel: ResolverKernel, eta_hat_field: np.ndarray,
                zeta_hat: np.ndarray, coarse: Mesh, grid: SegmentGrid,
                r_zeta_hat: np.ndarray | None = None) -> bool:
     """BFGS-form correction (scaled outer product plus symmetric cross terms)."""
-    prune_for(kernel, 3)
-    rz = apply_kernel(kernel, zeta_hat, coarse, grid) \
-        if r_zeta_hat is None else r_zeta_hat
-    d1 = segment_inner(coarse, grid, zeta_hat, eta_hat_field)
-    d2 = segment_inner(coarse, grid, zeta_hat, rz)
-    nz = segment_norm(coarse, grid, zeta_hat)
-    if not _curvature_ok(d1, nz, segment_norm(coarse, grid, eta_hat_field),
-                         "BFG (zeta, eta)"):
-        return False
-    kernel.terms.append(KernelTerm(eta_hat_field.copy(), eta_hat_field.copy(),
-                                   (1.0 + d2 / d1) / d1))
-    kernel.terms.append(KernelTerm(eta_hat_field.copy(), rz.copy(), -1.0 / d1))
-    kernel.terms.append(KernelTerm(rz.copy(), eta_hat_field.copy(), -1.0 / d1))
-    return _verify_secant(kernel, zeta_hat, eta_hat_field, 3, coarse, grid,
-                          "BFG")
+    return _correct(kernel, "bfg", ("eta",),
+                    lambda e, rz, d1, d2: ((e, e, (1.0 + d2 / d1) / d1),
+                                           (e, rz, -1.0 / d1),
+                                           (rz, e, -1.0 / d1)),
+                    eta_hat_field, zeta_hat, coarse, grid, r_zeta_hat)
 
 
 def rescale_diag(kernel: ResolverKernel, u_first: np.ndarray,
@@ -297,9 +304,8 @@ def damp_kernel(kernel: ResolverKernel, damping: float) -> None:
     a fixed fraction of their birth magnitude."""
     if not 0.0 < damping < 1.0:
         raise ValueError("damping factor must lie in (0, 1)")
-    for term in kernel.terms:
-        term.damp *= damping
-    kernel.terms = [t for t in kernel.terms if t.damp >= DAMP_DROP]
+    kernel.damp = kernel.damp * damping
+    kernel.keep(kernel.damp >= DAMP_DROP)
 
 
 def time_average(field_st: np.ndarray, grid: SegmentGrid) -> np.ndarray:
@@ -408,13 +414,11 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
             # calibrate the diagonal before installing the correction, so the
             # new terms' secant relation holds for the kernel as stored
             rescaled = rescale_diag(kernel, u_st, zeta_hat, coarse, grid)
-        incoming = 2 if opts.scheme == "dfp" else 3
-        prune_for(kernel, incoming)
+        prune_for(kernel, INSTALLED_TERMS[opts.scheme])
         r_zeta_hat = apply_kernel(kernel, zeta_hat, coarse, grid)
         eh = eta_hat(zeta_hat, r_zeta_hat, u_st, bounds, opts.eta_hat_variant)
         update = update_dfp if opts.scheme == "dfp" else update_bfg
-        accepted = update(kernel, eh, zeta_hat, coarse, grid,
-                          r_zeta_hat=r_zeta_hat)
+        accepted = update(kernel, eh, zeta_hat, coarse, grid, r_zeta_hat)
         if not (accepted or rescaled) and prev_u is not None \
                 and np.array_equal(u_st, prev_u):
             warned = True
@@ -437,7 +441,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
                            t_mid=0.5 * (grid.t_start + grid.t_end),
                            u=u_fin, residual=residual, counters=counters,
                            iterations=iterations, warned=warned,
-                           kernel_rank=len(kernel.terms))
+                           kernel_rank=kernel.rank)
     return report, y_dir.values[-1].copy()
 
 
@@ -448,7 +452,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     """Reconstruct over the full horizon, threading terminal fields.
 
     With ``checkpoint_dir`` set, every finished segment is persisted (final
-    estimate, terminal field, kernel terms) and ``resume=True`` continues an
+    estimate, terminal field, kernel arrays) and ``resume=True`` continues an
     interrupted run from its last complete segment.
     """
     opts = opts or Options()
@@ -485,7 +489,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
         os.makedirs(checkpoint_dir, exist_ok=True)
         if resume:
             start, init, kernel, reports = _load_checkpoint(
-                checkpoint_dir, scn, coarse, init, kernel)
+                checkpoint_dir, scn, coarse, steps, init, kernel)
 
     for n in range(start, n_segments):
         grid = SegmentGrid(n * opts.segment_length,
@@ -508,14 +512,7 @@ def _save_checkpoint(run_dir: str, report: SegmentReport,
                comments="")
     np.savetxt(os.path.join(run_dir, f"terminal_{n:04d}.txt"), terminal)
     np.savez(os.path.join(run_dir, f"kernel_{n:04d}.npz"),
-             diag=kernel.diag,
-             m=np.stack([t.m for t in kernel.terms]) if kernel.terms else
-             np.zeros((0,) + kernel.diag.shape),
-             n=np.stack([t.n for t in kernel.terms]) if kernel.terms else
-             np.zeros((0,) + kernel.diag.shape),
-             weight=np.array([t.weight for t in kernel.terms]),
-             damp=np.array([t.damp for t in kernel.terms]),
-             rank_cap=kernel.rank_cap)
+             **{f.name: getattr(kernel, f.name) for f in fields(kernel)})
     row = [n, f"{report.t_mid:.17g}", f"{report.residual:.17g}",
            *report.counters.as_tuple(), report.iterations,
            int(report.warned), report.kernel_rank]
@@ -544,7 +541,7 @@ def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
 
 
-def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh,
+def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
                      init: np.ndarray, kernel: ResolverKernel):
     """Restore the segments before the first one that lacks a file or its
     ``segments.csv`` row.  Rows after it are dropped, so that segment and
@@ -581,19 +578,17 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh,
         terminal = _loadtxt(os.path.join(run_dir, f"terminal_{last:04d}.txt"))
         _expect_shape(terminal, init.shape, f"terminal_{last:04d}.txt")
         with np.load(os.path.join(run_dir, f"kernel_{last:04d}.npz")) as data:
-            diag, m, n_, weight, damp = (data[k] for k in
-                                         ("diag", "m", "n", "weight", "damp"))
-            rank_cap = int(data["rank_cap"])
-        _expect_shape(diag, shape, "kernel diagonal")
-        _expect_shape(m, (len(weight),) + m.shape[1:-2] + shape, "kernel m")
-        _expect_shape(n_, m.shape, "kernel n")
-        _expect_shape(damp, weight.shape, "kernel damping")
+            kernel = ResolverKernel(*(data[k] for k in ("diag", "m", "n",
+                                                        "weight", "damp")),
+                                    int(data["rank_cap"]))
+        _expect_shape(kernel.diag, shape, "kernel diagonal")
+        nodes = (steps + 1,) if kernel.rank else ()
+        _expect_shape(kernel.m, (kernel.rank,) + nodes + shape, "kernel m")
+        _expect_shape(kernel.n, kernel.m.shape, "kernel n")
+        _expect_shape(kernel.damp, kernel.weight.shape, "kernel damping")
     except (ValueError, LookupError, TypeError, EOFError,
             zipfile.BadZipFile) as exc:
         raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc
-    kernel = ResolverKernel(
-        diag=diag, rank_cap=rank_cap,
-        terms=[KernelTerm(*term) for term in zip(m, n_, weight, damp)])
     if len(lines) > last + 2:           # the header plus one row a segment
         with open(path, "w", newline="") as fh:
             fh.writelines(lines[:last + 2])

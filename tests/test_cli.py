@@ -308,6 +308,41 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out)) == cli.EXIT_IO
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    def test_kernel_with_other_time_nodes_is_io_error(self, tmp_path,
+                                                      capsys):
+        """A kernel checkpoint must hold one slice per time node of a
+        segment; ex2 at tol 0.03 checkpoints a kernel with terms."""
+        kw = dict(scenario="ex2", scheme="dfp", tol=0.03)
+        run_dir = cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2,
+                                                   **kw))
+        path = os.path.join(run_dir, "segments", "kernel_0001.npz")
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert len(arrays["weight"]) > 0
+        arrays["m"], arrays["n"] = arrays["m"][:, 1:], arrays["n"][:, 1:]
+        np.savez(path, **arrays)
+        assert cli.main(resume_argv(tmp_path / "runs") + [
+            "--scenario", "ex2", "--scheme", "dfp", "--tol", "0.03"]) \
+            == cli.EXIT_IO
+        assert "corrupt checkpoint" in capsys.readouterr().err
+
+    def test_resume_refuses_another_measurement(self, tmp_path, capsys):
+        """A run begun on data made on one reference mesh does not go on
+        with data made on another."""
+        first, other = (cli.cmd_generate(micro_config(
+            tmp_path / f"data{ref}", reference_triangles=ref))
+            for ref in (960, 1200))
+        cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2),
+                            measurement_base=first)
+        out = tmp_path / "runs"
+        before = file_bytes(out)
+        assert cli.main(resume_argv(out) + ["--measurement", other]) \
+            == cli.EXIT_IO
+        assert "measurement" in capsys.readouterr().err
+        assert file_bytes(out) == before
+        assert cli.main(resume_argv(out) + ["--measurement", first]) \
+            == cli.EXIT_OK
+
     def test_resume_refuses_changed_parameters(self, short_run, tmp_path,
                                                capsys):
         """Only the horizon may change when a run resumes."""

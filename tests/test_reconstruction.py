@@ -62,6 +62,29 @@ class TestKernelBasics:
             + 3 * recon.apply_kernel(kernel, b, mesh, grid)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1, np.abs(rhs).max())
 
+    def test_stacked_apply_matches_term_by_term_sum(self, tiny):
+        """The batched coefficients and the ordered sum of apply_kernel
+        round exactly like one segment_inner and one add per term, and the
+        result is C-ordered whatever zeta's memory order (the time average
+        of the estimate rounds by it)."""
+        mesh, grid = tiny
+        rng = np.random.default_rng(20)
+        kernel = recon.make_kernel(mesh, 2)
+        for update in (recon.update_dfp, recon.update_bfg, recon.update_dfp):
+            assert update(kernel, rand_field(rng, mesh, grid),
+                          rand_field(rng, mesh, grid), mesh, grid)
+        recon.damp_kernel(kernel, 0.6)
+        assert kernel.rank == 7
+        zeta = np.asfortranarray(rand_field(rng, mesh, grid))
+        expected = kernel.diag[None] * zeta
+        for r in range(kernel.rank):
+            coef = kernel.weight[r] * kernel.damp[r] \
+                * recon.segment_inner(mesh, grid, kernel.n[r], zeta)
+            expected = expected + coef * kernel.m[r]
+        eta = recon.apply_kernel(kernel, zeta, mesh, grid)
+        assert np.array_equal(eta, expected)
+        assert eta.flags.c_contiguous
+
     def test_symmetry_random_pairs(self, tiny):
         mesh, grid = tiny
         rng = np.random.default_rng(3)
@@ -189,7 +212,7 @@ class TestUpdates:
                 kernel, rand_field(np.random.default_rng(10), mesh, grid),
                 zero, mesh, grid)
         assert not accepted
-        assert not kernel.terms
+        assert not kernel.rank
         assert any("curvature" in r.message for r in caplog.records)
 
     def test_rank_cap_respected_and_secant_kept(self, tiny):
@@ -200,7 +223,7 @@ class TestUpdates:
             zeta_hat = rand_field(rng, mesh, grid)
             eta_hat = rand_field(rng, mesh, grid)
             assert recon.update_dfp(kernel, eta_hat, zeta_hat, mesh, grid)
-            assert len(kernel.terms) <= 6
+            assert kernel.rank <= 6
             err = recon.apply_kernel(kernel, zeta_hat, mesh, grid) - eta_hat
             assert recon.segment_norm(mesh, grid, err) \
                 <= 1e-8 * recon.segment_norm(mesh, grid, eta_hat)
@@ -277,7 +300,7 @@ class TestRescaleAndDamp:
                         rand_field(rng, mesh, grid), mesh, grid)
         for _ in range(40):
             recon.damp_kernel(kernel, 0.6)
-        assert not kernel.terms
+        assert not kernel.rank
 
     def test_invalid_damping_rejected(self, tiny):
         mesh, _ = tiny
@@ -387,22 +410,39 @@ class TestSegmentLoop:
             recon.run(scn, mset, self._opts(horizon=2.0), fine=small_fine,
                      coarse=small_coarse, transfer=small_transfer)
 
+    def _resume_matches_fresh(self, run_dir, fine, coarse, transfer, name,
+                              min_rank=0, **kw):
+        """Five checkpointed segments resumed to ten equal a fresh run."""
+        scn, mset = self._mset(fine, name=name, horizon=1.0)
+        partial = recon.run(scn, mset, self._opts(horizon=0.5, **kw),
+                           fine=fine, coarse=coarse, transfer=transfer,
+                           checkpoint_dir=run_dir)
+        assert len(partial.segments) == 5
+        assert partial.segments[-1].kernel_rank >= min_rank
+        resumed = recon.run(scn, mset, self._opts(horizon=1.0, **kw),
+                           fine=fine, coarse=coarse, transfer=transfer,
+                           checkpoint_dir=run_dir, resume=True)
+        fresh = recon.run(scn, mset, self._opts(horizon=1.0, **kw),
+                         fine=fine, coarse=coarse, transfer=transfer)
+        assert len(resumed.segments) == len(fresh.segments) == 10
+        for sr, sf in zip(resumed.segments, fresh.segments):
+            assert np.array_equal(sr.u, sf.u)
+            assert sr.residual == sf.residual
+            assert sr.counters.as_tuple() == sf.counters.as_tuple()
+            assert sr.kernel_rank == sf.kernel_rank
+
     def test_checkpoint_resume_matches_fresh_run(self, tmp_path, small_fine,
                                                  small_coarse,
                                                  small_transfer):
-        scn, mset = self._mset(small_fine, name="ex1", horizon=1.0)
-        run_dir = str(tmp_path / "ckpt")
-        partial = recon.run(scn, mset, self._opts(horizon=0.5),
-                           fine=small_fine, coarse=small_coarse,
-                           transfer=small_transfer, checkpoint_dir=run_dir)
-        assert len(partial.segments) == 5
-        resumed = recon.run(scn, mset, self._opts(horizon=1.0),
-                           fine=small_fine, coarse=small_coarse,
-                           transfer=small_transfer, checkpoint_dir=run_dir,
-                           resume=True)
-        fresh = recon.run(scn, mset, self._opts(horizon=1.0), fine=small_fine,
-                         coarse=small_coarse, transfer=small_transfer)
-        assert len(resumed.segments) == len(fresh.segments) == 10
-        for sr, sf in zip(resumed.segments, fresh.segments):
-            assert np.allclose(sr.u, sf.u, atol=1e-12)
-            assert sr.counters.as_tuple() == sf.counters.as_tuple()
+        """ex1 keeps the kernel at rank 0."""
+        self._resume_matches_fresh(str(tmp_path / "ckpt"), small_fine,
+                                   small_coarse, small_transfer, "ex1")
+
+    def test_checkpoint_resume_with_kernel_terms(self, tmp_path, small_fine,
+                                                 small_coarse,
+                                                 small_transfer):
+        """ex2 at tol 0.03 checkpoints low-rank terms, whose arrays must
+        survive the round trip."""
+        self._resume_matches_fresh(str(tmp_path / "ckpt"), small_fine,
+                                   small_coarse, small_transfer, "ex2",
+                                   min_rank=1, scheme="dfp", tol=0.03)

@@ -1,0 +1,166 @@
+"""Check that two source trees of heatprobe give bit-identical results.
+
+Usage:
+    python3 tools/bitwise_compare.py PARENT_SRC CHANGE_SRC WORKDIR
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories (for the parent commit,
+e.g. of a ``git archive`` export).  Each tree runs in its own process and
+writes to WORKDIR:
+
+- the ``SegmentReport`` fields of micro windows (3000/600 triangles, seed 1,
+  5% noise): ex2 DFP and BFGS with rank cap 5 and the r_zeta variant at
+  tol 0.03, ex3 BFGS at tol 0.03 and ex1 at tol 0.10;
+- the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
+  ``cmd_generate`` and ``cmd_reconstruct --measurement``);
+- the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5].
+
+The script then compares reports bit for bit and files byte for byte
+(``summary.txt`` but its wall-time line; ``config.txt`` and the manifest are
+listed, as they record the output directory), and resumes the parent's
+checkpoints with the change's code to [0, 1], which must equal the change's
+fresh run.  Exit status 0 when everything matches.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+
+HERE = os.path.abspath(__file__)
+
+
+def _reports(result):
+    return [(s.index, s.t_mid, s.u, s.residual, s.counters.as_tuple(),
+             s.iterations, s.warned, s.kernel_rank) for s in result.segments]
+
+
+def _same(a, b):
+    import numpy as np
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype \
+            and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def dump(src, out):
+    """Runs in the child process: everything one tree produces."""
+    sys.path.insert(0, src)
+    from heatprobe import cli, mesh, reconstruction as recon, scenario, synth
+    fine, coarse = mesh.build_disk_mesh(3000), mesh.build_disk_mesh(600)
+    transfer = mesh.build_transfer(fine, coarse)
+    data = {}
+
+    def window(name, horizon, **kw):
+        if name not in data:
+            data[name] = synth.build_measurement_set(
+                scenario.builtin(name), fine, 0.05, 1, horizon=1.0)
+        opts = recon.Options(fine_triangles=3000, coarse_triangles=600,
+                             horizon=horizon, **kw)
+        return recon.run(scenario.builtin(name), data[name], opts,
+                         fine=fine, coarse=coarse, transfer=transfer)
+
+    windows = {
+        "ex2_dfp": window("ex2", 1.0, tol=0.03, scheme="dfp"),
+        "ex2_bfg_cap5": window("ex2", 1.0, tol=0.03, scheme="bfg",
+                               rank_cap=5),
+        "ex2_dfp_r_zeta": window("ex2", 1.0, tol=0.03, scheme="dfp",
+                                 eta_hat_variant="r_zeta"),
+        "ex3_bfg": window("ex3", 0.5, tol=0.03, scheme="bfg"),
+        "ex1_bfg": window("ex1", 1.0, tol=0.10, scheme="bfg"),
+    }
+    with open(os.path.join(out, "windows.pkl"), "wb") as fh:
+        pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
+    cfg = cli.RunConfig(scenario="ex1", horizon=2.0, fine_triangles=3000,
+                        coarse_triangles=600, seed=1,
+                        outdir=os.path.join(out, "cli"))
+    cli.cmd_reconstruct(cfg, measurement_base=cli.cmd_generate(cfg))
+    opts = recon.Options(fine_triangles=3000, coarse_triangles=600,
+                         horizon=0.5, tol=0.03, scheme="dfp")
+    recon.run(scenario.builtin("ex2"), data["ex2"], opts, fine=fine,
+              coarse=coarse, transfer=transfer,
+              checkpoint_dir=os.path.join(out, "ckpt"))
+
+
+def resume(src, parent_ckpt, out):
+    """Runs in the child process: the change resumes the parent's run."""
+    sys.path.insert(0, src)
+    import shutil
+    from heatprobe import mesh, reconstruction as recon, scenario, synth
+    fine, coarse = mesh.build_disk_mesh(3000), mesh.build_disk_mesh(600)
+    transfer = mesh.build_transfer(fine, coarse)
+    scn = scenario.builtin("ex2")
+    mset = synth.build_measurement_set(scn, fine, 0.05, 1, horizon=1.0)
+    opts = recon.Options(fine_triangles=3000, coarse_triangles=600,
+                         horizon=1.0, tol=0.03, scheme="dfp")
+    shutil.copytree(parent_ckpt, os.path.join(out, "resumed"))
+    resumed = recon.run(scn, mset, opts, fine=fine, coarse=coarse,
+                        transfer=transfer, resume=True,
+                        checkpoint_dir=os.path.join(out, "resumed"))
+    fresh = recon.run(scn, mset, opts, fine=fine, coarse=coarse,
+                      transfer=transfer)
+    ranks = [s.kernel_rank for s in resumed.segments]
+    print(f"resume of the parent's checkpoints (ranks {ranks}) equals a "
+          f"fresh run: {_same(_reports(resumed), _reports(fresh))}")
+    sys.exit(0 if _same(_reports(resumed), _reports(fresh)) else 1)
+
+
+def _files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the last line of summary.txt is the wall time
+    return data.rsplit(b"\n", 2)[0] if path.endswith("summary.txt") else data
+
+
+def compare(parent, change):
+    ok = True
+    with open(os.path.join(parent, "windows.pkl"), "rb") as fa, \
+            open(os.path.join(change, "windows.pkl"), "rb") as fb:
+        wa, wb = pickle.load(fa), pickle.load(fb)
+    for key in wa:
+        same = _same(wa[key], wb.get(key))
+        ok &= same
+        ranks = [r[-1] for r in wa[key]]
+        print(f"{key}: ranks {ranks}, reports "
+              f"{'bit-identical' if same else 'DIFFER'}")
+    for sub in ("cli", "ckpt"):
+        fa = _files(os.path.join(parent, sub))
+        fb = _files(os.path.join(change, sub))
+        differ = sorted(fa ^ fb) + sorted(
+            f for f in fa & fb if _read(os.path.join(parent, sub, f))
+            != _read(os.path.join(change, sub, f)))
+        expected = [f for f in differ
+                    if f.endswith(("config.txt", "manifest.txt"))]
+        ok &= len(differ) == len(expected)
+        print(f"{sub}/: {len(fa & fb)} files, differing: "
+              f"{differ or 'none'} (expected: config.txt, manifest)")
+    return ok
+
+
+def main(parent_src, change_src, workdir):
+    dirs = [os.path.join(workdir, side) for side in ("parent", "change")]
+    for src, out in zip((parent_src, change_src), dirs):
+        os.makedirs(out)
+        subprocess.run([sys.executable, HERE, "--dump", src, out],
+                       check=True)
+    ok = compare(*dirs)
+    ok &= subprocess.run([sys.executable, HERE, "--resume", change_src,
+                          os.path.join(dirs[0], "ckpt"), dirs[1]]
+                         ).returncode == 0
+    print("all bit-identical" if ok else "DIFFERENCES FOUND")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--dump":
+        dump(*sys.argv[2:4])
+    elif sys.argv[1] == "--resume":
+        resume(*sys.argv[2:5])
+    else:
+        sys.exit(main(*sys.argv[1:4]))
