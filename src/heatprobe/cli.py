@@ -315,13 +315,16 @@ def cmd_generate(cfg: RunConfig) -> str:
 
 
 def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
-                    resume: bool = False) -> str:
+                    resume: bool = False,
+                    mset: synth.MeasurementSet | None = None) -> str:
     """Run the reconstruction and write the full run directory.
 
-    ``config.txt`` is written before the first segment.  With
-    ``resume=True`` an interrupted run restarts after its last fully
-    checkpointed segment instead of from scratch; its ``config.txt`` must
-    match ``cfg`` and the measurement, see ``_check_resume_config``.
+    The data are read from ``measurement_base``, taken as ``mset``, or
+    generated from ``cfg``.  ``config.txt`` is written before the first
+    segment.  With ``resume=True`` an interrupted run restarts after its
+    last fully checkpointed segment instead of from scratch; its
+    ``config.txt`` must match ``cfg`` and the measurement, see
+    ``_check_resume_config``.
     """
     scn = resolve_scenario(cfg.scenario)
     run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"
@@ -335,7 +338,7 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
         reference = int(_read_config_value(measurement_base + "_manifest.txt",
                                            "reference_triangles"))
         mset = synth.load_measurement_set(measurement_base, reference)
-    else:
+    elif mset is None:
         mset = synth.build_measurement_set(
             scn, fine, cfg.noise, cfg.seed,
             reference_triangles=cfg.reference_triangles,
@@ -467,17 +470,26 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
 
 def cmd_sweep(cfg: RunConfig, noises: list[float], dampings: list[float],
               schemes: list[str]) -> list[str]:
-    """Grid of reconstructions over noise level, damping and scheme."""
+    """Grid of reconstructions over noise level, damping and scheme.
+
+    The clean reference depends on none of them, so it is generated once
+    and perturbed per noise level.
+    """
+    clean = synth.generate_reference(
+        resolve_scenario(cfg.scenario), build_disk_mesh(cfg.fine_triangles),
+        cfg.reference_triangles, cfg.sample_dt, cfg.horizon)
     out = []
     base_out = cfg.outdir
     for eps in noises:
+        mset = synth.measure(clean, eps, cfg.seed, cfg.reference_triangles,
+                             cfg.sample_dt)
         for lam in dampings:
             for scheme in schemes:
                 sub = os.path.join(base_out,
                                    f"sweep_eps{eps:g}_lam{lam:g}_{scheme}")
                 combo = replace(cfg, noise=eps, damping=lam, scheme=scheme,
                                 outdir=sub)
-                out.append(cmd_reconstruct(combo))
+                out.append(cmd_reconstruct(combo, mset=mset))
     return out
 
 

@@ -15,6 +15,7 @@ import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -153,7 +154,9 @@ class _Operators:
             (np.concatenate([2.0 * lens, lens, lens, 2.0 * lens]),
              (np.concatenate([e0, e0, e1, e1]),
               np.concatenate([here, nxt, here, nxt]))), shape=(n, nb))
-        self.unperturbed = None     # (grid ref, (lu, s_minus)), see below
+        self.interior = np.setdiff1d(np.arange(n), mesh.boundary_vertices)
+        self.interior.flags.writeable = False
+        self.unperturbed = None     # (grid ref, {block: system}), see below
 
     def matrix(self, data: np.ndarray, fmt=sparse.csr_array):
         """A matrix on the shared pattern.  Every operator here is exactly
@@ -166,7 +169,7 @@ class _Operators:
         return self.matrix(data)
 
     def release_unperturbed(self, grid_ref) -> None:
-        """Drop the held system of a grid that is gone, and hand the C
+        """Drop the held systems of a grid that is gone, and hand the C
         heap's free pages back to the system (glibc only).
 
         SuperLU allocates several times a factor's size, and the held factor
@@ -326,39 +329,113 @@ def _factorize(matrix):
         raise FemError(f"sparse factorization failed: {exc}") from exc
 
 
-def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
-                   dt: float, factor=None):
-    """The solver of S+ = M/dt + K/2 and the explicit S- = M/dt - K/2 of a
-    Crank-Nicolson step.  ``factor`` makes the solver from the data of S+
-    on the mesh's pattern; by default it factorizes all of S+."""
+def _whole(mesh: Mesh, plus: np.ndarray):
+    """All of S+, from its data on the mesh's pattern; no row is pinned."""
+    return _operators(mesh).matrix(plus, sparse.csc_array), None
+
+
+def _interior_block(mesh: Mesh, plus: np.ndarray):
+    """The interior block of S+ and the block coupling it to the boundary
+    rows, which a Dirichlet march pins.  Boundary rows and columns are
+    eliminated symmetrically, so the interior block stays symmetric."""
     cache = _operators(mesh)
+    s_pi = cache.matrix(plus)[cache.interior, :].tocsr()
+    return (s_pi[:, cache.interior].tocsc(),
+            s_pi[:, mesh.boundary_vertices].tocsr())
+
+
+def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
+                   dt: float, block=_whole, make=_factorize):
+    """The solver of S+ = M/dt + K/2 and the explicit S- = M/dt - K/2 of a
+    Crank-Nicolson step.  The solver is the pair of ``make``'s solver of the
+    matrix that ``block`` takes from S+ and the block's coupling to the
+    pinned rows."""
     scaled, half = mass.data / dt, 0.5 * k_data
-    plus = scaled + half
-    solver = factor(plus) if factor is not None \
-        else _factorize(cache.matrix(plus, sparse.csc_array))
-    return solver, cache.matrix(scaled - half)
+    a, coupling = block(mesh, scaled + half)
+    return (make(a), coupling), _operators(mesh).matrix(scaled - half)
 
 
 def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array,
-                        grid: SegmentGrid):
-    """The system of M/dt + K(1)/2, shared by background and adjoint marches.
+                        grid: SegmentGrid, block=_whole):
+    """The system of M/dt + K(1)/2, or of its ``block``.
 
-    The mesh's cache holds it for one segment grid (or an equal one) while
-    that grid lives, so a reconstruction shares it within a segment and
-    frees it with the segment, and a shared factorization is the one a
+    The whole one is shared by background and adjoint marches, and each
+    serves as the preconditioner of the marches that ``_Pcg`` solves.  The
+    mesh's cache holds them for one segment grid (or an equal one) while
+    that grid lives, so a reconstruction shares them within a segment and
+    frees them with the segment, and a shared factorization is the one a
     fresh build would give.
     """
     cache = _operators(mesh)
     held = cache.unperturbed
-    if held is not None and held[0]() == grid:
-        return held[1]
-    system = _linear_system(
-        mesh, mass, assemble_stiffness(mesh, np.ones(mesh.num_cells)).data,
-        grid.dt)
-    grid_ref = weakref.ref(grid)
-    cache.unperturbed = (grid_ref, system)
-    weakref.finalize(grid, cache.release_unperturbed, grid_ref)
-    return system
+    if held is None or held[0]() != grid:
+        grid_ref = weakref.ref(grid)
+        held = cache.unperturbed = (grid_ref, {})
+        weakref.finalize(grid, cache.release_unperturbed, grid_ref)
+    systems = held[1]
+    if block not in systems:
+        systems[block] = _linear_system(
+            mesh, mass, assemble_stiffness(mesh, np.ones(mesh.num_cells)).data,
+            grid.dt, block)
+    return systems[block]
+
+
+PCG_MAX_ITERATIONS = 40
+PCG_RTOL = 1e-14
+_PCG_LOCK = threading.Lock()
+
+
+class _Pcg:
+    """Conjugate gradients on the step matrix ``a``, preconditioned by the
+    factorization ``precond`` of the unperturbed M/dt + K(1)/2 (Saad,
+    "Iterative Methods for Sparse Linear Systems", alg. 9.1).
+
+    With the diffusion coefficient 1, a reaction weight w changes only the
+    mass-like part of S+, so the preconditioned spectrum lies in
+    [1, 1 + dt*max(w)/2] and a few steps reach the relative residual
+    ``PCG_RTOL``.  Each solve starts from ``precond``'s solution.  Past
+    ``PCG_MAX_ITERATIONS`` steps, or on a breakdown (p.Ap <= 0: a negative
+    potential made ``a`` indefinite), ``a`` is factorized and solved
+    directly from then on; ``_Pcg.fallbacks`` counts those fallbacks.
+    """
+
+    fallbacks = 0
+
+    def __init__(self, a, precond):
+        self.a, self.precond, self.direct = a, precond, None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.direct is None:
+            x = self._cg(b)
+            if x is not None:
+                return x
+            with _PCG_LOCK:
+                _Pcg.fallbacks += 1
+            self.direct = _factorize(self.a)
+        return self.direct.solve(b)
+
+    def _cg(self, b: np.ndarray) -> np.ndarray | None:
+        """The CG solution, or None when CG breaks down or hits the cap."""
+        a, precond = self.a, self.precond
+        tol = PCG_RTOL * np.linalg.norm(b)
+        x = precond.solve(b)
+        r = b - a @ x
+        p = rz_prev = None
+        for _ in range(PCG_MAX_ITERATIONS):
+            if np.linalg.norm(r) <= tol:
+                return x
+            z = precond.solve(r)
+            rz = r @ z
+            p = z if p is None else z + (rz / rz_prev) * p
+            ap = a @ p
+            pap = p @ ap
+            if not pap > 0.0:
+                return None
+            alpha = rz / pap
+            x = x + alpha * p
+            r = r - alpha * ap
+            rz_prev = rz
+        return x if np.linalg.norm(r) <= tol else None
 
 
 def _check_solution(y: np.ndarray) -> np.ndarray:
@@ -459,18 +536,18 @@ def _source_load(mesh: Mesh, grid: SegmentGrid, f, g):
     return load
 
 
-def _solve_all(lu, rhs: np.ndarray, j: int) -> np.ndarray:
-    return _check_solution(lu.solve(rhs))
+def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
+    return _check_solution(solver[0].solve(rhs))
 
 
 def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
-           transfer: TransferOps | None, load, factor=None, solve=_solve_all,
+           transfer: TransferOps | None, load, block=_whole, solve=_solve_all,
            picard_sweeps: int = 0, rows: np.ndarray | None = None
            ) -> Trajectory:
     """The Crank-Nicolson march behind every solve of this module.
 
     ``load(j)`` is the load at the half-step node j (time t_start + j*dt/2).
-    ``factor`` makes a step's solver from the data of S+ (see
+    ``block`` takes the matrix a step solves from S+ (see
     ``_linear_system``), and ``solve(solver, rhs, j)`` returns the solution
     at node j.  The first step is two backward-Euler half steps (Rannacher
     startup), which damp the weakly decaying high-frequency transients that
@@ -478,11 +555,16 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
     2M/dt + K is twice S+, so the step's system serves them as well.
 
     A static operator (no sampler, every power weight zero) gets one system
-    for all steps; with the default ``factor`` and no inhomogeneity that is
-    the factorization shared per segment grid (``_unperturbed_system``).
-    An operator that depends on time only gets ``_march_time_only``.  A
-    lagged power weight gets a system per step, refined by ``picard_sweeps``
-    sweeps that lag the weight at the step midpoint.
+    for all steps; for the whole S+ with no inhomogeneity that is the
+    factorization shared per segment grid (``_unperturbed_system``).  An
+    operator that depends on time only gets a system per step, and a lagged
+    power weight one per step and Picard sweep (``picard_sweeps`` sweeps
+    lag the weight at the step midpoint).  Without a conductivity component
+    those systems differ from the unperturbed one by a reaction weight
+    only, so ``_Pcg`` solves them on the held unperturbed factorization of
+    the same block; otherwise each is factorized, one step ahead on a
+    second thread when the operator depends on time only
+    (``_march_time_only``).
     """
     u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
     mass = assemble_mass(mesh)
@@ -495,8 +577,14 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
     def store(k, y):
         values[k] = y[keep]
 
+    static = _is_static(u_sample, u_const, ops)
+    make = _factorize
+    if not static and not any(op.kind == CONDUCTIVITY for op in ops):
+        (held, _), _ = _unperturbed_system(mesh, mass, grid, block)
+        make = partial(_Pcg, precond=held)
+
     def build(k_data):
-        return _linear_system(mesh, mass, k_data, dt, factor)
+        return _linear_system(mesh, mass, k_data, dt, block, make)
 
     def advance(k, system, y_prev):
         solver, s_minus = system
@@ -511,10 +599,10 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
         return _split_ops(u_const if u_sample is None
                           else u_sample(times[k] + 0.5 * dt), ops)
 
-    if _is_static(u_sample, u_const, ops):
+    if static:
         coeff, react, _ = split(0)
         fixed = _unperturbed_system(mesh, mass, grid) \
-            if factor is None and np.all(coeff == 1.0) and not np.any(react) \
+            if block is _whole and np.all(coeff == 1.0) and not np.any(react) \
             else build(_operator_data(mesh, coeff, react))
         _march_serial(grid.steps, lambda k: fixed, advance, y0, store)
     elif u_sample is not None and not any(
@@ -522,7 +610,8 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
         def prepare(k):
             coeff, react, _ = split(k)
             return build(_operator_data(mesh, coeff, react))
-        _march_time_only(grid.steps, prepare, advance, y0, store)
+        march = _march_time_only if make is _factorize else _march_serial
+        march(grid.steps, prepare, advance, y0, store)
     else:
         def prepare(k):
             coeff, react, lagged = split(k)
@@ -536,8 +625,8 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
             for _ in range(1 + picard_sweeps):
                 y_lag = y_prev if y_new is None else 0.5 * (y_prev + y_new)
                 weight = react + _lagged_weight(mesh, lagged, y_lag)
-                # no name keeps the system, so it is freed before the next
-                # one factorizes
+                # no name keeps the system, so a factorization is freed
+                # before the next one is made
                 y_next = advance(k, build(
                     stiff + assemble_reaction(mesh, weight).data), y_prev)
                 done = y_new is not None and np.linalg.norm(
@@ -566,8 +655,10 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     returned trajectory keeps (all of them by default).
 
     A sampler ``u`` without power-potential terms gives an operator that
-    depends on time only; its march factorizes one step ahead on a second
-    thread when the process may use two CPUs (see ``_march_time_only``).
+    depends on time only.  With a conductivity component its march
+    factorizes one step ahead on a second thread when the process may use
+    two CPUs (see ``_march_time_only``); without one, each step is solved
+    by preconditioned CG (see ``_Pcg``).
     """
     return _march(mesh, grid, u, ops, init, transfer,
                   _source_load(mesh, grid, f, g),
@@ -580,20 +671,13 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
     """Crank-Nicolson march with the boundary rows pinned to measured values.
 
     ``trace_values`` holds one row per grid time node over the boundary
-    vertices (callers interpolate measurements onto the grid).  Boundary rows
-    and columns are eliminated symmetrically, so the factorized interior
-    block stays symmetric.
+    vertices (callers interpolate measurements onto the grid).  Each step
+    solves the interior block of S+ (see ``_interior_block``).
     """
     trace_values = np.asarray(trace_values, dtype=float)
     if trace_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("trace does not cover the segment's time nodes")
-    cache = _operators(mesh)
-    bnd = mesh.boundary_vertices
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
-
-    def factor(plus):
-        s_pi = cache.matrix(plus)[interior, :].tocsr()
-        return _factorize(s_pi[:, interior].tocsc()), s_pi[:, bnd].tocsr()
+    bnd, interior = mesh.boundary_vertices, _operators(mesh).interior
 
     def pinned(solver, rhs, j):
         lu, s_ib = solver
@@ -604,7 +688,7 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
         return y
 
     return _march(mesh, grid, u, ops, init, transfer,
-                  _source_load(mesh, grid, f, None), factor, pinned)
+                  _source_load(mesh, grid, f, None), _interior_block, pinned)
 
 
 def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,

@@ -305,7 +305,9 @@ def damp_kernel(kernel: ResolverKernel, damping: float) -> None:
     if not 0.0 < damping < 1.0:
         raise ValueError("damping factor must lie in (0, 1)")
     kernel.damp = kernel.damp * damping
-    kernel.keep(kernel.damp >= DAMP_DROP)
+    # every term fades alike and new ones start at 1, so the dropped terms
+    # are the oldest and the kept ones a suffix, taken as a view
+    kernel.keep(slice(np.count_nonzero(kernel.damp < DAMP_DROP), None))
 
 
 def time_average(field_st: np.ndarray, grid: SegmentGrid) -> np.ndarray:

@@ -110,8 +110,15 @@ def build_measurement_set(scn: Scenario, inversion_mesh: Mesh,
                           sample_dt: float = SAMPLE_DT,
                           horizon: float | None = None) -> MeasurementSet:
     """Generate, perturb and package the measured data for one scenario."""
-    trace = generate_reference(scn, inversion_mesh, reference_triangles,
-                               sample_dt, horizon)
+    return measure(generate_reference(scn, inversion_mesh,
+                                      reference_triangles, sample_dt, horizon),
+                   noise_level, seed, reference_triangles, sample_dt)
+
+
+def measure(trace: fem.BoundaryTrace, noise_level: float, seed: int,
+            reference_triangles: int = REFERENCE_TRIANGLES,
+            sample_dt: float = SAMPLE_DT) -> MeasurementSet:
+    """Perturb a clean reference trace and package it as measured data."""
     noisy = add_noise(trace.values, noise_level, seed)
     return MeasurementSet(sample_times=trace.times, clean=trace.values,
                           noisy=noisy, noise_level=noise_level, seed=seed,

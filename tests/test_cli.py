@@ -259,12 +259,31 @@ class TestCommands:
             assert np.array_equal(truth[col], run[col])
 
     def test_sweep(self, tmp_path):
+        """Each sweep run is the separate ``reconstruct`` with its flags,
+        byte for byte but for the wall time in ``summary.txt``."""
         cfg = micro_config(tmp_path)
-        dirs = cli.cmd_sweep(cfg, noises=[0.0, 0.02], dampings=[0.6],
+        noises, dampings = [0.0, 0.02], [0.6, 0.3]
+        dirs = cli.cmd_sweep(cfg, noises=noises, dampings=dampings,
                              schemes=["dfp"])
-        assert len(dirs) == 2
-        for d in dirs:
+        assert len(dirs) == 4
+        combos = [(eps, lam) for eps in noises for lam in dampings]
+        for d, (eps, lam) in zip(dirs, combos):
             assert os.path.exists(os.path.join(d, "summary.txt"))
+            swept = file_bytes(d)
+            shutil.rmtree(os.path.dirname(d))
+            alone = cli.cmd_reconstruct(dataclasses.replace(
+                cfg, noise=eps, damping=lam, scheme="dfp",
+                outdir=os.path.dirname(d)))
+            assert alone == d
+            again = file_bytes(d)
+            assert swept.keys() == again.keys()
+            for name in swept:
+                if name.name == "summary.txt":
+                    swept[name], again[name] = (
+                        [line for line in data.splitlines()
+                         if not line.startswith(b"wall time")]
+                        for data in (swept[name], again[name]))
+                assert swept[name] == again[name], name
 
 
 class TestCheckpoints:

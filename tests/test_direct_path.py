@@ -4,8 +4,9 @@ The plain march below is the straightforward scheme: at every step it
 assembles the operators from COO triplets, factorizes with SuperLU's
 default options and solves.  The library caches operator patterns and
 factorizations, factorizes in SuperLU's symmetric mode and runs time-only
-marches on two threads; none of that may move a result by more than
-``RTOL`` (relative L2 over all time nodes).
+marches on two threads, and solves marches with no conductivity component
+by preconditioned CG; none of that may move a result by more than ``RTOL``
+(relative L2 over all time nodes).
 """
 
 import os
@@ -327,7 +328,7 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
     calls.clear()
     dynamic = fem.forward_solve(small_fine, grid, lambda t: zero, scn.ops,
                                 f_fn, g_fn, h, picard_sweeps=1).values
-    assert len(calls) >= grid.steps
+    assert len(calls) == 0
     assert np.array_equal(static, dynamic)
 
 
@@ -359,6 +360,81 @@ def test_background_and_adjoint_share_one_factorization(small_fine,
     segment(0.5, 25)
     assert len(calls) == 3
     assert cache.unperturbed is None
+
+
+# -- preconditioned CG on the unperturbed factorization ----------------------
+
+def reaction_marches(mesh, transfer):
+    """The marches that ``fem._Pcg`` solves, as (label, march, plain march):
+    the ex3 reference (a sampler and Picard sweeps), forward and Dirichlet
+    marches (a coarse estimate) and the ex4 reference (time only).  Each
+    march builds its own grid."""
+    ex3, ex4 = scenario.builtin("ex3"), scenario.builtin("ex4")
+    f_fn, g_fn, h = scenario.samplers(ex3, mesh)
+    u_coarse = hm.restrict(scenario.eval_truth(ex3, 0.4, mesh), transfer)
+    trace = np.ones((21, mesh.num_boundary_vertices))
+
+    def grid():
+        return fem.SegmentGrid(0.25, 0.5, 20)
+
+    def reference(scn, solve):
+        fs, gs, hs = scenario.samplers(scn, mesh)
+        return lambda: solve(
+            mesh, grid(), lambda t: scenario.eval_truth(scn, t, mesh),
+            scn.ops, fs, gs, hs, picard_sweeps=1).values
+
+    def forward(solve):
+        return lambda: solve(mesh, grid(), u_coarse, ex3.ops, f_fn, g_fn, h,
+                             transfer=transfer).values
+
+    return [
+        ("ex3 reference", reference(ex3, fem.forward_solve),
+         reference(ex3, plain_forward)),
+        ("ex3 forward", forward(fem.forward_solve), forward(plain_forward)),
+        ("ex3 dirichlet",
+         lambda: fem.dirichlet_solve(mesh, grid(), u_coarse, ex3.ops, f_fn,
+                                     trace, h, transfer=transfer).values,
+         lambda: plain_dirichlet(mesh, grid(), u_coarse, ex3.ops, f_fn,
+                                 trace, h, transfer)),
+        ("ex4 reference", reference(ex4, fem.forward_solve),
+         reference(ex4, plain_forward)),
+    ]
+
+
+def test_reaction_marches_factorize_once(cpus, small_fine, small_transfer,
+                                         monkeypatch):
+    """Each march factorizes only the unperturbed operator (or its interior
+    block), never a step's, and CG never falls back."""
+    fallbacks = fem._Pcg.fallbacks
+    calls = counted_splu(monkeypatch)
+    for label, march, _ in reaction_marches(small_fine, small_transfer):
+        calls.clear()
+        march()
+        assert len(calls) <= 1, label
+    assert fem._Pcg.fallbacks == fallbacks
+
+
+def test_pcg_fallback_solves_directly(small_fine, small_transfer,
+                                      monkeypatch):
+    """With no CG step allowed every solve falls back to a factorization
+    of its step matrix, which gives the direct result."""
+    monkeypatch.setattr(fem, "PCG_MAX_ITERATIONS", 0)
+    for label, march, plain in reaction_marches(small_fine, small_transfer):
+        fallbacks = fem._Pcg.fallbacks
+        assert rel(march(), plain()) <= RTOL, label
+        assert fem._Pcg.fallbacks > fallbacks, label
+
+
+def test_conductivity_reference_factorizes_every_step(cpus, small_fine,
+                                                      monkeypatch):
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    grid = fem.SegmentGrid(0.0, 0.1, 10)
+    calls = counted_splu(monkeypatch)
+    fem.forward_solve(small_fine, grid,
+                      lambda t: scenario.eval_truth(scn, t, small_fine),
+                      scn.ops, f_fn, g_fn, h, picard_sweeps=1)
+    assert len(calls) == grid.steps
 
 
 # -- the two-thread march: failures and memory -------------------------------

@@ -302,6 +302,26 @@ class TestRescaleAndDamp:
             recon.damp_kernel(kernel, 0.6)
         assert not kernel.rank
 
+    def test_faded_terms_are_the_oldest(self, tiny):
+        mesh, grid = tiny
+        rng = np.random.default_rng(18)
+        kernel = recon.make_kernel(mesh, 2)
+        assert recon.update_dfp(kernel, rand_field(rng, mesh, grid),
+                                rand_field(rng, mesh, grid), mesh, grid)
+        for _ in range(20):
+            recon.damp_kernel(kernel, 0.6)
+        old = kernel.rank
+        assert recon.update_dfp(kernel, rand_field(rng, mesh, grid),
+                                rand_field(rng, mesh, grid), mesh, grid)
+        newest = kernel.m[old:].copy(), kernel.n[old:].copy(), \
+            kernel.weight[old:].copy()
+        for _ in range(17):                 # 0.6**37 < DAMP_DROP < 0.6**36
+            recon.damp_kernel(kernel, 0.6)
+        assert kernel.rank == len(newest[2])
+        for kept, new in zip((kernel.m, kernel.n, kernel.weight), newest):
+            assert np.array_equal(kept, new)
+        assert np.allclose(kernel.damp, 0.6 ** 17)
+
     def test_invalid_damping_rejected(self, tiny):
         mesh, _ = tiny
         kernel = recon.make_kernel(mesh, 2)
