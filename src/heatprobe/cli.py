@@ -23,8 +23,7 @@ from . import reconstruction, synth
 from .fem import FemError
 from .mesh import Mesh, build_disk_mesh, cell_adjacency, locate_cells
 from .reconstruction import param
-from .scenario import (Scenario, ScenarioError, builtin, eval_truth,
-                       load_scenario_config, null_scenario, BUILTIN_NAMES)
+from .scenario import Scenario, ScenarioError, eval_truth, resolve_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,17 +92,6 @@ class MetricsRow(reconstruction.SegmentReport):
 
     jaccard: list[float]        # per component
     centroid_error: list[float]  # per component; nan when truth is empty
-
-
-def resolve_scenario(name: str) -> Scenario:
-    if name in BUILTIN_NAMES:
-        return builtin(name)
-    if name == "null":
-        return null_scenario()
-    if os.path.exists(name):
-        return load_scenario_config(name)
-    raise ScenarioError(f"scenario {name!r} is neither a builtin "
-                        f"({', '.join(BUILTIN_NAMES)}, null) nor a config file")
 
 
 def support_mask(u_comp: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ cases.  Scenarios are immutable; evaluation is pure.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import math
+import operator
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,9 +21,6 @@ import numpy as np
 
 from .fem import CONDUCTIVITY, POTENTIAL, POWER_POTENTIAL, InhomogeneityOp
 from .mesh import Mesh
-
-BUILTIN_NAMES = ("ex1", "ex2", "ex3", "ex4", "ex5")
-
 
 class ScenarioError(ValueError):
     """Invalid scenario definition or evaluation request."""
@@ -84,9 +84,6 @@ def _standard_h(points: np.ndarray) -> np.ndarray:
 def standard_sources() -> SourceSet:
     """The shared source triple of the benchmark scenarios."""
     return SourceSet("standard", _standard_f, _standard_g, _standard_h)
-
-
-_SOURCE_SETS = {"standard": standard_sources}
 
 
 def _check_clearance(scn: Scenario, samples: int = 1001) -> None:
@@ -198,6 +195,7 @@ def _ex5() -> Scenario:
 
 
 _BUILTINS = {"ex1": _ex1, "ex2": _ex2, "ex3": _ex3, "ex4": _ex4, "ex5": _ex5}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
@@ -213,6 +211,20 @@ def null_scenario() -> Scenario:
     """No inclusions at all; used for background/noise-floor baselines."""
     return _make("null", [], [InhomogeneityOp(CONDUCTIVITY, 0)],
                  [(-0.99, 0.0)])
+
+
+_NAMED = {**_BUILTINS, "null": null_scenario}
+
+
+def resolve_scenario(name: str) -> Scenario:
+    """The scenario ``name`` stands for: a builtin, ``null``, or the path of
+    a scenario config file."""
+    if name in _NAMED:
+        return _NAMED[name]()
+    if os.path.exists(name):
+        return load_scenario_config(name)
+    raise ScenarioError(f"scenario {name!r} is neither one of "
+                        f"{', '.join(_NAMED)} nor a config file")
 
 
 def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
@@ -263,148 +275,67 @@ def samplers(scn: Scenario, mesh: Mesh):
 
 
 # ---------------------------------------------------------------------------
-# Scenario config files: a small expression grammar over literals, t, pi,
-# + - * /, sin, cos, min, max.
+# Scenario config files: expressions over numeric literals, t, pi, + - * /,
+# unary minus, sin, cos, min, max, compiled from Python's own parse tree.
 
 _FUNCS = {"sin": (math.sin, 1), "cos": (math.cos, 1),
           "min": (min, 2), "max": (max, 2)}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    text = (text.replace("·", "*").replace("−", "-")
-            .replace("π", "pi"))
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/(),":
-            tokens.append((c, c))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(("num", float(text[i:j])))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ScenarioError(f"unexpected character {c!r} in expression")
-    tokens.append(("end", None))
-    return tokens
+def _parse(text: str) -> ast.expr:
+    text = text.replace("·", "*").replace("−", "-").replace("π", "pi")
+    try:
+        return ast.parse(text.strip(), mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise ScenarioError(f"malformed expression {text!r}: {exc}") from None
 
 
-class _Parser:
-    """Recursive-descent parser producing a ``t -> float`` closure."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ScenarioError(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
-
-    def parse(self) -> Callable[[float], float]:
-        fn = self.expr()
-        self.expect("end")
-        return fn
-
-    def expr(self):
-        fn = self.term()
-        while self.peek() in "+-":
-            op = self.next()[0]
-            rhs = self.term()
-            fn = (lambda a, b: lambda t: a(t) + b(t))(fn, rhs) if op == "+" \
-                else (lambda a, b: lambda t: a(t) - b(t))(fn, rhs)
-        return fn
-
-    def term(self):
-        fn = self.factor()
-        while self.peek() in "*/":
-            op = self.next()[0]
-            rhs = self.factor()
-            fn = (lambda a, b: lambda t: a(t) * b(t))(fn, rhs) if op == "*" \
-                else (lambda a, b: lambda t: a(t) / b(t))(fn, rhs)
-        return fn
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            inner = self.factor()
-            return lambda t: -inner(t)
-        return self.atom()
-
-    def atom(self):
-        kind, value = self.next()
-        if kind == "num":
-            return lambda t, v=value: v
-        if kind == "(":
-            fn = self.expr()
-            self.expect(")")
-            return fn
-        if kind == "name":
-            if value == "t":
-                return lambda t: t
-            if value == "pi":
-                return lambda t: math.pi
-            if value in _FUNCS:
-                func, arity = _FUNCS[value]
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek() == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != arity:
-                    raise ScenarioError(f"{value} takes {arity} argument(s)")
-                return (lambda fc, aa: lambda t: fc(*(a(t) for a in aa)))(func, args)
-            raise ScenarioError(f"unknown name {value!r} in expression")
-        raise ScenarioError(f"unexpected token {value!r} in expression")
+def _compile(node: ast.expr) -> Callable[[float], float]:
+    """A ``t -> float`` closure for a whitelisted node; every literal is a
+    float, so no arithmetic runs on integers."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            value = float(node.value)
+        except OverflowError:       # an integer literal beyond the float range
+            value = math.inf
+        return lambda t: value
+    if isinstance(node, ast.Name):
+        if node.id == "t":
+            return lambda t: t
+        if node.id == "pi":
+            return lambda t: math.pi
+        raise ScenarioError(f"unknown name {node.id!r} in expression")
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        a, b = _compile(node.left), _compile(node.right)
+        return lambda t: op(a(t), b(t))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _compile(node.operand)
+        return lambda t: -a(t)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in _FUNCS and not node.keywords:
+        func, arity = _FUNCS[node.func.id]
+        if len(node.args) != arity:
+            raise ScenarioError(f"{node.func.id} takes {arity} argument(s)")
+        args = [_compile(a) for a in node.args]
+        return lambda t: func(*(a(t) for a in args))
+    raise ScenarioError(f"{ast.unparse(node)!r} is not allowed in an expression")
 
 
 def parse_expression(text: str) -> Callable[[float], float]:
-    """Parse a scalar time expression (literals, t, pi, + - * /, sin, cos,
-    min, max)."""
-    return _Parser(text).parse()
+    """Parse a scalar time expression (numeric literals, t, pi, + - * /,
+    unary minus, sin, cos, min, max)."""
+    return _compile(_parse(text))
 
 
 def parse_point_expression(text: str) -> Callable[[float], tuple[float, float]]:
     """Parse a 2-vector expression ``(expr, expr)``."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
+    node = _parse(text)
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 2):
         raise ScenarioError("trajectory must look like (expr, expr)")
-    depth = 0
-    split = -1
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 1:
-            split = i
-            break
-    if split < 0:
-        raise ScenarioError("trajectory must contain two comma-separated parts")
-    fx = parse_expression(text[1:split])
-    fy = parse_expression(text[split + 1:-1])
+    fx, fy = (_compile(e) for e in node.elts)
     return lambda t: (fx(t), fy(t))
 
 
@@ -420,39 +351,45 @@ def _parse_ops(text: str) -> list[InhomogeneityOp]:
 
 
 def load_scenario_config(path) -> Scenario:
-    """Read a scenario definition file.
+    """Read a scenario definition file (UTF-8).
 
-    Sections: ``[scenario]`` (``name`` of a builtin, or ``custom`` plus
-    ``horizon`` and ``ops``), one ``[inclusion.N]`` per inclusion
-    (``component``, ``radius``, ``trajectory``, ``contrast`` expressions),
-    ``[bounds]`` with one ``lo, hi`` line per component, and ``[sources]``
-    referencing a builtin source set.
+    Sections: ``[scenario]`` (``name`` of a builtin or ``null``, or
+    ``custom`` plus ``horizon`` and ``ops``), one ``[inclusion.N]`` per
+    inclusion (``component``, ``radius``, ``trajectory``, ``contrast``
+    expressions), ``[bounds]`` with one ``lo, hi`` line per component, and
+    ``[sources]`` whose ``set`` must be ``standard``.  Any malformed file
+    raises ``ScenarioError``.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
-        raise ScenarioError(f"cannot read scenario config {path}")
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise ScenarioError(f"cannot read scenario config {path}")
+        return _scenario_from(cp)
+    except configparser.Error as exc:
+        raise ScenarioError(f"scenario config {path}: {exc}") from None
+
+
+def _scenario_from(cp: configparser.ConfigParser) -> Scenario:
     if not cp.has_section("scenario"):
         raise ScenarioError("missing [scenario] section")
     name = cp.get("scenario", "name", fallback="custom").strip()
-    if name in _BUILTINS:
-        return builtin(name)
-    if name == "null":
-        return null_scenario()
+    if name in _NAMED:
+        return resolve_scenario(name)
     horizon = cp.getfloat("scenario", "horizon", fallback=10.0)
     ops = _parse_ops(cp.get("scenario", "ops", fallback="conductivity"))
-    src_name = cp.get("sources", "set", fallback="standard").strip() \
-        if cp.has_section("sources") else "standard"
-    if src_name not in _SOURCE_SETS:
+    src_name = cp.get("sources", "set", fallback="standard").strip()
+    if src_name != "standard":
         raise ScenarioError(f"unknown source set {src_name!r}")
     inclusions = []
     for section in sorted(s for s in cp.sections() if s.startswith("inclusion.")):
-        sec = cp[section]
-        center = parse_point_expression(sec.get("trajectory"))
-        radius = parse_expression(sec.get("radius", "0.2"))
-        contrast = parse_expression(sec.get("contrast"))
-        inclusions.append(Inclusion(center, radius, contrast,
-                                    component=int(sec.get("component", "0"))))
+        # a missing trajectory or contrast raises configparser.NoOptionError,
+        # which names the section and the key
+        center = parse_point_expression(cp.get(section, "trajectory"))
+        radius = parse_expression(cp.get(section, "radius", fallback="0.2"))
+        contrast = parse_expression(cp.get(section, "contrast"))
+        inclusions.append(Inclusion(
+            center, radius, contrast,
+            component=int(cp.get(section, "component", fallback="0"))))
     bounds = []
     for idx in range(len(ops)):
         raw = cp.get("bounds", str(idx), fallback=None)
@@ -460,8 +397,4 @@ def load_scenario_config(path) -> Scenario:
             raise ScenarioError(f"missing bounds for component {idx}")
         lo, hi = (float(p) for p in raw.split(","))
         bounds.append((lo, hi))
-    scn = Scenario(name=name, inclusions=tuple(inclusions), ops=tuple(ops),
-                   bounds=np.asarray(bounds, dtype=float), horizon=horizon,
-                   sources=_SOURCE_SETS[src_name]())
-    _check_clearance(scn)
-    return scn
+    return _make(name, inclusions, ops, bounds, horizon)

@@ -384,6 +384,25 @@ class TestMainExitCodes:
             == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("[scenario]\nops = potential\n[inclusion.1]\ncontrast = 5\n"
+         "[bounds]\n0 = 0, 30\n", "'trajectory' in section: 'inclusion.1'"),
+        ("[scenario]\nops = potential\n[inclusion.1]\n"
+         "trajectory = (0.3, 0)\n[bounds]\n0 = 0, 30\n",
+         "'contrast' in section: 'inclusion.1'"),
+        ("name = custom\n", "no section headers"),
+        ("[scenario]\nname = custom\n[scenario]\nhorizon = 2\n",
+         "section 'scenario' already exists"),
+    ], ids=["no-trajectory", "no-contrast", "no-header", "duplicate-section"])
+    def test_malformed_scenario_file_is_config_error(self, tmp_path, capsys,
+                                                     text, named):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["reconstruct", "--scenario", str(path),
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
     def test_missing_measurement_is_io_error(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--scenario", "null",
                          "--measurement", str(tmp_path / "nope"),

@@ -1,9 +1,12 @@
 """Benchmark scenarios, truth evaluation, sources, and config parsing."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatprobe import fem
 from heatprobe import mesh as hm
@@ -13,6 +16,49 @@ from heatprobe import scenario as sc
 @pytest.fixture(scope="module")
 def coarse():
     return hm.build_disk_mesh(1120)
+
+
+# Grammar expressions whose literals are floats written by ``repr``, so that
+# Python's own ``eval`` of the text also computes in floats.
+_EXPRESSIONS = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["t", "pi"]),
+    lambda inner: (
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join)
+        | st.tuples(inner, st.sampled_from("+-*/"), inner)
+        .map(lambda p: "(" + " ".join(p) + ")")
+        | inner.map(lambda a: "-" + a)
+        | st.tuples(st.sampled_from(["sin", "cos"]), inner)
+        .map(lambda p: f"{p[0]}({p[1]})")
+        | st.tuples(st.sampled_from(["min", "max"]), inner, inner)
+        .map(lambda p: f"{p[0]}({p[1]}, {p[2]})")),
+    max_leaves=12)
+
+
+def _outcome(fn, t):
+    """Bits of ``fn(t)`` (any NaN as one value), or the arithmetic error."""
+    try:
+        value = fn(t)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+# ex4 restated as a config file; its values must be bitwise the builtin's.
+EX4_CONFIG = """\
+[scenario]
+name = custom
+horizon = 10
+ops = potential
+[inclusion.1]
+trajectory = (0.7*cos(pi*t/8), 0.6*sin(pi*t/8))
+contrast = max(15 - 2.5*t, 0)
+[inclusion.2]
+trajectory = (0.5*cos(pi*t/8 + 4*pi/5), 0.6*cos(pi*t/8 + 4*pi/5))
+contrast = min(2.5*t, 15)
+[bounds]
+0 = 0, 30
+"""
 
 
 class TestBuiltins:
@@ -161,6 +207,8 @@ class TestExpressionGrammar:
         e = sc.parse_expression("2 + 3*t - 1/2")
         assert e(2.0) == pytest.approx(7.5)
         assert sc.parse_expression("pi")(0) == pytest.approx(math.pi)
+        # an integer literal beyond the float range reads as float("1e400")
+        assert sc.parse_expression("1" + "0" * 400)(0) == math.inf
 
     def test_trig_and_clamps(self):
         e = sc.parse_expression("max(15 - 2.5*t, 0.0)")
@@ -181,11 +229,23 @@ class TestExpressionGrammar:
         assert p(0.0) == (pytest.approx(0.6), pytest.approx(-0.0))
 
     def test_malformed_rejected(self):
-        for text in ("2 +", "sin(1, 2)", "foo(3)", "(1, 2", "1 @ 2"):
+        for text in ("2 +", "sin(1, 2)", "foo(3)", "(1, 2", "1 @ 2",
+                     "t**2", "t.real", "t < 1", "True", "1j", "x[0]"):
             with pytest.raises(sc.ScenarioError):
                 sc.parse_expression(text)
         with pytest.raises(sc.ScenarioError):
             sc.parse_point_expression("0.6*cos(t)")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EXPRESSIONS)
+    def test_agrees_with_python_eval(self, text):
+        fn = sc.parse_expression(text)
+        for t in (0.0, 0.37, 7.5):
+            names = {"t": t, "pi": math.pi, "sin": math.sin, "cos": math.cos,
+                     "min": min, "max": max}
+            expected = _outcome(
+                lambda _: eval(text, {"__builtins__": {}}, names), t)
+            assert _outcome(fn, t) == expected, text
 
 
 class TestConfigFiles:
@@ -247,3 +307,33 @@ class TestConfigFiles:
     def test_unreadable_file_rejected(self, tmp_path):
         with pytest.raises(sc.ScenarioError):
             sc.load_scenario_config(tmp_path / "absent.cfg")
+
+    def test_utf8_symbols_equal_ascii_spelling(self, tmp_path):
+        text = ("[scenario]\nname = custom\nhorizon = 4\nops = potential\n"
+                "[inclusion.1]\ntrajectory = (0.5·cos(π·t/4), −0.3·sin(π·t))\n"
+                "contrast = 5 − t·π\n[bounds]\n0 = 0, 30\n")
+        utf8, ascii_ = tmp_path / "utf8.cfg", tmp_path / "ascii.cfg"
+        utf8.write_text(text, encoding="utf-8")
+        ascii_.write_text(text.replace("·", "*").replace("−", "-")
+                          .replace("π", "pi"), encoding="ascii")
+        a, b = sc.load_scenario_config(utf8), sc.load_scenario_config(ascii_)
+        for t in np.linspace(0.0, 4.0, 41):
+            assert a.inclusions[0].center(t) == b.inclusions[0].center(t)
+            assert a.inclusions[0].contrast(t) == b.inclusions[0].contrast(t)
+
+    def test_ex4_restated_is_bitwise_the_builtin(self, tmp_path, coarse):
+        path = tmp_path / "ex4.cfg"
+        path.write_text(EX4_CONFIG)
+        restated, ex4 = sc.load_scenario_config(path), sc.builtin("ex4")
+        assert restated.ops == ex4.ops and restated.horizon == ex4.horizon
+        assert np.array_equal(restated.bounds, ex4.bounds)
+        times = np.linspace(0.0, ex4.horizon, 1001)
+
+        def table(scn):
+            return [np.array([[*inc.center(t), inc.contrast(t)] for t in times])
+                    for inc in scn.inclusions] + \
+                [sc.eval_truth(scn, t, coarse) for t in times]
+
+        got, want = table(restated), table(ex4)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

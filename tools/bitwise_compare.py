@@ -9,7 +9,11 @@ writes to WORKDIR:
 
 - the ``SegmentReport`` fields of micro windows (3000/600 triangles, seed 1,
   5% noise): ex2 DFP and BFGS with rank cap 5 and the r_zeta variant at
-  tol 0.03, ex3 BFGS at tol 0.03 and ex1 at tol 0.10;
+  tol 0.03, ex2 DFP at tol 0.03 with damping 0.1 (kernel terms fade below
+  ``DAMP_DROP`` after 9 damps and are dropped), ex3 BFGS at tol 0.03, ex1 at
+  tol 0.10, and ex4 restated as a scenario config file (written to
+  WORKDIR, so the expression compiler and the config loader run end to end)
+  with DFP at tol 0.03;
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5].
@@ -27,6 +31,22 @@ import subprocess
 import sys
 
 HERE = os.path.abspath(__file__)
+
+# ex4 restated; it evaluates bitwise as the builtin ex4 does
+EX4_CONFIG = """\
+[scenario]
+name = custom
+horizon = 10
+ops = potential
+[inclusion.1]
+trajectory = (0.7*cos(pi*t/8), 0.6*sin(pi*t/8))
+contrast = max(15 - 2.5*t, 0)
+[inclusion.2]
+trajectory = (0.5*cos(pi*t/8 + 4*pi/5), 0.6*cos(pi*t/8 + 4*pi/5))
+contrast = min(2.5*t, 15)
+[bounds]
+0 = 0, 30
+"""
 
 
 def _reports(result):
@@ -50,15 +70,20 @@ def dump(src, out):
     from heatprobe import cli, mesh, reconstruction as recon, scenario, synth
     fine, coarse = mesh.build_disk_mesh(3000), mesh.build_disk_mesh(600)
     transfer = mesh.build_transfer(fine, coarse)
+    config = os.path.join(out, "ex4.cfg")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(EX4_CONFIG)
+    scenarios = {name: scenario.builtin(name) for name in ("ex1", "ex2", "ex3")}
+    scenarios["ex4_config"] = scenario.load_scenario_config(config)
     data = {}
 
     def window(name, horizon, **kw):
         if name not in data:
             data[name] = synth.build_measurement_set(
-                scenario.builtin(name), fine, 0.05, 1, horizon=1.0)
+                scenarios[name], fine, 0.05, 1, horizon=1.0)
         opts = recon.Options(fine_triangles=3000, coarse_triangles=600,
                              horizon=horizon, **kw)
-        return recon.run(scenario.builtin(name), data[name], opts,
+        return recon.run(scenarios[name], data[name], opts,
                          fine=fine, coarse=coarse, transfer=transfer)
 
     windows = {
@@ -67,8 +92,11 @@ def dump(src, out):
                                rank_cap=5),
         "ex2_dfp_r_zeta": window("ex2", 1.0, tol=0.03, scheme="dfp",
                                  eta_hat_variant="r_zeta"),
+        "ex2_dfp_damp0.1": window("ex2", 1.0, tol=0.03, scheme="dfp",
+                                  damping=0.1),
         "ex3_bfg": window("ex3", 0.5, tol=0.03, scheme="bfg"),
         "ex1_bfg": window("ex1", 1.0, tol=0.10, scheme="bfg"),
+        "ex4_config_dfp": window("ex4_config", 1.0, tol=0.03, scheme="dfp"),
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
