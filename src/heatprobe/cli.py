@@ -256,11 +256,14 @@ RESUMABLE_CHANGES = ("horizon", "outdir")
 
 def _measurement_digest(mset: synth.MeasurementSet, scn: Scenario,
                         horizon: str) -> str:
-    """Digest of the samples on [0, horizon] ("None": the scenario's); times
-    to 1e-9, as those of data made for a longer horizon may differ in bits."""
+    """Digest of the samples on [0, horizon] ("None": the scenario's), times
+    bit for bit: sample times are lattice nodes, so data made for a longer
+    horizon has the same ones.  The tag keeps runs begun before that (whose
+    results differ in their last bits) from resuming."""
     end = scn.horizon if horizon == "None" else float(horizon)
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(np.round(mset.sample_times[kept], 9).tobytes()
+    return hashlib.sha256(b"lattice times\n"
+                          + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 
 

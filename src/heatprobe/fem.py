@@ -15,7 +15,7 @@ import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -53,39 +53,80 @@ class InhomogeneityOp:
             raise ValueError("power_potential requires power >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SegmentGrid:
-    """Uniform time grid on one segment; ``steps * dt`` spans it exactly."""
+    """``steps`` steps of the time lattice of step ``dt``: node i of the grid
+    lies at ``(first + i) * dt``.
 
-    t_start: float
-    t_end: float
+    A node's time is computed from its lattice index alone, so every grid of
+    one lattice gives a node bitwise the same time: a grid's times are a
+    bitwise prefix of those of a longer grid from the same node, and the
+    segments of a run share bitwise the same ``dt``.
+    """
+
+    dt: float
+    first: int
     steps: int
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, t_start: float, t_end: float, steps: int):
+        """The grid of ``steps`` equal steps over [t_start, t_end]; t_start
+        must be a node of the lattice of that step."""
+        if steps < 1:
             raise ValueError("a segment needs at least one step")
-        if not self.t_end > self.t_start:
+        if not t_end > t_start:
             raise ValueError("t_end must exceed t_start")
+        dt = (t_end - t_start) / steps
+        self._place(dt, _lattice_index(t_start, dt), steps)
+
+    @classmethod
+    def on_lattice(cls, dt: float, first: int, steps: int) -> SegmentGrid:
+        grid = cls.__new__(cls)
+        grid._place(dt, first, steps)
+        return grid
+
+    def _place(self, dt: float, first: int, steps: int) -> None:
+        if steps < 1:
+            raise ValueError("a segment needs at least one step")
+        if not dt > 0:
+            raise ValueError("the time step must be positive")
+        for name, value in (("dt", float(dt)), ("first", int(first)),
+                            ("steps", int(steps))):
+            object.__setattr__(self, name, value)
 
     @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
+    def t_start(self) -> float:
+        return self.first * self.dt
+
+    @property
+    def t_end(self) -> float:
+        return (self.first + self.steps) * self.dt
 
     @property
     def num_times(self) -> int:
         return self.steps + 1
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+        return np.arange(self.first, self.first + self.steps + 1) * self.dt
+
+
+def _lattice_index(t: float, dt: float) -> int:
+    """The index of the node at time ``t`` of the lattice of step ``dt``."""
+    index = round(t / dt)
+    if abs(index * dt - t) > 1e-9 * max(abs(t), dt):
+        raise ValueError(f"time {t} is not a node of the lattice of "
+                         f"dt={dt}")
+    return index
 
 
 def segment_grid(t_start: float, t_end: float, dt: float) -> SegmentGrid:
-    """Grid from a step size that must partition the interval exactly."""
-    span = t_end - t_start
-    steps = round(span / dt)
-    if steps < 1 or abs(steps * dt - span) > 1e-9 * max(span, dt):
-        raise ValueError(f"dt={dt} does not partition [{t_start}, {t_end}]")
-    return SegmentGrid(t_start, t_end, steps)
+    """The grid of the lattice of step ``dt`` from t_start to t_end; both
+    must be its nodes, so ``dt`` partitions the interval."""
+    try:
+        first, last = _lattice_index(t_start, dt), _lattice_index(t_end, dt)
+    except ValueError:
+        raise ValueError(f"dt={dt} does not partition [{t_start}, {t_end}] "
+                         f"on its lattice") from None
+    return SegmentGrid.on_lattice(dt, first, last - first)
 
 
 @dataclass
@@ -156,7 +197,10 @@ class _Operators:
               np.concatenate([here, nxt, here, nxt]))), shape=(n, nb))
         self.interior = np.setdiff1d(np.arange(n), mesh.boundary_vertices)
         self.interior.flags.writeable = False
-        self.unperturbed = None     # (grid ref, {block: system}), see below
+        self.triangles = tri
+        self.basis_gradients = g
+        # {(dt, block): system}, all of one dt; see _unperturbed_system
+        self.unperturbed = {}
 
     def matrix(self, data: np.ndarray, fmt=sparse.csr_array):
         """A matrix on the shared pattern.  Every operator here is exactly
@@ -168,19 +212,32 @@ class _Operators:
                            minlength=self.indices.size)
         return self.matrix(data)
 
-    def release_unperturbed(self, grid_ref) -> None:
-        """Drop the held systems of a grid that is gone, and hand the C
-        heap's free pages back to the system (glibc only).
+    @cached_property
+    def gradient(self) -> sparse.csr_array:
+        """G (2T x V): rows t and T + t take the x and y derivative of a P1
+        field on cell t."""
+        tri, g = self.triangles, self.basis_gradients
+        n_cells = len(tri)
+        rows = np.repeat(np.arange(2 * n_cells), 3)
+        cols = np.concatenate([tri, tri]).ravel()
+        data = np.concatenate([g[:, :, 0], g[:, :, 1]]).ravel()
+        return sparse.csr_array((data, (rows, cols)),
+                                shape=(2 * n_cells, self.shape[0]))
 
-        SuperLU allocates several times a factor's size, and the held factor
-        stays alive while the other marches of its segment factorize and
-        free, so the heap around it keeps their pages: without the trim,
-        peak RSS of a two-component reconstruction rises by 10-20%.
-        """
-        if self.unperturbed is not None and self.unperturbed[0] is grid_ref:
-            self.unperturbed = None
-            if _MALLOC_TRIM is not None:
-                _MALLOC_TRIM(0)
+    @cached_property
+    def corner_average(self) -> sparse.csr_array:
+        """A (T x V): the mean of a nodal field over each cell's corners."""
+        tri = self.triangles
+        return sparse.csr_array(
+            (np.full(tri.size, 1.0 / 3.0),
+             (np.repeat(np.arange(len(tri)), 3), tri.ravel())),
+            shape=(len(tri), self.shape[0]))
+
+    def drop_unperturbed(self) -> None:
+        """Drop the held systems and trim the heap."""
+        if self.unperturbed:
+            self.unperturbed.clear()
+            trim_heap()
 
 
 _LOCAL_MASS = ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
@@ -190,6 +247,21 @@ try:
     _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (OSError, AttributeError, TypeError):    # not glibc
     _MALLOC_TRIM = None
+
+
+def trim_heap() -> None:
+    """Hand the C heap's free pages back to the system (glibc only).
+
+    SuperLU allocates several times a factor's size, and a held unperturbed
+    factor stays alive while other marches factorize and free, so the heap
+    around it keeps their pages resident.  A reconstruction trims after
+    each segment: without that, peak RSS of a two-component reconstruction
+    rises by about 10%, and a trim after every march costs more time than
+    the pages it returns save.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
 
 _OPERATORS: dict[int, _Operators] = {}
 _OPERATORS_LOCK = threading.Lock()
@@ -203,8 +275,26 @@ def _operators(mesh: Mesh) -> _Operators:
             cache = _OPERATORS.get(id(mesh))
             if cache is None:
                 cache = _OPERATORS[id(mesh)] = _Operators(mesh)
-                weakref.finalize(mesh, _OPERATORS.pop, id(mesh), None)
+                weakref.finalize(mesh, _drop_operators, id(mesh))
     return cache
+
+
+def _drop_operators(key: int) -> None:
+    cache = _OPERATORS.pop(key, None)
+    if cache is not None:
+        cache.drop_unperturbed()
+
+
+def cell_gradient(mesh: Mesh) -> sparse.csr_array:
+    """The mesh's cell-gradient operator (see ``_Operators.gradient``),
+    built on first use and kept with the mesh."""
+    return _operators(mesh).gradient
+
+
+def corner_average(mesh: Mesh) -> sparse.csr_array:
+    """The mesh's corner-average operator, built on first use and kept with
+    the mesh."""
+    return _operators(mesh).corner_average
 
 
 def assemble_mass(mesh: Mesh) -> sparse.csr_array:
@@ -355,29 +445,27 @@ def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
     return (make(a), coupling), _operators(mesh).matrix(scaled - half)
 
 
-def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array,
-                        grid: SegmentGrid, block=_whole):
+def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array, dt: float,
+                        block=_whole):
     """The system of M/dt + K(1)/2, or of its ``block``.
 
     The whole one is shared by background and adjoint marches, and each
     serves as the preconditioner of the marches that ``_Pcg`` solves.  The
-    mesh's cache holds them for one segment grid (or an equal one) while
-    that grid lives, so a reconstruction shares them within a segment and
-    frees them with the segment, and a shared factorization is the one a
-    fresh build would give.
+    mesh's cache holds them, keyed by what defines the matrix (the mesh,
+    ``dt`` and the block), until a march of another ``dt`` asks or the mesh
+    dies.  Every segment of a run lies on one time lattice, so a run
+    factorizes each of them once; a held factorization is the one a fresh
+    build would give.
     """
     cache = _operators(mesh)
     held = cache.unperturbed
-    if held is None or held[0]() != grid:
-        grid_ref = weakref.ref(grid)
-        held = cache.unperturbed = (grid_ref, {})
-        weakref.finalize(grid, cache.release_unperturbed, grid_ref)
-    systems = held[1]
-    if block not in systems:
-        systems[block] = _linear_system(
+    if (dt, block) not in held:
+        if any(key_dt != dt for key_dt, _ in held):
+            cache.drop_unperturbed()
+        held[dt, block] = _linear_system(
             mesh, mass, assemble_stiffness(mesh, np.ones(mesh.num_cells)).data,
-            grid.dt, block)
-    return systems[block]
+            dt, block)
+    return held[dt, block]
 
 
 PCG_MAX_ITERATIONS = 40
@@ -520,20 +608,54 @@ def _half_node(values: np.ndarray, j: int) -> np.ndarray:
     return values[k] if j % 2 == 0 else 0.5 * (values[k] + values[k + 1])
 
 
-def _source_load(mesh: Mesh, grid: SegmentGrid, f, g):
-    """Load at the half-step nodes of the interior source sampler ``f`` and
-    the boundary flux sampler ``g`` (either may be None)."""
-    times, half = grid.times(), 0.5 * grid.dt
+class SourceLoads:
+    """Loads of the interior source sampler ``f`` and the boundary flux
+    sampler ``g`` (either may be None) at the half-step nodes of one grid:
+    node j lies at time t_start + j*dt/2.
 
-    def load(j: int) -> np.ndarray:
-        t = times[j // 2] + half * (j % 2)
-        out = np.zeros(mesh.num_vertices)
-        if f is not None:
-            out += assemble_cell_load(mesh, f(t))
-        if g is not None:
-            out += assemble_neumann_load(mesh, g(t))
+    With ``keep`` each part is assembled on first use and kept, so the
+    marches of the grid that are given one ``SourceLoads`` read bitwise the
+    same vectors.  Without it nothing is kept, as a long march needs.
+    """
+
+    def __init__(self, mesh: Mesh, grid: SegmentGrid, f, g,
+                 keep: bool = True):
+        self.mesh, self.grid, self.f, self.g = mesh, grid, f, g
+        self._kept: dict[tuple[str, int], np.ndarray] | None = \
+            {} if keep else None
+
+    def _part(self, name: str, j: int) -> np.ndarray:
+        part = None if self._kept is None else self._kept.get((name, j))
+        if part is None:
+            t = self.grid.times()[j // 2] + 0.5 * self.grid.dt * (j % 2)
+            part = assemble_cell_load(self.mesh, self.f(t)) if name == "f" \
+                else assemble_neumann_load(self.mesh, self.g(t))
+            if self._kept is not None:
+                self._kept[name, j] = part
+        return part
+
+    def load(self, j: int, flux: bool = True) -> np.ndarray:
+        """The load at node j; that of ``f`` alone when ``flux`` is false."""
+        out = np.zeros(self.mesh.num_vertices)
+        if self.f is not None:
+            out += self._part("f", j)
+        if flux and self.g is not None:
+            out += self._part("g", j)
         return out
-    return load
+
+
+def _source_loads(mesh: Mesh, grid: SegmentGrid, f, g,
+                  loads: SourceLoads | None, flux: bool = True
+                  ) -> SourceLoads:
+    """``loads``, which must be those of ``mesh``, ``grid``, ``f`` and (with
+    ``flux``) ``g``; without it, loads that keep nothing."""
+    if loads is None:
+        return SourceLoads(mesh, grid, f, g, keep=False)
+    if loads.mesh is not mesh or loads.grid != grid or loads.f is not f \
+            or (flux and loads.g is not g):
+        raise ValueError("the source loads belong to another mesh, grid "
+                         "or sampler")
+    return loads
 
 
 def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
@@ -556,7 +678,8 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
 
     A static operator (no sampler, every power weight zero) gets one system
     for all steps; for the whole S+ with no inhomogeneity that is the
-    factorization shared per segment grid (``_unperturbed_system``).  An
+    factorization held for every march of its ``dt``
+    (``_unperturbed_system``).  An
     operator that depends on time only gets a system per step, and a lagged
     power weight one per step and Picard sweep (``picard_sweeps`` sweeps
     lag the weight at the step midpoint).  Without a conductivity component
@@ -580,7 +703,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
     static = _is_static(u_sample, u_const, ops)
     make = _factorize
     if not static and not any(op.kind == CONDUCTIVITY for op in ops):
-        (held, _), _ = _unperturbed_system(mesh, mass, grid, block)
+        (held, _), _ = _unperturbed_system(mesh, mass, dt, block)
         make = partial(_Pcg, precond=held)
 
     def build(k_data):
@@ -601,7 +724,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
 
     if static:
         coeff, react, _ = split(0)
-        fixed = _unperturbed_system(mesh, mass, grid) \
+        fixed = _unperturbed_system(mesh, mass, dt) \
             if block is _whole and np.all(coeff == 1.0) and not np.any(react) \
             else build(_operator_data(mesh, coeff, react))
         _march_serial(grid.steps, lambda k: fixed, advance, y0, store)
@@ -641,8 +764,8 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
 
 def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
                   init: np.ndarray, transfer: TransferOps | None = None,
-                  picard_sweeps: int = 0,
-                  rows: np.ndarray | None = None) -> Trajectory:
+                  picard_sweeps: int = 0, rows: np.ndarray | None = None,
+                  loads: SourceLoads | None = None) -> Trajectory:
     """Crank-Nicolson march of the Neumann problem over one segment.
 
     ``u`` may be None, a (coarse or fine) cell field constant in time, or a
@@ -652,7 +775,9 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     two backward-Euler half steps, which keep second-order accuracy for
     rough starting data.  ``picard_sweeps`` refines a lagged power weight
     within each step.  ``rows`` selects the vertices whose values the
-    returned trajectory keeps (all of them by default).
+    returned trajectory keeps (all of them by default).  ``loads``, the
+    ``SourceLoads`` of ``f`` and ``g`` on this mesh and grid, lets marches
+    share the loads they read.
 
     A sampler ``u`` without power-potential terms gives an operator that
     depends on time only.  With a conductivity component its march
@@ -661,18 +786,21 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     by preconditioned CG (see ``_Pcg``).
     """
     return _march(mesh, grid, u, ops, init, transfer,
-                  _source_load(mesh, grid, f, g),
+                  _source_loads(mesh, grid, f, g, loads).load,
                   picard_sweeps=picard_sweeps, rows=rows)
 
 
 def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
                     trace_values: np.ndarray, init: np.ndarray,
-                    transfer: TransferOps | None = None) -> Trajectory:
+                    transfer: TransferOps | None = None,
+                    loads: SourceLoads | None = None) -> Trajectory:
     """Crank-Nicolson march with the boundary rows pinned to measured values.
 
     ``trace_values`` holds one row per grid time node over the boundary
     vertices (callers interpolate measurements onto the grid).  Each step
-    solves the interior block of S+ (see ``_interior_block``).
+    solves the interior block of S+ (see ``_interior_block``).  ``loads``
+    may be ``SourceLoads`` of ``f`` (and any flux) on this mesh and grid;
+    the march reads those of ``f`` alone.
     """
     trace_values = np.asarray(trace_values, dtype=float)
     if trace_values.shape != (grid.num_times, mesh.num_boundary_vertices):
@@ -687,8 +815,9 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
         y[interior] = _check_solution(lu.solve(rhs[interior] - s_ib @ trace))
         return y
 
+    loads = _source_loads(mesh, grid, f, None, loads, flux=False)
     return _march(mesh, grid, u, ops, init, transfer,
-                  _source_load(mesh, grid, f, None), _interior_block, pinned)
+                  partial(loads.load, flux=False), _interior_block, pinned)
 
 
 def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,

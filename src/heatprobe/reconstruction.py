@@ -141,24 +141,26 @@ def local_dual(z: Trajectory, y: Trajectory, ops, fine: Mesh,
 
     Per component: grad(z).grad(y) for conductivity, z*y for potential and
     z*|y|^(p-2)*y for the power potential, evaluated cellwise on the fine
-    mesh and averaged onto the coarse mesh.
+    mesh and averaged onto the coarse mesh.  On the fine mesh that is
+    sum_d (G_d z)(G_d y) with the cell-gradient operator G, and A(z y) or
+    A(z |y|^(p-2) y) with the corner-average operator A: the products are
+    vertexwise.
     """
     if z.values.shape != y.values.shape:
         raise ValueError("dual factors live on different grids")
-    tri = fine.triangles
-    zv = z.values[:, tri]                       # (nt, T, 3)
-    yv = y.values[:, tri]
+    zt, yt = z.values.T, y.values.T             # (V, nt)
     components = []
     for op in ops:
         if op.kind == fem.CONDUCTIVITY:
-            gz = np.einsum("ntc,tcd->ntd", zv, fine.basis_gradients)
-            gy = np.einsum("ntc,tcd->ntd", yv, fine.basis_gradients)
-            comp = np.einsum("ntd,ntd->nt", gz, gy)
+            grad = fem.cell_gradient(fine)
+            prod = (grad @ zt) * (grad @ yt)    # (2 Tf, nt)
+            comp = prod[:fine.num_cells] + prod[fine.num_cells:]
         elif op.kind == fem.POTENTIAL:
-            comp = (zv * yv).mean(axis=2)
+            comp = fem.corner_average(fine) @ (zt * yt)
         else:
-            comp = (zv * np.abs(yv) ** (op.power - 2.0) * yv).mean(axis=2)
-        components.append(comp)
+            comp = fem.corner_average(fine) @ (
+                zt * np.abs(yt) ** (op.power - 2.0) * yt)
+        components.append(comp.T)
     fine_field = np.stack(components, axis=1)   # (nt, L, Tf)
     return restrict(fine_field, transfer)
 
@@ -178,8 +180,9 @@ def apply_kernel(kernel: ResolverKernel, zeta: np.ndarray, coarse: Mesh,
 
 
 def project(eta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Componentwise clamp onto the admissible box."""
-    out = np.empty_like(eta)
+    """Componentwise clamp onto the admissible box, into a C-ordered array
+    whatever the memory order of ``eta``."""
+    out = np.empty(eta.shape)
     for comp, (lo, hi) in enumerate(bounds):
         out[:, comp] = np.clip(eta[:, comp], lo, hi)
     return out
@@ -311,10 +314,16 @@ def damp_kernel(kernel: ResolverKernel, damping: float) -> None:
 
 
 def time_average(field_st: np.ndarray, grid: SegmentGrid) -> np.ndarray:
-    """Trapezoid-weighted time average of a space-time field."""
+    """Trapezoid-weighted time average of a space-time field.
+
+    The nodes are summed one at a time in time order, so the rounding does
+    not depend on the memory order of ``field_st``.
+    """
     w = fem.trapezoid_weights(grid)
-    span = grid.t_end - grid.t_start
-    return np.einsum("k,klc->lc", w, field_st) / span
+    total = w[0] * field_st[0]
+    for k in range(1, len(w)):
+        total = total + w[k] * field_st[k]
+    return total / (grid.steps * grid.dt)
 
 
 @dataclass
@@ -371,8 +380,10 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     """One reconstruction cycle; returns (report, terminal nodal field)."""
     counters = Counters()
     ops, bounds = scn.ops, scn.bounds
+    loads = fem.SourceLoads(fine, grid, f_fn, g_fn)
 
-    y_bg = fem.forward_solve(fine, grid, None, ops, f_fn, g_fn, init)
+    y_bg = fem.forward_solve(fine, grid, None, ops, f_fn, g_fn, init,
+                             loads=loads)
     counters.background += 1
     bg_trace = fem.boundary_trace(y_bg, fine).values
     y_d = sample_measurement(mset, grid.times())
@@ -393,7 +404,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
         u_st = project(eta, bounds)
         u_avg = time_average(u_st, grid)
         y_cur = fem.forward_solve(fine, grid, u_avg, ops, f_fn, g_fn, init,
-                                  transfer=transfer)
+                                  transfer=transfer, loads=loads)
         counters.forward += 1
         residual = fem.boundary_rel_error(
             fine, grid, fem.boundary_trace(y_cur, fine).values, y_d)
@@ -435,7 +446,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
         apply_kernel(kernel, zeta_fin, coarse, grid), bounds), grid)
 
     y_dir = fem.dirichlet_solve(fine, grid, u_fin, ops, f_fn, y_d, init,
-                                transfer=transfer)
+                                transfer=transfer, loads=loads)
     counters.dirichlet += 1
     damp_kernel(kernel, opts.damping)
 
@@ -494,10 +505,11 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
                 checkpoint_dir, scn, coarse, steps, init, kernel)
 
     for n in range(start, n_segments):
-        grid = SegmentGrid(n * opts.segment_length,
-                           (n + 1) * opts.segment_length, steps)
+        # every segment on the one lattice of step opts.dt
+        grid = SegmentGrid.on_lattice(opts.dt, n * steps, steps)
         report, init = run_segment(n, grid, init, kernel, mset, scn, opts,
                                    fine, coarse, transfer, f_fn, g_fn)
+        fem.trim_heap()
         reports.append(report)
         if checkpoint_dir:
             _save_checkpoint(checkpoint_dir, report, init, kernel)

@@ -282,14 +282,25 @@ _FUNCS = {"sin": (math.sin, 1), "cos": (math.cos, 1),
           "min": (min, 2), "max": (max, 2)}
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv}
+# deepest nesting of an expression, CPython's own cap on parentheses: the
+# recursive compiler, its closures and ``ast.unparse`` take a Python frame
+# or more a level
+MAX_DEPTH = 200
 
 
 def _parse(text: str) -> ast.expr:
     text = text.replace("·", "*").replace("−", "-").replace("π", "pi")
     try:
-        return ast.parse(text.strip(), mode="eval").body
+        body = ast.parse(text.strip(), mode="eval").body
     except (SyntaxError, ValueError) as exc:
         raise ScenarioError(f"malformed expression {text!r}: {exc}") from None
+    level = [body]
+    for _ in range(MAX_DEPTH):
+        level = [c for node in level for c in ast.iter_child_nodes(node)]
+    if level:
+        raise ScenarioError(f"expression nested deeper than {MAX_DEPTH} "
+                            f"levels")
+    return body
 
 
 def _compile(node: ast.expr) -> Callable[[float], float]:

@@ -233,6 +233,27 @@ class TestCommands:
                        delimiter=",", skiprows=1)
         assert np.allclose(a, b, atol=1e-12)
 
+    def test_resume_to_a_longer_horizon_is_the_fresh_run(self, tmp_path):
+        """A run to 0.7 resumed to 1.0 writes byte for byte the files of a
+        fresh run to 1.0; ex2 at tol 0.03 checkpoints kernel terms."""
+        kw = dict(scenario="ex2", scheme="dfp", tol=0.03,
+                  reference_triangles=1200)
+        short = micro_config(tmp_path / "resumed", horizon=0.7, **kw)
+        run_dir = cli.cmd_reconstruct(short)
+        cli.cmd_reconstruct(dataclasses.replace(short, horizon=1.0),
+                            resume=True)
+        fresh = cli.cmd_reconstruct(micro_config(tmp_path / "fresh",
+                                                 horizon=1.0, **kw))
+        resumed_files = file_bytes(os.path.join(run_dir, "segments"))
+        assert len(resumed_files) == 1 + 3 * 10
+        assert resumed_files == file_bytes(os.path.join(fresh, "segments"))
+        for path in (run_dir, fresh):
+            with open(os.path.join(path, "metrics.csv"), "rb") as fh:
+                metrics = fh.read()
+            assert metrics.count(b"\n") == 1 + 10
+        with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
+            assert fh.read() == metrics
+
     def test_pipeline_determinism(self, tmp_path):
         cfg_a = micro_config(tmp_path / "a", scenario="ex1", noise=0.05)
         cfg_b = micro_config(tmp_path / "b", scenario="ex1", noise=0.05)
@@ -402,6 +423,17 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
+
+    def test_deeply_nested_expression_is_config_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "deep.cfg"
+        path.write_text("[scenario]\nops = potential\n[inclusion.1]\n"
+                        "trajectory = (0.3, 0)\ncontrast = " + "-" * 1200
+                        + "5\n[bounds]\n0 = 0, 30\n")
+        assert cli.main(["reconstruct", "--scenario", str(path),
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "nested deeper" in err
 
     def test_missing_measurement_is_io_error(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--scenario", "null",

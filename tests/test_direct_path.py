@@ -9,9 +9,11 @@ by preconditioned CG; none of that may move a result by more than ``RTOL``
 (relative L2 over all time nodes).
 """
 
+import gc
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -332,34 +334,38 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
     assert np.array_equal(static, dynamic)
 
 
-def test_background_and_adjoint_share_one_factorization(small_fine,
-                                                        monkeypatch):
-    """One factorization per segment grid, freed with the grid."""
+def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
+    """Background and adjoint marches share one factorization across
+    segments of equal dt, a new dt gets a new one, and none is left once
+    the mesh is gone; each drop trims the heap."""
+    mesh = hm.build_disk_mesh(1000)
     scn = scenario.builtin("ex1")
-    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    f_fn, g_fn, h = scenario.samplers(scn, mesh)
     calls = counted_splu(monkeypatch)
-    cache = fem._operators(small_fine)
-    cache.unperturbed = None                    # start from no entry
+    trims = []
+    monkeypatch.setattr(fem, "trim_heap", lambda: trims.append(1))
 
-    def segment(t_start, steps):
-        grid = fem.SegmentGrid(t_start, t_start + 0.25, steps)
-        flux = np.ones((grid.num_times, small_fine.num_boundary_vertices))
-        bg = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn, h)
-        z = fem.backward_adjoint_solve(small_fine, grid, flux)
-        again = fem.SegmentGrid(t_start, t_start + 0.25, steps)   # equal grid
-        fem.backward_adjoint_solve(small_fine, again, flux)
-        assert cache.unperturbed is not None
-        assert rel(bg.values, plain_forward(small_fine, grid, None, scn.ops,
+    def segment(t_start, dt):
+        grid = fem.segment_grid(t_start, t_start + 0.25, dt)
+        flux = np.ones((grid.num_times, mesh.num_boundary_vertices))
+        bg = fem.forward_solve(mesh, grid, None, scn.ops, f_fn, g_fn, h)
+        z = fem.backward_adjoint_solve(mesh, grid, flux)
+        assert rel(bg.values, plain_forward(mesh, grid, None, scn.ops,
                                             f_fn, g_fn, h).values) <= RTOL
-        assert rel(z.values, plain_adjoint(small_fine, grid, flux)) <= RTOL
+        assert rel(z.values, plain_adjoint(mesh, grid, flux)) <= RTOL
 
-    segment(0.0, 20)
-    assert len(calls) == 1
-    assert cache.unperturbed is None            # the grid is gone
-    segment(0.25, 20)                           # same dt, a new segment
-    segment(0.5, 25)
-    assert len(calls) == 3
-    assert cache.unperturbed is None
+    segment(0.0, 0.0125)
+    segment(0.25, 0.0125)                       # same dt, a new segment
+    assert (len(calls), len(trims)) == (1, 0)
+    segment(0.5, 0.01)
+    assert (len(calls), len(trims)) == (2, 1)
+    cache = fem._operators(mesh)
+    assert list(cache.unperturbed) == [(0.01, fem._whole)]
+    cache = weakref.ref(cache)
+    del mesh
+    gc.collect()
+    assert cache() is None
+    assert len(trims) == 2
 
 
 # -- preconditioned CG on the unperturbed factorization ----------------------

@@ -113,6 +113,20 @@ class TestSegmentGrid:
         with pytest.raises(ValueError):
             fem.segment_grid(0.0, 0.1, 0.03)
 
+    def test_times_are_a_bitwise_prefix_of_longer_grids(self):
+        """Sample grids of every horizon 0.1..2.0 agree bit for bit on their
+        common times, and so do the segments of a run with its whole
+        horizon, which all share one dt."""
+        full = fem.segment_grid(0.0, 2.0, 0.01).times()
+        for tenths in range(1, 21):
+            times = fem.segment_grid(0.0, tenths / 10, 0.01).times()
+            assert np.array_equal(times, full[:len(times)])
+        whole = fem.segment_grid(0.0, 2.0, 0.0125).times()
+        for n in range(20):
+            grid = fem.SegmentGrid.on_lattice(0.0125, 8 * n, 8)
+            assert grid.dt == 0.0125
+            assert np.array_equal(grid.times(), whole[8 * n:8 * n + 9])
+
     def test_power_requires_p_at_least_two(self):
         with pytest.raises(ValueError):
             fem.InhomogeneityOp(fem.POWER_POTENTIAL, 0, power=1.5)
@@ -194,6 +208,33 @@ class TestForwardSolve:
         two = fem.forward_solve(disk1800, grid, 2 * u, ops, None, None, init)
         assert l2(mass1800, two.values[-1]) <= l2(mass1800, one.values[-1]) \
             + 1e-12
+
+    def test_shared_source_loads_change_no_bit(self, disk1800):
+        """Marches given one ``SourceLoads`` equal those that assemble their
+        own loads; loads of another grid or flux are refused."""
+        mesh = disk1800
+        grid = fem.segment_grid(0.0, 0.1, 0.0125)
+        f = lambda t: np.sin(3 * t) * mesh.centroids[:, 0]  # noqa: E731
+        g = lambda t: np.full(mesh.num_boundary_vertices,  # noqa: E731
+                              np.cos(t))
+        init = np.ones(mesh.num_vertices)
+        loads = fem.SourceLoads(mesh, grid, f, g)
+        own = fem.forward_solve(mesh, grid, None, [], f, g, init).values
+        for _ in range(2):
+            shared = fem.forward_solve(mesh, grid, None, [], f, g, init,
+                                       loads=loads).values
+            assert np.array_equal(shared, own)
+        trace = own[:, mesh.boundary_vertices]
+        assert np.array_equal(
+            fem.dirichlet_solve(mesh, grid, None, [], f, trace, init,
+                                loads=loads).values,
+            fem.dirichlet_solve(mesh, grid, None, [], f, trace, init).values)
+        with pytest.raises(ValueError):
+            fem.forward_solve(mesh, grid, None, [], f, None, init,
+                              loads=loads)
+        with pytest.raises(ValueError):
+            fem.forward_solve(mesh, fem.segment_grid(0.1, 0.2, 0.0125), None,
+                              [], f, g, init, loads=loads)
 
     def test_ellipticity_violation_rejected(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)

@@ -133,6 +133,21 @@ class TestProjection:
         assert np.array_equal(recon.project(once, self.BOUNDS), once)
 
 
+def test_memory_order_does_not_round(tiny):
+    """A Fortran-ordered field projects and time-averages bitwise as its
+    C-ordered copy, and the projection is C-ordered either way."""
+    mesh, grid = tiny
+    eta = 40 * np.random.default_rng(3).normal(
+        size=(grid.num_times, 2, mesh.num_cells))
+    fortran = np.asfortranarray(eta)
+    bounds = TestProjection.BOUNDS
+    projected = recon.project(fortran, bounds)
+    assert projected.flags.c_contiguous
+    assert np.array_equal(projected, recon.project(eta, bounds))
+    assert np.array_equal(recon.time_average(fortran, grid),
+                          recon.time_average(eta, grid))
+
+
 class TestEtaHat:
     BOUNDS = np.array([[-0.99, 0.0], [0.0, 30.0]])
 
@@ -329,7 +344,42 @@ class TestRescaleAndDamp:
             recon.damp_kernel(kernel, 1.0)
 
 
+def plain_local_dual(z, y, ops, fine, transfer):
+    """The dual field gathered onto cell corners, one ``einsum`` a term."""
+    tri = fine.triangles
+    zv, yv = z.values[:, tri], y.values[:, tri]     # (nt, T, 3)
+    components = []
+    for op in ops:
+        if op.kind == fem.CONDUCTIVITY:
+            gz = np.einsum("ntc,tcd->ntd", zv, fine.basis_gradients)
+            gy = np.einsum("ntc,tcd->ntd", yv, fine.basis_gradients)
+            comp = np.einsum("ntd,ntd->nt", gz, gy)
+        elif op.kind == fem.POTENTIAL:
+            comp = (zv * yv).mean(axis=2)
+        else:
+            comp = (zv * np.abs(yv) ** (op.power - 2.0) * yv).mean(axis=2)
+        components.append(comp)
+    return hm.restrict(np.stack(components, axis=1), transfer)
+
+
 class TestLocalDual:
+    def test_matches_plain_corner_gather(self, small_fine, small_transfer):
+        grid = fem.SegmentGrid(0.0, 0.1, 8)
+        rng = np.random.default_rng(20)
+        z, y = (fem.Trajectory(grid, rng.normal(
+            size=(grid.num_times, small_fine.num_vertices)))
+            for _ in range(2))
+        ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0),
+               fem.InhomogeneityOp(fem.POTENTIAL, 1),
+               fem.InhomogeneityOp(fem.POWER_POTENTIAL, 2, power=3.0),
+               fem.InhomogeneityOp(fem.POWER_POTENTIAL, 3, power=2.5)]
+        fast = recon.local_dual(z, y, ops, small_fine, small_transfer)
+        plain = plain_local_dual(z, y, ops, small_fine, small_transfer)
+        for comp, op in enumerate(ops):
+            err = np.linalg.norm(fast[:, comp] - plain[:, comp]) \
+                / np.linalg.norm(plain[:, comp])
+            assert err <= 1e-13, op.kind
+
     def test_constant_dual_kills_conductivity(self, small_fine,
                                               small_coarse, small_transfer):
         grid = fem.SegmentGrid(0.0, 0.1, 8)
@@ -408,6 +458,29 @@ class TestSegmentLoop:
         assert seg.counters.as_tuple() == (1, 2, 2, 1)
         assert seg.counters.total == 6
         assert seg.warned
+
+    def test_segment_samples_each_source_node_once(
+            self, small_fine, small_coarse, small_transfer, monkeypatch):
+        """The background, forward and Dirichlet marches of a segment read
+        one set of loads: f and g are sampled once per half-step node."""
+        scn, mset = self._mset(small_fine, name="ex1", horizon=0.1)
+        f_fn, g_fn, h = sc.samplers(scn, small_fine)
+        times = {"f": [], "g": []}
+
+        def counted(name, fn):
+            def sample(t):
+                times[name].append(t)
+                return fn(t)
+            return sample
+
+        monkeypatch.setattr(recon, "samplers", lambda scn, mesh: (
+            counted("f", f_fn), counted("g", g_fn), h))
+        res = recon.run(scn, mset, self._opts(horizon=0.1), fine=small_fine,
+                        coarse=small_coarse, transfer=small_transfer)
+        assert res.segments[0].counters.forward >= 1
+        steps = round(0.1 / recon.Options.dt)
+        for name in times:
+            assert len(times[name]) == len(set(times[name])) == steps + 1
 
     def test_run_determinism(self, small_fine, small_coarse, small_transfer):
         scn, mset = self._mset(small_fine, name="ex1", horizon=0.5)

@@ -22,7 +22,9 @@ The script then compares reports bit for bit and files byte for byte
 (``summary.txt`` but its wall-time line; ``config.txt`` and the manifest are
 listed, as they record the output directory), and resumes the parent's
 checkpoints with the change's code to [0, 1], which must equal the change's
-fresh run.  Exit status 0 when everything matches.
+fresh run.  Exit status 0 when everything matches.  For a change that moves
+results by rounding, every report field, file column or array that differs
+is printed with its maximum relative difference, max|a - b| / max|b|.
 """
 
 import os
@@ -62,6 +64,69 @@ def _same(a, b):
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and a == b
+
+
+def _max_rel(a, b):
+    """max|a - b| / max|b| of two numeric arrays, or None when they are not
+    comparable (shape, type)."""
+    import numpy as np
+    try:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if a.shape != b.shape:
+        return None
+    scale = np.max(np.abs(b), initial=0.0)
+    diff = np.max(np.abs(a - b), initial=0.0)
+    return diff / scale if scale > 0 else diff
+
+
+REPORT_FIELDS = ("index", "t_mid", "u", "residual", "counters", "iterations",
+                 "warned", "kernel_rank")
+
+
+def _report_diffs(a, b):
+    """``field: max rel`` for each report field that differs over the
+    segments of two windows."""
+    if len(a) != len(b):
+        return [f"{len(a)} against {len(b)} segments"]
+    out = []
+    for i, name in enumerate(REPORT_FIELDS):
+        pa, pb = [seg[i] for seg in a], [seg[i] for seg in b]
+        if not _same(pa, pb):
+            rel = _max_rel(pa, pb)
+            out.append(f"{name} max rel {rel:.1e}" if rel is not None
+                       else f"{name} differs")
+    return out
+
+
+def _file_arrays(path):
+    """The named numeric arrays of an output file, or None for text."""
+    import numpy as np
+    if path.endswith(".npz"):
+        with np.load(path) as data:
+            return dict(data)
+    if path.endswith(".csv"):
+        table = np.genfromtxt(path, delimiter=",", names=True)
+        return {name: table[name] for name in table.dtype.names}
+    if path.endswith(".pgm"):
+        with open(path, "rb") as fh:
+            return {"pixels": np.frombuffer(fh.read(), dtype=np.uint8)}
+    if os.path.basename(path).startswith("terminal_"):
+        return {"values": np.loadtxt(path)}
+    return None
+
+
+def _file_diffs(path_a, path_b):
+    arrays_a, arrays_b = _file_arrays(path_a), _file_arrays(path_b)
+    if arrays_a is None or arrays_b is None \
+            or arrays_a.keys() != arrays_b.keys():
+        return "differs"
+    rels = {name: _max_rel(arrays_a[name], arrays_b[name])
+            for name in arrays_a
+            if not _same(arrays_a[name], arrays_b[name])}
+    return ", ".join(f"{name} max rel {rel:.1e}" if rel is not None
+                     else f"{name} differs" for name, rel in rels.items())
 
 
 def dump(src, out):
@@ -129,9 +194,12 @@ def resume(src, parent_ckpt, out):
     fresh = recon.run(scn, mset, opts, fine=fine, coarse=coarse,
                       transfer=transfer)
     ranks = [s.kernel_rank for s in resumed.segments]
+    same = _same(_reports(resumed), _reports(fresh))
+    diffs = "" if same else \
+        f" ({'; '.join(_report_diffs(_reports(resumed), _reports(fresh)))})"
     print(f"resume of the parent's checkpoints (ranks {ranks}) equals a "
-          f"fresh run: {_same(_reports(resumed), _reports(fresh))}")
-    sys.exit(0 if _same(_reports(resumed), _reports(fresh)) else 1)
+          f"fresh run: {same}{diffs}")
+    sys.exit(0 if same else 1)
 
 
 def _files(root):
@@ -155,8 +223,10 @@ def compare(parent, change):
         same = _same(wa[key], wb.get(key))
         ok &= same
         ranks = [r[-1] for r in wa[key]]
+        diffs = "" if same or key not in wb else \
+            f": {'; '.join(_report_diffs(wb[key], wa[key]))}"
         print(f"{key}: ranks {ranks}, reports "
-              f"{'bit-identical' if same else 'DIFFER'}")
+              f"{'bit-identical' if same else 'DIFFER'}{diffs}")
     for sub in ("cli", "ckpt"):
         fa = _files(os.path.join(parent, sub))
         fb = _files(os.path.join(change, sub))
@@ -168,6 +238,10 @@ def compare(parent, change):
         ok &= len(differ) == len(expected)
         print(f"{sub}/: {len(fa & fb)} files, differing: "
               f"{differ or 'none'} (expected: config.txt, manifest)")
+        for f in differ:
+            if f in fa & fb and f not in expected:
+                print(f"  {f}: " + _file_diffs(os.path.join(change, sub, f),
+                                              os.path.join(parent, sub, f)))
     return ok
 
 
