@@ -7,7 +7,7 @@ from .fem import (BoundaryTrace, FemError, InhomogeneityOp, SegmentGrid,
                   Trajectory, assemble_mass, assemble_neumann_load,
                   assemble_reaction, assemble_stiffness,
                   backward_adjoint_solve, boundary_trace, dirichlet_solve,
-                  forward_solve, segment_grid)
+                  forward_solve, segment_grid, source_load)
 from .scenario import (Inclusion, Scenario, ScenarioError, builtin,
                        eval_truth, load_scenario_config, null_scenario,
                        resolve_scenario, standard_sources)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import Mesh, TransferOps, boundary_vertex_weights, prolong
+from .mesh import Mesh, boundary_vertex_weights
 
 CONDUCTIVITY = "conductivity"
 POTENTIAL = "potential"
@@ -53,7 +53,7 @@ class InhomogeneityOp:
             raise ValueError("power_potential requires power >= 2")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SegmentGrid:
     """``steps`` steps of the time lattice of step ``dt``: node i of the grid
     lies at ``(first + i) * dt``.
@@ -61,37 +61,19 @@ class SegmentGrid:
     A node's time is computed from its lattice index alone, so every grid of
     one lattice gives a node bitwise the same time: a grid's times are a
     bitwise prefix of those of a longer grid from the same node, and the
-    segments of a run share bitwise the same ``dt``.
+    segments of a run share bitwise the same ``dt``.  ``segment_grid``
+    builds the grid between two times.
     """
 
     dt: float
     first: int
     steps: int
 
-    def __init__(self, t_start: float, t_end: float, steps: int):
-        """The grid of ``steps`` equal steps over [t_start, t_end]; t_start
-        must be a node of the lattice of that step."""
-        if steps < 1:
+    def __post_init__(self):
+        if self.steps < 1:
             raise ValueError("a segment needs at least one step")
-        if not t_end > t_start:
-            raise ValueError("t_end must exceed t_start")
-        dt = (t_end - t_start) / steps
-        self._place(dt, _lattice_index(t_start, dt), steps)
-
-    @classmethod
-    def on_lattice(cls, dt: float, first: int, steps: int) -> SegmentGrid:
-        grid = cls.__new__(cls)
-        grid._place(dt, first, steps)
-        return grid
-
-    def _place(self, dt: float, first: int, steps: int) -> None:
-        if steps < 1:
-            raise ValueError("a segment needs at least one step")
-        if not dt > 0:
+        if not self.dt > 0:
             raise ValueError("the time step must be positive")
-        for name, value in (("dt", float(dt)), ("first", int(first)),
-                            ("steps", int(steps))):
-            object.__setattr__(self, name, value)
 
     @property
     def t_start(self) -> float:
@@ -126,7 +108,7 @@ def segment_grid(t_start: float, t_end: float, dt: float) -> SegmentGrid:
     except ValueError:
         raise ValueError(f"dt={dt} does not partition [{t_start}, {t_end}] "
                          f"on its lattice") from None
-    return SegmentGrid.on_lattice(dt, first, last - first)
+    return SegmentGrid(dt, first, last - first)
 
 
 @dataclass
@@ -339,31 +321,28 @@ def assemble_cell_load(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return _operators(mesh).cell_load @ np.asarray(values, dtype=float)
 
 
-def _resolve_u(u, ops, mesh: Mesh, transfer: TransferOps | None):
+def _resolve_u(u, ops, mesh: Mesh):
     """Normalize the inhomogeneity argument to fine (L, T) arrays or a sampler."""
     n_comp = len(ops)
     if u is None:
         return np.zeros((n_comp, mesh.num_cells)), None
     if callable(u):
         def sample(t: float) -> np.ndarray:
-            return _to_fine(np.asarray(u(t), dtype=float), n_comp, mesh, transfer)
+            return _to_fine(np.asarray(u(t), dtype=float), n_comp, mesh)
         return None, sample
-    return _to_fine(np.asarray(u, dtype=float), n_comp, mesh, transfer), None
+    return _to_fine(np.asarray(u, dtype=float), n_comp, mesh), None
 
 
-def _to_fine(arr: np.ndarray, n_comp: int, mesh: Mesh,
-             transfer: TransferOps | None) -> np.ndarray:
+def _to_fine(arr: np.ndarray, n_comp: int, mesh: Mesh) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.shape[0] != n_comp:
         raise FemError(f"expected {n_comp} inhomogeneity components, "
                        f"got {arr.shape[0]}")
-    if arr.shape[1] == mesh.num_cells:
-        return arr
-    if transfer is not None and arr.shape[1] == transfer.num_coarse:
-        return prolong(arr, transfer)
-    raise FemError(f"inhomogeneity has {arr.shape[1]} cells; expected "
-                   f"{mesh.num_cells} (or a coarse field plus transfer ops)")
+    if arr.shape[1] != mesh.num_cells:
+        raise FemError(f"inhomogeneity has {arr.shape[1]} cells; expected "
+                       f"the mesh's {mesh.num_cells}")
+    return arr
 
 
 def _split_ops(u_fine: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray, list]:
@@ -608,67 +587,37 @@ def _half_node(values: np.ndarray, j: int) -> np.ndarray:
     return values[k] if j % 2 == 0 else 0.5 * (values[k] + values[k + 1])
 
 
-class SourceLoads:
-    """Loads of the interior source sampler ``f`` and the boundary flux
-    sampler ``g`` (either may be None) at the half-step nodes of one grid:
-    node j lies at time t_start + j*dt/2.
+def source_load(mesh: Mesh, grid: SegmentGrid, f, g):
+    """The load ``j -> vector`` at the half-step node j of ``grid`` (time
+    t_start + j*dt/2) of the interior source sampler ``f`` (a cell field)
+    and the boundary flux sampler ``g`` (boundary-vertex values); either
+    may be None.  Each call assembles its vector; nothing is kept."""
+    times = grid.times()
 
-    With ``keep`` each part is assembled on first use and kept, so the
-    marches of the grid that are given one ``SourceLoads`` read bitwise the
-    same vectors.  Without it nothing is kept, as a long march needs.
-    """
-
-    def __init__(self, mesh: Mesh, grid: SegmentGrid, f, g,
-                 keep: bool = True):
-        self.mesh, self.grid, self.f, self.g = mesh, grid, f, g
-        self._kept: dict[tuple[str, int], np.ndarray] | None = \
-            {} if keep else None
-
-    def _part(self, name: str, j: int) -> np.ndarray:
-        part = None if self._kept is None else self._kept.get((name, j))
-        if part is None:
-            t = self.grid.times()[j // 2] + 0.5 * self.grid.dt * (j % 2)
-            part = assemble_cell_load(self.mesh, self.f(t)) if name == "f" \
-                else assemble_neumann_load(self.mesh, self.g(t))
-            if self._kept is not None:
-                self._kept[name, j] = part
-        return part
-
-    def load(self, j: int, flux: bool = True) -> np.ndarray:
-        """The load at node j; that of ``f`` alone when ``flux`` is false."""
-        out = np.zeros(self.mesh.num_vertices)
-        if self.f is not None:
-            out += self._part("f", j)
-        if flux and self.g is not None:
-            out += self._part("g", j)
+    def load(j: int) -> np.ndarray:
+        t = times[j // 2] + 0.5 * grid.dt * (j % 2)
+        out = np.zeros(mesh.num_vertices)
+        if f is not None:
+            out += assemble_cell_load(mesh, f(t))
+        if g is not None:
+            out += assemble_neumann_load(mesh, g(t))
         return out
-
-
-def _source_loads(mesh: Mesh, grid: SegmentGrid, f, g,
-                  loads: SourceLoads | None, flux: bool = True
-                  ) -> SourceLoads:
-    """``loads``, which must be those of ``mesh``, ``grid``, ``f`` and (with
-    ``flux``) ``g``; without it, loads that keep nothing."""
-    if loads is None:
-        return SourceLoads(mesh, grid, f, g, keep=False)
-    if loads.mesh is not mesh or loads.grid != grid or loads.f is not f \
-            or (flux and loads.g is not g):
-        raise ValueError("the source loads belong to another mesh, grid "
-                         "or sampler")
-    return loads
+    return load
 
 
 def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
     return _check_solution(solver[0].solve(rhs))
 
 
-def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
-           transfer: TransferOps | None, load, block=_whole, solve=_solve_all,
-           picard_sweeps: int = 0, rows: np.ndarray | None = None
-           ) -> Trajectory:
+def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
+           block=_whole, solve=_solve_all, picard_sweeps: int = 0,
+           rows: np.ndarray | None = None) -> Trajectory:
     """The Crank-Nicolson march behind every solve of this module.
 
-    ``load(j)`` is the load at the half-step node j (time t_start + j*dt/2).
+    ``u`` is None, a cell field of ``mesh`` constant in time, or a sampler
+    ``t -> field`` of such fields.  ``load(j)`` is the load at the half-step
+    node j (time t_start + j*dt/2); the march only reads the vectors it
+    returns.
     ``block`` takes the matrix a step solves from S+ (see
     ``_linear_system``), and ``solve(solver, rhs, j)`` returns the solution
     at node j.  The first step is two backward-Euler half steps (Rannacher
@@ -689,7 +638,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
     second thread when the operator depends on time only
     (``_march_time_only``).
     """
-    u_const, u_sample = _resolve_u(u, ops, mesh, transfer)
+    u_const, u_sample = _resolve_u(u, ops, mesh)
     mass = assemble_mass(mesh)
     dt, times = grid.dt, grid.times()
     y0 = _check_init(init, mesh)
@@ -762,22 +711,19 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray,
     return Trajectory(grid, values)
 
 
-def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
-                  init: np.ndarray, transfer: TransferOps | None = None,
-                  picard_sweeps: int = 0, rows: np.ndarray | None = None,
-                  loads: SourceLoads | None = None) -> Trajectory:
+def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
+                  init: np.ndarray, picard_sweeps: int = 0,
+                  rows: np.ndarray | None = None) -> Trajectory:
     """Crank-Nicolson march of the Neumann problem over one segment.
 
-    ``u`` may be None, a (coarse or fine) cell field constant in time, or a
-    sampler ``t -> field`` evaluated at step midpoints.  ``f`` and ``g`` are
-    samplers for the interior source (cell field) and the boundary flux
-    (boundary-vertex values); either may be None.  The first step is always
-    two backward-Euler half steps, which keep second-order accuracy for
-    rough starting data.  ``picard_sweeps`` refines a lagged power weight
-    within each step.  ``rows`` selects the vertices whose values the
-    returned trajectory keeps (all of them by default).  ``loads``, the
-    ``SourceLoads`` of ``f`` and ``g`` on this mesh and grid, lets marches
-    share the loads they read.
+    ``u`` may be None, a cell field of ``mesh`` constant in time, or a
+    sampler ``t -> field`` of such fields evaluated at step midpoints.
+    ``load(j)`` is the source and flux load at the half-step node j (see
+    ``source_load``).  The first step is always two backward-Euler half
+    steps, which keep second-order accuracy for rough starting data.
+    ``picard_sweeps`` refines a lagged power weight within each step.
+    ``rows`` selects the vertices whose values the returned trajectory keeps
+    (all of them by default).
 
     A sampler ``u`` without power-potential terms gives an operator that
     depends on time only.  With a conductivity component its march
@@ -785,22 +731,19 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f, g,
     two CPUs (see ``_march_time_only``); without one, each step is solved
     by preconditioned CG (see ``_Pcg``).
     """
-    return _march(mesh, grid, u, ops, init, transfer,
-                  _source_loads(mesh, grid, f, g, loads).load,
+    return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)
 
 
-def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
-                    trace_values: np.ndarray, init: np.ndarray,
-                    transfer: TransferOps | None = None,
-                    loads: SourceLoads | None = None) -> Trajectory:
+def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
+                    trace_values: np.ndarray, init: np.ndarray) -> Trajectory:
     """Crank-Nicolson march with the boundary rows pinned to measured values.
 
+    ``u`` is as for ``forward_solve``, and ``load(j)`` the interior source
+    load at the half-step node j; the pinned rows ignore any flux part.
     ``trace_values`` holds one row per grid time node over the boundary
     vertices (callers interpolate measurements onto the grid).  Each step
-    solves the interior block of S+ (see ``_interior_block``).  ``loads``
-    may be ``SourceLoads`` of ``f`` (and any flux) on this mesh and grid;
-    the march reads those of ``f`` alone.
+    solves the interior block of S+ (see ``_interior_block``).
     """
     trace_values = np.asarray(trace_values, dtype=float)
     if trace_values.shape != (grid.num_times, mesh.num_boundary_vertices):
@@ -815,9 +758,7 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, f,
         y[interior] = _check_solution(lu.solve(rhs[interior] - s_ib @ trace))
         return y
 
-    loads = _source_loads(mesh, grid, f, None, loads, flux=False)
-    return _march(mesh, grid, u, ops, init, transfer,
-                  partial(loads.load, flux=False), _interior_block, pinned)
+    return _march(mesh, grid, u, ops, init, load, _interior_block, pinned)
 
 
 def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,
@@ -832,7 +773,7 @@ def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,
     if flux_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("flux does not cover the segment's time nodes")
     rev = flux_values[::-1]
-    z = _march(mesh, grid, None, (), np.zeros(mesh.num_vertices), None,
+    z = _march(mesh, grid, None, (), np.zeros(mesh.num_vertices),
                lambda j: assemble_neumann_load(mesh, _half_node(rev, j)))
     return Trajectory(grid, z.values[::-1].copy())
 

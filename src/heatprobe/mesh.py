@@ -18,6 +18,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 BOUNDARY_TOL = 1e-8
+LOCATE_CHUNK = 4096     # points per pass of locate_cells
 
 
 class MeshError(ValueError):
@@ -238,11 +239,21 @@ def locate_cells(mesh: Mesh, points: np.ndarray, k: int = 16) -> np.ndarray:
     Candidates come from the k nearest cell centroids; a point contained in
     none of them (possible just outside the mesh polygon) is assigned to the
     candidate at the smallest true point-to-triangle distance.  Ties break
-    toward the nearer centroid, deterministically.
+    toward the nearer centroid, deterministically.  Points are taken
+    ``LOCATE_CHUNK`` at a time, which bounds the temporaries.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k = min(k, mesh.num_cells)
     tree = cKDTree(mesh.centroids)
+    out = np.empty(len(points), dtype=np.intp)
+    for start in range(0, len(points), LOCATE_CHUNK):
+        part = slice(start, start + LOCATE_CHUNK)
+        out[part] = _locate_chunk(mesh, tree, points[part], k)
+    return out
+
+
+def _locate_chunk(mesh: Mesh, tree: cKDTree, points: np.ndarray,
+                  k: int) -> np.ndarray:
     _, cand = tree.query(points, k=k)
     cand = cand.reshape(len(points), k)
     corners = mesh.vertices[mesh.triangles][cand]       # (N, k, 3, 2)

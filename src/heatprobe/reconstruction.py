@@ -13,6 +13,7 @@ low-rank terms are damped so stale corrections fade.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import os
 import zipfile
@@ -23,9 +24,9 @@ import numpy as np
 from . import fem
 from .fem import SegmentGrid, Trajectory
 from .mesh import (Mesh, TransferOps, boundary_distance, build_disk_mesh,
-                   build_transfer, restrict)
+                   build_transfer, prolong, restrict)
 from .scenario import Scenario, ScenarioError, samplers
-from .synth import MeasurementSet, sample_measurement
+from .synth import MeasurementSet, read_lines, sample_measurement
 
 logger = logging.getLogger(__name__)
 
@@ -380,10 +381,15 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     """One reconstruction cycle; returns (report, terminal nodal field)."""
     counters = Counters()
     ops, bounds = scn.ops, scn.bounds
-    loads = fem.SourceLoads(fine, grid, f_fn, g_fn)
+    # the marches of the segment read one set of source loads
+    f_load = functools.cache(fem.source_load(fine, grid, f_fn, None))
+    g_load = functools.cache(fem.source_load(fine, grid, None, g_fn))
 
-    y_bg = fem.forward_solve(fine, grid, None, ops, f_fn, g_fn, init,
-                             loads=loads)
+    def load(j: int) -> np.ndarray:
+        # (0 + f) + (0 + g) rounds as the sum 0 + f + g of source_load
+        return f_load(j) + g_load(j)
+
+    y_bg = fem.forward_solve(fine, grid, None, ops, load, init)
     counters.background += 1
     bg_trace = fem.boundary_trace(y_bg, fine).values
     y_d = sample_measurement(mset, grid.times())
@@ -403,8 +409,8 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
         eta = apply_kernel(kernel, zeta, coarse, grid)
         u_st = project(eta, bounds)
         u_avg = time_average(u_st, grid)
-        y_cur = fem.forward_solve(fine, grid, u_avg, ops, f_fn, g_fn, init,
-                                  transfer=transfer, loads=loads)
+        y_cur = fem.forward_solve(fine, grid, prolong(u_avg, transfer), ops,
+                                  load, init)
         counters.forward += 1
         residual = fem.boundary_rel_error(
             fine, grid, fem.boundary_trace(y_cur, fine).values, y_d)
@@ -445,8 +451,8 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     u_fin = time_average(project(
         apply_kernel(kernel, zeta_fin, coarse, grid), bounds), grid)
 
-    y_dir = fem.dirichlet_solve(fine, grid, u_fin, ops, f_fn, y_d, init,
-                                transfer=transfer, loads=loads)
+    y_dir = fem.dirichlet_solve(fine, grid, prolong(u_fin, transfer), ops,
+                                f_load, y_d, init)
     counters.dirichlet += 1
     damp_kernel(kernel, opts.damping)
 
@@ -506,7 +512,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
 
     for n in range(start, n_segments):
         # every segment on the one lattice of step opts.dt
-        grid = SegmentGrid.on_lattice(opts.dt, n * steps, steps)
+        grid = SegmentGrid(opts.dt, n * steps, steps)
         report, init = run_segment(n, grid, init, kernel, mset, scn, opts,
                                    fine, coarse, transfer, f_fn, g_fn)
         fem.trim_heap()
@@ -541,15 +547,6 @@ def _save_checkpoint(run_dir: str, report: SegmentReport,
         writer.writerow(row)
 
 
-def _loadtxt(path: str, **kwargs) -> np.ndarray:
-    """``np.loadtxt`` of a whole file: ``np.savetxt`` ends each with a newline."""
-    with open(path) as fh:
-        text = fh.read()
-    if not text.endswith("\n"):
-        raise ValueError(f"{path} is truncated")
-    return np.loadtxt(text.splitlines(), **kwargs)
-
-
 def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
     if array.shape != shape:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
@@ -575,8 +572,8 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
             if int(row["segment"]) != n or not all(
                     os.path.exists(os.path.join(run_dir, p)) for p in names):
                 break
-            u = _loadtxt(os.path.join(run_dir, names[0]), delimiter=",",
-                         skiprows=1, ndmin=2).T
+            u = np.loadtxt(read_lines(os.path.join(run_dir, names[0])),
+                           delimiter=",", skiprows=1, ndmin=2).T
             _expect_shape(u, shape, names[0])
             reports.append(SegmentReport(
                 index=n, t_mid=float(row["t_mid"]), u=u,
@@ -589,7 +586,8 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
         if not reports:
             return 0, init, kernel, []
         last = len(reports) - 1
-        terminal = _loadtxt(os.path.join(run_dir, f"terminal_{last:04d}.txt"))
+        terminal = np.loadtxt(read_lines(
+            os.path.join(run_dir, f"terminal_{last:04d}.txt")))
         _expect_shape(terminal, init.shape, f"terminal_{last:04d}.txt")
         with np.load(os.path.join(run_dir, f"kernel_{last:04d}.npz")) as data:
             kernel = ResolverKernel(*(data[k] for k in ("diag", "m", "n",

@@ -71,7 +71,8 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
         return eval_truth(scn, min(t, scn.horizon), ref_mesh)
 
     u_arg = None if not scn.inclusions else truth
-    ref_values = fem.forward_solve(ref_mesh, grid, u_arg, scn.ops, f_fn, g_fn,
+    ref_values = fem.forward_solve(ref_mesh, grid, u_arg, scn.ops,
+                                   fem.source_load(ref_mesh, grid, f_fn, g_fn),
                                    h, picard_sweeps=1,
                                    rows=ref_mesh.boundary_vertices).values
 
@@ -151,16 +152,32 @@ def save_trace_text(path, times: np.ndarray, values: np.ndarray,
             fh.write(" ".join(f"{x:.17g}" for x in (t, *row)) + "\n")
 
 
-def load_trace_text(path):
+def read_lines(path) -> list[str]:
+    """The lines of a whole text file.  Every writer here ends each line
+    with a newline, so a file that does not end with one was cut short."""
     with open(path) as fh:
-        head = fh.readline().split()
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError(f"{path} is truncated")
+    return text.splitlines()
+
+
+def load_trace_text(path):
+    """A trace written by ``save_trace_text``: (times, values, noise level,
+    seed).  A file that is cut short, does not parse or does not fit its
+    header raises OSError."""
+    try:
+        lines = read_lines(path)
+        head = lines[0].split()
         if len(head) != 4:
-            raise SynthError(f"{path}: malformed trace header")
+            raise ValueError("malformed trace header")
         s, b = int(head[0]), int(head[1])
         noise_level, seed = float(head[2]), int(head[3])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (s, b + 1):
-        raise SynthError(f"{path}: expected {s} rows of {b + 1} columns")
+        data = np.loadtxt(lines[1:], ndmin=2)
+        if data.shape != (s, b + 1):
+            raise ValueError(f"expected {s} rows of {b + 1} columns")
+    except ValueError as exc:
+        raise OSError(f"corrupt trace file {path}: {exc}") from exc
     return data[:, 0].copy(), data[:, 1:].copy(), noise_level, seed
 
 
@@ -178,7 +195,8 @@ def load_measurement_set(base_path, reference_triangles: int) -> MeasurementSet:
     times, clean, _, _ = load_trace_text(f"{base_path}_clean.txt")
     times_n, noisy, noise_level, seed = load_trace_text(f"{base_path}_noisy.txt")
     if len(times) != len(times_n) or not np.array_equal(times, times_n):
-        raise SynthError("clean and noisy traces disagree on sample times")
+        raise OSError(f"{base_path}: clean and noisy traces disagree on "
+                      f"sample times")
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
     return MeasurementSet(sample_times=times, clean=clean, noisy=noisy,
                           noise_level=noise_level, seed=seed,

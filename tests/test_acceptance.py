@@ -108,9 +108,9 @@ def test_criterion_1_adjoint_identity(fine):
         z = fem.backward_adjoint_solve(fine, grid, flux)
         vmat = np.array([v_at(fine.vertices, t) for t in grid.times()])
         lhs = fem.domain_spacetime_inner(mass, grid, z.values, vmat)
-        w = fem.forward_solve(fine, grid, None, [],
-                              lambda t: v_at(fine.centroids, t), None,
-                              np.zeros(fine.num_vertices))
+        w = fem.forward_solve(fine, grid, None, [], fem.source_load(
+            fine, grid, lambda t: v_at(fine.centroids, t), None),
+            np.zeros(fine.num_vertices))
         rhs = fem.boundary_spacetime_inner(
             fine, grid, flux, fem.boundary_trace(w, fine).values)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -130,9 +130,10 @@ def test_criterion_2_manufactured_convergence():
         r2v = (mesh.vertices**2).sum(axis=1)
         grid = fem.segment_grid(0.0, t_end, dt)
         traj = fem.forward_solve(
-            mesh, grid, None, [],
-            lambda t: np.exp(-t) * (3 + r2c),
-            lambda t: np.full(mesh.num_boundary_vertices, -2 * np.exp(-t)),
+            mesh, grid, None, [], fem.source_load(
+                mesh, grid, lambda t: np.exp(-t) * (3 + r2c),
+                lambda t: np.full(mesh.num_boundary_vertices,
+                                  -2 * np.exp(-t))),
             1 - r2v)
         return traj.values[-1]
 
@@ -176,7 +177,7 @@ def test_criterion_3_secant_identities():
     """
     started = time.perf_counter()
     mesh = hm.build_disk_mesh(300)
-    grid = fem.SegmentGrid(0.0, 0.1, 8)
+    grid = fem.SegmentGrid(0.0125, 0, 8)
     rng = np.random.default_rng(0)
 
     def rand_field():

@@ -30,6 +30,15 @@ def resume_argv(out):
             "--out", str(out), "--resume"]
 
 
+def retoken(text, row, col, token):
+    """``text`` with token ``col`` of line ``row`` replaced."""
+    lines = text.splitlines(keepends=True)
+    tokens = lines[row].split()
+    tokens[col] = token
+    lines[row] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
 def file_bytes(directory):
     return {path.relative_to(directory): path.read_bytes()
             for path in pathlib.Path(directory).rglob("*") if path.is_file()}
@@ -443,6 +452,34 @@ class TestMainExitCodes:
                          "--horizon", "0.5",
                          "--out", str(tmp_path / "r")])
         assert code == cli.EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def null_data(self, tmp_path_factory):
+        """Measurement files of the null scenario for 1000 triangles."""
+        return cli.cmd_generate(micro_config(
+            tmp_path_factory.mktemp("data"), horizon=0.2,
+            reference_triangles=960))
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-8],
+        lambda text: text.split("\n", 1)[1],
+        lambda text: text[:text.rindex("\n", 0, -1) + 1],
+        lambda text: retoken(text, 2, 3, "abc"),
+        lambda text: retoken(text, 2, 0, "0.0105"),
+    ], ids=["cut-in-last-number", "malformed-header", "rows-missing",
+            "not-a-number", "times-disagree"])
+    def test_corrupt_measurement_is_io_error(self, damage, null_data,
+                                             tmp_path, capsys):
+        base = str(tmp_path / "m")
+        for suffix in ("_clean.txt", "_noisy.txt", "_manifest.txt"):
+            shutil.copy(null_data + suffix, base + suffix)
+        noisy = pathlib.Path(base + "_noisy.txt")
+        noisy.write_text(damage(noisy.read_text()))
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", base, "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(tmp_path / "runs")]) == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
     def test_reference_mesh_comes_from_the_manifest(self, tmp_path, capsys):

@@ -66,12 +66,16 @@ def plain_neumann_load(mesh, flux):
     return load
 
 
-def plain_load(mesh, f, g, t):
-    load = np.zeros(mesh.num_vertices)
-    if f is not None:
-        load += plain_cell_load(mesh, f(t))
-    if g is not None:
-        load += plain_neumann_load(mesh, g(t))
+def plain_source_load(mesh, grid, f, g):
+    """The load at the half-step node j, as ``fem.source_load`` gives it."""
+    def load(j):
+        t = grid.times()[j // 2] + 0.5 * grid.dt * (j % 2)
+        out = np.zeros(mesh.num_vertices)
+        if f is not None:
+            out += plain_cell_load(mesh, f(t))
+        if g is not None:
+            out += plain_neumann_load(mesh, g(t))
+        return out
     return load
 
 
@@ -98,12 +102,9 @@ def plain_lagged(mesh, lagged, y):
     return w
 
 
-def plain_fine(u, n_comp, mesh, transfer):
+def plain_fine(u):
     arr = np.asarray(u, dtype=float)
-    arr = arr[None, :] if arr.ndim == 1 else arr
-    if arr.shape[1] != mesh.num_cells:
-        arr = hm.prolong(arr, transfer)
-    return arr
+    return arr[None, :] if arr.ndim == 1 else arr
 
 
 def plain_step(mesh, mass, k_mat, dt, y, load_half, load_full, startup):
@@ -115,15 +116,15 @@ def plain_step(mesh, mass, k_mat, dt, y, load_half, load_full, startup):
     return lu.solve((mass / dt - 0.5 * k_mat) @ y + load_half)
 
 
-def plain_forward(mesh, grid, u, ops, f, g, init, transfer=None,
-                  picard_sweeps=0, rannacher=True, rows=None):
+def plain_forward(mesh, grid, u, ops, load, init, picard_sweeps=0,
+                  rows=None, rannacher=True):
     n_comp = len(ops)
     if u is None:
         u_at = lambda t: np.zeros((n_comp, mesh.num_cells))  # noqa: E731
     elif callable(u):
-        u_at = lambda t: plain_fine(u(t), n_comp, mesh, transfer)  # noqa
+        u_at = lambda t: plain_fine(u(t))  # noqa: E731
     else:
-        u_fixed = plain_fine(u, n_comp, mesh, transfer)
+        u_fixed = plain_fine(u)
         u_at = lambda t: u_fixed  # noqa: E731
     mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
     dt, times = grid.dt, grid.times()
@@ -131,8 +132,7 @@ def plain_forward(mesh, grid, u, ops, f, g, init, transfer=None,
     for k in range(grid.steps):
         t_mid = times[k] + 0.5 * dt
         startup = rannacher and k == 0
-        loads = (plain_load(mesh, f, g, t_mid),
-                 plain_load(mesh, f, g, times[1]) if startup else None)
+        loads = (load(2 * k + 1), load(2) if startup else None)
         coeff, react, lagged = plain_split(u_at(t_mid), ops)
         y_prev = values[-1]
 
@@ -154,11 +154,10 @@ def plain_forward(mesh, grid, u, ops, f, g, init, transfer=None,
     return fem.Trajectory(grid, values if rows is None else values[:, rows])
 
 
-def plain_dirichlet(mesh, grid, u, ops, f, trace_values, init, transfer):
-    u_fine = plain_fine(u, len(ops), mesh, transfer)
-    coeff, react, lagged = plain_split(u_fine, ops)
+def plain_dirichlet(mesh, grid, u, ops, load, trace_values, init):
+    coeff, react, lagged = plain_split(plain_fine(u), ops)
     mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
-    dt, times = grid.dt, grid.times()
+    dt = grid.dt
     bnd = mesh.boundary_vertices
     interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
     values = [np.asarray(init, dtype=float)]
@@ -179,15 +178,12 @@ def plain_dirichlet(mesh, grid, u, ops, f, trace_values, init, transfer):
 
         if k == 0:
             half = 0.5 * (trace_values[0] + trace_values[1])
-            rhs = (2.0 / dt) * (mass @ y_prev) + plain_cell_load(
-                mesh, f(times[0] + 0.5 * dt))
+            rhs = (2.0 / dt) * (mass @ y_prev) + load(1)
             y_half = pinned(0.5 * rhs[interior], half)
-            rhs = (2.0 / dt) * (mass @ y_half) + plain_cell_load(
-                mesh, f(times[1]))
+            rhs = (2.0 / dt) * (mass @ y_half) + load(2)
             values.append(pinned(0.5 * rhs[interior], trace_values[1]))
             continue
-        rhs = (mass / dt - 0.5 * k_mat) @ y_prev + plain_cell_load(
-            mesh, f(times[k] + 0.5 * dt))
+        rhs = (mass / dt - 0.5 * k_mat) @ y_prev + load(2 * k + 1)
         values.append(pinned(rhs[interior], trace_values[k + 1]))
     return np.array(values)
 
@@ -235,6 +231,7 @@ def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
     fast = synth.generate_reference(scn, small_coarse,
                                     reference_triangles=3000, horizon=0.2)
     monkeypatch.setattr(fem, "forward_solve", plain_forward)
+    monkeypatch.setattr(fem, "source_load", plain_source_load)
     plain = synth.generate_reference(scn, small_coarse,
                                      reference_triangles=3000, horizon=0.2)
     assert rel(fast.values, plain.values) <= RTOL
@@ -245,28 +242,27 @@ def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
                                    small_transfer):
     scn = make_scenario(name)
     mesh = small_fine
-    grid = fem.SegmentGrid(0.25, 0.5, 20)
+    grid = fem.segment_grid(0.25, 0.5, 0.0125)
     f_fn, g_fn, h = scenario.samplers(scn, mesh)
     init = h + 0.1 * mesh.vertices[:, 0]
 
     def truth(t):
         return scenario.eval_truth(scn, t, mesh)
 
-    u_coarse = hm.restrict(truth(0.4), small_transfer)
-    for u, picard in ((truth, 1), (None, 1), (u_coarse, 0)):
-        fast = fem.forward_solve(mesh, grid, u, scn.ops, f_fn, g_fn, init,
-                                 transfer=small_transfer,
-                                 picard_sweeps=picard).values
-        plain = plain_forward(mesh, grid, u, scn.ops, f_fn, g_fn, init,
-                              transfer=small_transfer,
-                              picard_sweeps=picard).values
+    u_est = hm.prolong(hm.restrict(truth(0.4), small_transfer),
+                       small_transfer)
+    for u, picard in ((truth, 1), (None, 1), (u_est, 0)):
+        fast = fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
+            mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
+        plain = plain_forward(mesh, grid, u, scn.ops, plain_source_load(
+            mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
         assert rel(fast, plain) <= RTOL
 
     trace = plain[:, mesh.boundary_vertices]
-    fast = fem.dirichlet_solve(mesh, grid, u_coarse, scn.ops, f_fn, trace,
-                               init, transfer=small_transfer).values
-    plain = plain_dirichlet(mesh, grid, u_coarse, scn.ops, f_fn, trace, init,
-                            small_transfer)
+    fast = fem.dirichlet_solve(mesh, grid, u_est, scn.ops, fem.source_load(
+        mesh, grid, f_fn, None), trace, init).values
+    plain = plain_dirichlet(mesh, grid, u_est, scn.ops, plain_source_load(
+        mesh, grid, f_fn, None), trace, init)
     assert rel(fast, plain) <= RTOL
 
     fast = fem.backward_adjoint_solve(mesh, grid, trace).values
@@ -280,7 +276,7 @@ def test_two_thread_march_is_bitwise_serial(small_fine, monkeypatch):
     step that read a stale or foreign solution would show."""
     scn = scenario.builtin("ex2")
     f_fn, g_fn, h = scenario.samplers(scn, small_fine)
-    grid = fem.SegmentGrid(0.0, 0.15, 15)
+    grid = fem.segment_grid(0.0, 0.15, 0.01)
 
     def march(cpus):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -288,7 +284,8 @@ def test_two_thread_march_is_bitwise_serial(small_fine, monkeypatch):
         return fem.forward_solve(
             small_fine, grid,
             lambda t: scenario.eval_truth(scn, t, small_fine), scn.ops,
-            f_fn, g_fn, h, rows=small_fine.boundary_vertices).values
+            fem.source_load(small_fine, grid, f_fn, g_fn), h,
+            rows=small_fine.boundary_vertices).values
 
     serial = march(1)
     interval = sys.getswitchinterval()
@@ -321,15 +318,16 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
     component gives."""
     scn = scenario.builtin("ex3")
     f_fn, g_fn, h = scenario.samplers(scn, small_fine)
-    grid = fem.SegmentGrid(0.0, 0.1, 8)
+    grid = fem.segment_grid(0.0, 0.1, 0.0125)
+    load = fem.source_load(small_fine, grid, f_fn, g_fn)
     zero = np.zeros((1, small_fine.num_cells))
     calls = counted_splu(monkeypatch)
-    static = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn,
-                               h, picard_sweeps=1).values
+    static = fem.forward_solve(small_fine, grid, None, scn.ops, load, h,
+                               picard_sweeps=1).values
     assert len(calls) <= 1
     calls.clear()
     dynamic = fem.forward_solve(small_fine, grid, lambda t: zero, scn.ops,
-                                f_fn, g_fn, h, picard_sweeps=1).values
+                                load, h, picard_sweeps=1).values
     assert len(calls) == 0
     assert np.array_equal(static, dynamic)
 
@@ -348,10 +346,13 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     def segment(t_start, dt):
         grid = fem.segment_grid(t_start, t_start + 0.25, dt)
         flux = np.ones((grid.num_times, mesh.num_boundary_vertices))
-        bg = fem.forward_solve(mesh, grid, None, scn.ops, f_fn, g_fn, h)
+        bg = fem.forward_solve(mesh, grid, None, scn.ops, fem.source_load(
+            mesh, grid, f_fn, g_fn), h)
         z = fem.backward_adjoint_solve(mesh, grid, flux)
         assert rel(bg.values, plain_forward(mesh, grid, None, scn.ops,
-                                            f_fn, g_fn, h).values) <= RTOL
+                                            plain_source_load(
+                                                mesh, grid, f_fn, g_fn),
+                                            h).values) <= RTOL
         assert rel(z.values, plain_adjoint(mesh, grid, flux)) <= RTOL
 
     segment(0.0, 0.0125)
@@ -373,37 +374,42 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
 def reaction_marches(mesh, transfer):
     """The marches that ``fem._Pcg`` solves, as (label, march, plain march):
     the ex3 reference (a sampler and Picard sweeps), forward and Dirichlet
-    marches (a coarse estimate) and the ex4 reference (time only).  Each
-    march builds its own grid."""
+    marches (a coarse estimate, prolonged) and the ex4 reference (time
+    only).  Each march builds its own grid."""
     ex3, ex4 = scenario.builtin("ex3"), scenario.builtin("ex4")
     f_fn, g_fn, h = scenario.samplers(ex3, mesh)
-    u_coarse = hm.restrict(scenario.eval_truth(ex3, 0.4, mesh), transfer)
+    u_est = hm.prolong(hm.restrict(scenario.eval_truth(ex3, 0.4, mesh),
+                                   transfer), transfer)
     trace = np.ones((21, mesh.num_boundary_vertices))
 
     def grid():
-        return fem.SegmentGrid(0.25, 0.5, 20)
+        return fem.segment_grid(0.25, 0.5, 0.0125)
 
-    def reference(scn, solve):
+    def reference(scn, solve, source):
         fs, gs, hs = scenario.samplers(scn, mesh)
         return lambda: solve(
             mesh, grid(), lambda t: scenario.eval_truth(scn, t, mesh),
-            scn.ops, fs, gs, hs, picard_sweeps=1).values
+            scn.ops, source(mesh, grid(), fs, gs), hs,
+            picard_sweeps=1).values
 
-    def forward(solve):
-        return lambda: solve(mesh, grid(), u_coarse, ex3.ops, f_fn, g_fn, h,
-                             transfer=transfer).values
+    def forward(solve, source):
+        return lambda: solve(mesh, grid(), u_est, ex3.ops,
+                             source(mesh, grid(), f_fn, g_fn), h).values
 
     return [
-        ("ex3 reference", reference(ex3, fem.forward_solve),
-         reference(ex3, plain_forward)),
-        ("ex3 forward", forward(fem.forward_solve), forward(plain_forward)),
+        ("ex3 reference", reference(ex3, fem.forward_solve, fem.source_load),
+         reference(ex3, plain_forward, plain_source_load)),
+        ("ex3 forward", forward(fem.forward_solve, fem.source_load),
+         forward(plain_forward, plain_source_load)),
         ("ex3 dirichlet",
-         lambda: fem.dirichlet_solve(mesh, grid(), u_coarse, ex3.ops, f_fn,
-                                     trace, h, transfer=transfer).values,
-         lambda: plain_dirichlet(mesh, grid(), u_coarse, ex3.ops, f_fn,
-                                 trace, h, transfer)),
-        ("ex4 reference", reference(ex4, fem.forward_solve),
-         reference(ex4, plain_forward)),
+         lambda: fem.dirichlet_solve(
+             mesh, grid(), u_est, ex3.ops,
+             fem.source_load(mesh, grid(), f_fn, None), trace, h).values,
+         lambda: plain_dirichlet(
+             mesh, grid(), u_est, ex3.ops,
+             plain_source_load(mesh, grid(), f_fn, None), trace, h)),
+        ("ex4 reference", reference(ex4, fem.forward_solve, fem.source_load),
+         reference(ex4, plain_forward, plain_source_load)),
     ]
 
 
@@ -435,11 +441,12 @@ def test_conductivity_reference_factorizes_every_step(cpus, small_fine,
                                                       monkeypatch):
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(scn, small_fine)
-    grid = fem.SegmentGrid(0.0, 0.1, 10)
+    grid = fem.segment_grid(0.0, 0.1, 0.01)
     calls = counted_splu(monkeypatch)
     fem.forward_solve(small_fine, grid,
                       lambda t: scenario.eval_truth(scn, t, small_fine),
-                      scn.ops, f_fn, g_fn, h, picard_sweeps=1)
+                      scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
+                      h, picard_sweeps=1)
     assert len(calls) == grid.steps
 
 
@@ -450,7 +457,7 @@ def test_two_thread_failure_raises_without_blocking(bad_step, small_fine,
                                                     monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    grid = fem.SegmentGrid(0.0, 0.1, 10)
+    grid = fem.segment_grid(0.0, 0.1, 0.01)
     ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
 
     def coefficient_drop(t):
@@ -463,8 +470,9 @@ def test_two_thread_failure_raises_without_blocking(bad_step, small_fine,
 
     def call():
         try:
-            fem.forward_solve(small_fine, grid, coefficient_drop, ops, None,
-                              None, np.ones(small_fine.num_vertices))
+            fem.forward_solve(small_fine, grid, coefficient_drop, ops,
+                              fem.source_load(small_fine, grid, None, None),
+                              np.ones(small_fine.num_vertices))
         except Exception as exc:        # noqa: BLE001 - checked below
             outcome["error"] = exc
 
@@ -494,10 +502,10 @@ def test_two_thread_march_memory_is_flat(monkeypatch):
     f_fn, g_fn, h = scenario.samplers(scn, mesh)
 
     def march(steps):
-        grid = fem.SegmentGrid(0.0, 0.01 * steps, steps)
+        grid = fem.SegmentGrid(0.01, 0, steps)
         fem.forward_solve(mesh, grid,
                           lambda t: scenario.eval_truth(scn, t, mesh),
-                          scn.ops, f_fn, g_fn, h,
+                          scn.ops, fem.source_load(mesh, grid, f_fn, g_fn), h,
                           rows=mesh.boundary_vertices)
 
     march(4)                # the operator cache and both threads' arenas

@@ -1,5 +1,7 @@
 """Assembly, time stepping, boundary handling, and the backward dual solve."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,10 @@ def disk1800():
 @pytest.fixture(scope="module")
 def mass1800(disk1800):
     return fem.assemble_mass(disk1800)
+
+
+def no_load(mesh, grid):
+    return fem.source_load(mesh, grid, None, None)
 
 
 def l2(mass, v):
@@ -123,9 +129,20 @@ class TestSegmentGrid:
             assert np.array_equal(times, full[:len(times)])
         whole = fem.segment_grid(0.0, 2.0, 0.0125).times()
         for n in range(20):
-            grid = fem.SegmentGrid.on_lattice(0.0125, 8 * n, 8)
+            grid = fem.SegmentGrid(0.0125, 8 * n, 8)
             assert grid.dt == 0.0125
             assert np.array_equal(grid.times(), whole[8 * n:8 * n + 9])
+
+    def test_invalid_grids_rejected(self):
+        with pytest.raises(ValueError):
+            fem.SegmentGrid(0.0125, 0, 0)
+        with pytest.raises(ValueError):
+            fem.SegmentGrid(0.0, 0, 8)
+        with pytest.raises(ValueError):
+            fem.SegmentGrid(-0.0125, 0, 8)
+        for t_end in (0.3, 0.2):
+            with pytest.raises(ValueError):
+                fem.segment_grid(0.3, t_end, 0.0125)
 
     def test_power_requires_p_at_least_two(self):
         with pytest.raises(ValueError):
@@ -142,13 +159,15 @@ class TestForwardSolve:
     def test_constant_steady_state(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         init = np.full(disk1800.num_vertices, 4.0)
-        traj = fem.forward_solve(disk1800, grid, None, [], None, None, init)
+        traj = fem.forward_solve(disk1800, grid, None, [],
+                                 no_load(disk1800, grid), init)
         assert np.abs(traj.values - 4.0).max() <= 1e-10
 
     def test_mass_conservation(self, disk1800, mass1800):
         grid = fem.segment_grid(0.0, 0.2, 0.0125)
         init = np.sin(2 * disk1800.vertices[:, 0])
-        traj = fem.forward_solve(disk1800, grid, None, [], None, None, init)
+        traj = fem.forward_solve(disk1800, grid, None, [],
+                                 no_load(disk1800, grid), init)
         ones = np.ones(disk1800.num_vertices)
         masses = traj.values @ (mass1800 @ ones)
         assert np.abs(masses - masses[0]).max() <= 1e-8
@@ -157,7 +176,8 @@ class TestForwardSolve:
         grid = fem.segment_grid(0.0, 0.2, 0.0125)
         init = np.sin(3 * disk1800.vertices[:, 0]) \
             * np.cos(2 * disk1800.vertices[:, 1])
-        traj = fem.forward_solve(disk1800, grid, None, [], None, None, init)
+        traj = fem.forward_solve(disk1800, grid, None, [],
+                                 no_load(disk1800, grid), init)
         norms = [l2(mass1800, v) for v in traj.values]
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
@@ -165,7 +185,8 @@ class TestForwardSolve:
         grid = fem.segment_grid(0.0, 0.2, 0.0125)
         init = np.sin(3 * disk1800.vertices[:, 0]) \
             * np.cos(2 * disk1800.vertices[:, 1])
-        traj = fem.forward_solve(disk1800, grid, None, [], None, None, init)
+        traj = fem.forward_solve(disk1800, grid, None, [],
+                                 no_load(disk1800, grid), init)
         assert traj.values.max() <= init.max() + 1e-8
         assert traj.values.min() >= init.min() - 1e-8
 
@@ -175,10 +196,10 @@ class TestForwardSolve:
         r2v = (disk1800.vertices**2).sum(axis=1)
         grid = fem.segment_grid(0.0, 0.5, 0.0125)
         traj = fem.forward_solve(
-            disk1800, grid, None, [],
-            lambda t: np.exp(-t) * (3 + r2c),
-            lambda t: np.full(disk1800.num_boundary_vertices,
-                              -2 * np.exp(-t)),
+            disk1800, grid, None, [], fem.source_load(
+                disk1800, grid, lambda t: np.exp(-t) * (3 + r2c),
+                lambda t: np.full(disk1800.num_boundary_vertices,
+                                  -2 * np.exp(-t))),
             1 - r2v)
         exact = np.exp(-0.5) * (1 - r2v)
         assert l2(mass1800, traj.values[-1] - exact) / l2(mass1800, exact) \
@@ -191,11 +212,11 @@ class TestForwardSolve:
         init = np.full(disk1800.num_vertices, 2.0)
         lin = fem.forward_solve(disk1800, grid, u,
                                 [fem.InhomogeneityOp(fem.POTENTIAL, 0)],
-                                None, None, init)
+                                no_load(disk1800, grid), init)
         pw = fem.forward_solve(
             disk1800, grid, u,
             [fem.InhomogeneityOp(fem.POWER_POTENTIAL, 0, power=2.0)],
-            None, None, init)
+            no_load(disk1800, grid), init)
         assert np.abs(lin.values - pw.values).max() <= 1e-9
 
     def test_nonlinear_absorption_monotone(self, disk1800, mass1800):
@@ -204,37 +225,37 @@ class TestForwardSolve:
                      10.0, 0.0)[None, :]
         ops = [fem.InhomogeneityOp(fem.POWER_POTENTIAL, 0, power=3.0)]
         init = np.full(disk1800.num_vertices, 3.0)
-        one = fem.forward_solve(disk1800, grid, u, ops, None, None, init)
-        two = fem.forward_solve(disk1800, grid, 2 * u, ops, None, None, init)
+        load = no_load(disk1800, grid)
+        one = fem.forward_solve(disk1800, grid, u, ops, load, init)
+        two = fem.forward_solve(disk1800, grid, 2 * u, ops, load, init)
         assert l2(mass1800, two.values[-1]) <= l2(mass1800, one.values[-1]) \
             + 1e-12
 
     def test_shared_source_loads_change_no_bit(self, disk1800):
-        """Marches given one ``SourceLoads`` equal those that assemble their
-        own loads; loads of another grid or flux are refused."""
+        """Marches that read cached loads, as a reconstruction segment
+        shares them, equal those that assemble every load they read."""
         mesh = disk1800
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         f = lambda t: np.sin(3 * t) * mesh.centroids[:, 0]  # noqa: E731
         g = lambda t: np.full(mesh.num_boundary_vertices,  # noqa: E731
                               np.cos(t))
         init = np.ones(mesh.num_vertices)
-        loads = fem.SourceLoads(mesh, grid, f, g)
-        own = fem.forward_solve(mesh, grid, None, [], f, g, init).values
+        own = fem.forward_solve(mesh, grid, None, [],
+                                fem.source_load(mesh, grid, f, g), init).values
+        f_load = functools.cache(fem.source_load(mesh, grid, f, None))
+        g_load = functools.cache(fem.source_load(mesh, grid, None, g))
         for _ in range(2):
-            shared = fem.forward_solve(mesh, grid, None, [], f, g, init,
-                                       loads=loads).values
+            shared = fem.forward_solve(mesh, grid, None, [],
+                                       lambda j: f_load(j) + g_load(j),
+                                       init).values
             assert np.array_equal(shared, own)
         trace = own[:, mesh.boundary_vertices]
         assert np.array_equal(
-            fem.dirichlet_solve(mesh, grid, None, [], f, trace, init,
-                                loads=loads).values,
-            fem.dirichlet_solve(mesh, grid, None, [], f, trace, init).values)
-        with pytest.raises(ValueError):
-            fem.forward_solve(mesh, grid, None, [], f, None, init,
-                              loads=loads)
-        with pytest.raises(ValueError):
-            fem.forward_solve(mesh, fem.segment_grid(0.1, 0.2, 0.0125), None,
-                              [], f, g, init, loads=loads)
+            fem.dirichlet_solve(mesh, grid, None, [], f_load, trace,
+                                init).values,
+            fem.dirichlet_solve(mesh, grid, None, [],
+                                fem.source_load(mesh, grid, f, None), trace,
+                                init).values)
 
     def test_ellipticity_violation_rejected(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
@@ -242,7 +263,8 @@ class TestForwardSolve:
         with pytest.raises(fem.FemError):
             fem.forward_solve(disk1800, grid, u,
                               [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)],
-                              None, None, np.ones(disk1800.num_vertices))
+                              no_load(disk1800, grid),
+                              np.ones(disk1800.num_vertices))
 
 
 class TestDirichletSolve:
@@ -251,10 +273,11 @@ class TestDirichletSolve:
         f_fn, g_fn, h = scenario.samplers(scn, disk1800)
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         u = scenario.eval_truth(scn, 0.05, disk1800)
-        fw = fem.forward_solve(disk1800, grid, u, scn.ops, f_fn, g_fn, h)
+        fw = fem.forward_solve(disk1800, grid, u, scn.ops, fem.source_load(
+            disk1800, grid, f_fn, g_fn), h)
         trace = fem.boundary_trace(fw, disk1800)
-        dw = fem.dirichlet_solve(disk1800, grid, u, scn.ops, f_fn,
-                                 trace.values, h)
+        dw = fem.dirichlet_solve(disk1800, grid, u, scn.ops, fem.source_load(
+            disk1800, grid, f_fn, None), trace.values, h)
         num = fem.domain_spacetime_inner(mass1800, grid,
                                          fw.values - dw.values,
                                          fw.values - dw.values)
@@ -264,7 +287,8 @@ class TestDirichletSolve:
     def test_constant_trace_constant_solution(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         tr = np.full((grid.num_times, disk1800.num_boundary_vertices), 4.0)
-        traj = fem.dirichlet_solve(disk1800, grid, None, [], None, tr,
+        traj = fem.dirichlet_solve(disk1800, grid, None, [],
+                                   no_load(disk1800, grid), tr,
                                    np.full(disk1800.num_vertices, 4.0))
         assert np.abs(traj.values - 4.0).max() <= 1e-10
 
@@ -285,12 +309,15 @@ class TestDirichletSolve:
 
         init_n, init_d = h.copy(), h.copy()
         for n in range(10):
-            grid = fem.SegmentGrid(0.1 * n, 0.1 * (n + 1), 8)
+            grid = fem.SegmentGrid(0.0125, 8 * n, 8)
             y_n = fem.forward_solve(small_fine, grid, u_est, scn.ops,
-                                    f_fn, g_fn, init_n)
+                                    fem.source_load(small_fine, grid, f_fn,
+                                                    g_fn), init_n)
             y_d = synth.sample_measurement(mset, grid.times())
             y_dir = fem.dirichlet_solve(small_fine, grid, u_est, scn.ops,
-                                        f_fn, y_d, init_d)
+                                        fem.source_load(small_fine, grid,
+                                                        f_fn, None),
+                                        y_d, init_d)
             init_n = y_n.values[-1].copy()
             init_d = y_dir.values[-1].copy()
         bw = hm.boundary_vertex_weights(small_fine)
@@ -305,8 +332,8 @@ class TestDirichletSolve:
     def test_trace_shape_mismatch_rejected(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         with pytest.raises(fem.FemError):
-            fem.dirichlet_solve(disk1800, grid, None, [], None,
-                                np.zeros((3, 4)),
+            fem.dirichlet_solve(disk1800, grid, None, [],
+                                no_load(disk1800, grid), np.zeros((3, 4)),
                                 np.zeros(disk1800.num_vertices))
 
 
@@ -349,9 +376,9 @@ class TestBackwardAdjoint:
             vmat = np.array([v_at(disk1800.vertices, t)
                              for t in grid.times()])
             lhs = fem.domain_spacetime_inner(mass1800, grid, z.values, vmat)
-            w = fem.forward_solve(disk1800, grid, None, [],
-                                  lambda t: v_at(disk1800.centroids, t),
-                                  None, np.zeros(disk1800.num_vertices))
+            w = fem.forward_solve(disk1800, grid, None, [], fem.source_load(
+                disk1800, grid, lambda t: v_at(disk1800.centroids, t), None),
+                np.zeros(disk1800.num_vertices))
             rhs = fem.boundary_spacetime_inner(
                 disk1800, grid, flux, fem.boundary_trace(w, disk1800).values)
             assert abs(lhs - rhs) <= 0.02 * abs(rhs)

@@ -186,6 +186,21 @@ class TestLocateCells:
         cell = hm.locate_cells(mesh, np.array([[1.5, 0.0]]))[0]
         assert np.linalg.norm(mesh.centroids[cell] - [1.0, 0.0]) < 0.2
 
+    def test_chunks_change_no_cell(self, monkeypatch):
+        """Points inside, on and just outside the disk get the same cells
+        in chunks of 7 as in one pass; the outside ones take the miss
+        path."""
+        mesh = hm.build_disk_mesh(600)
+        angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        points = np.concatenate([
+            np.random.default_rng(4).uniform(-0.7, 0.7, size=(50, 2)),
+            ring, 1.001 * ring, 1.05 * ring])
+        whole = hm.locate_cells(mesh, points)
+        monkeypatch.setattr(hm, "LOCATE_CHUNK", 7)
+        assert np.array_equal(hm.locate_cells(mesh, points), whole)
+        assert len(whole) == len(points)
+
 
 class TestMakeMesh:
     def test_clockwise_triangle_rejected(self):

@@ -15,7 +15,7 @@ from heatprobe import scenario as sc
 @pytest.fixture(scope="module")
 def tiny():
     mesh = hm.build_disk_mesh(300)
-    grid = fem.SegmentGrid(0.0, 0.1, 8)
+    grid = fem.SegmentGrid(0.0125, 0, 8)
     return mesh, grid
 
 
@@ -364,7 +364,7 @@ def plain_local_dual(z, y, ops, fine, transfer):
 
 class TestLocalDual:
     def test_matches_plain_corner_gather(self, small_fine, small_transfer):
-        grid = fem.SegmentGrid(0.0, 0.1, 8)
+        grid = fem.SegmentGrid(0.0125, 0, 8)
         rng = np.random.default_rng(20)
         z, y = (fem.Trajectory(grid, rng.normal(
             size=(grid.num_times, small_fine.num_vertices)))
@@ -382,7 +382,7 @@ class TestLocalDual:
 
     def test_constant_dual_kills_conductivity(self, small_fine,
                                               small_coarse, small_transfer):
-        grid = fem.SegmentGrid(0.0, 0.1, 8)
+        grid = fem.SegmentGrid(0.0125, 0, 8)
         const = fem.Trajectory(grid, np.full(
             (grid.num_times, small_fine.num_vertices), 2.0))
         rng = np.random.default_rng(18)
@@ -395,7 +395,7 @@ class TestLocalDual:
         assert np.abs(zeta[:, 1]).max() > 0
 
     def test_zero_dual_all_zero(self, small_fine, small_transfer):
-        grid = fem.SegmentGrid(0.0, 0.1, 8)
+        grid = fem.SegmentGrid(0.0125, 0, 8)
         zero = fem.Trajectory(grid, np.zeros(
             (grid.num_times, small_fine.num_vertices)))
         y = fem.Trajectory(grid, np.ones(
@@ -405,7 +405,7 @@ class TestLocalDual:
         assert np.abs(zeta).max() == 0
 
     def test_power_two_matches_potential(self, small_fine, small_transfer):
-        grid = fem.SegmentGrid(0.0, 0.1, 8)
+        grid = fem.SegmentGrid(0.0125, 0, 8)
         rng = np.random.default_rng(19)
         z = fem.Trajectory(grid, rng.normal(
             size=(grid.num_times, small_fine.num_vertices)))

@@ -105,7 +105,9 @@ class TestReference:
         trace = synth.generate_reference(scn, small_fine, horizon=1.0)
         grid = fem.segment_grid(0.0, 1.0, 0.0125)
         f_fn, g_fn, h = sc.samplers(scn, small_fine)
-        bg = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn, h)
+        bg = fem.forward_solve(small_fine, grid, None, scn.ops,
+                               fem.source_load(small_fine, grid, f_fn, g_fn),
+                               h)
         mset = synth.MeasurementSet(trace.times, trace.values, trace.values,
                                     0.0, 0, synth.REFERENCE_TRIANGLES, 0.01)
         sampled = synth.sample_measurement(mset, grid.times(), noisy=False)
@@ -122,7 +124,9 @@ class TestReference:
         grid = fem.segment_grid(0.0, 1.0, 0.0125)
         scn = sc.null_scenario()
         f_fn, g_fn, h = sc.samplers(scn, small_fine)
-        bg = fem.forward_solve(small_fine, grid, None, scn.ops, f_fn, g_fn, h)
+        bg = fem.forward_solve(small_fine, grid, None, scn.ops,
+                               fem.source_load(small_fine, grid, f_fn, g_fn),
+                               h)
         bg_vals = fem.boundary_trace(bg, small_fine).values
 
         def gap(trace):
@@ -164,5 +168,5 @@ class TestPersistence:
     def test_malformed_text_header_rejected(self, tmp_path):
         path = tmp_path / "x_clean.txt"
         path.write_text("1 2\n0 1 2\n")
-        with pytest.raises(synth.SynthError):
+        with pytest.raises(OSError):
             synth.load_trace_text(path)

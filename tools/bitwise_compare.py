@@ -7,24 +7,26 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (for the parent commit,
 e.g. of a ``git archive`` export).  Each tree runs in its own process and
 writes to WORKDIR:
 
-- the ``SegmentReport`` fields of micro windows (3000/600 triangles, seed 1,
-  5% noise): ex2 DFP and BFGS with rank cap 5 and the r_zeta variant at
-  tol 0.03, ex2 DFP at tol 0.03 with damping 0.1 (kernel terms fade below
-  ``DAMP_DROP`` after 9 damps and are dropped), ex3 BFGS at tol 0.03, ex1 at
-  tol 0.10, and ex4 restated as a scenario config file (written to
-  WORKDIR, so the expression compiler and the config loader run end to end)
-  with DFP at tol 0.03;
+- the measurement set (sample times, clean and noisy traces) of each
+  window's scenario, and the ``SegmentReport`` fields of micro windows
+  (3000/600 triangles, seed 1, 5% noise): ex2 DFP and BFGS with rank cap 5
+  and the r_zeta variant at tol 0.03, ex2 DFP at tol 0.03 with damping 0.1
+  (kernel terms fade below ``DAMP_DROP`` after 9 damps and are dropped),
+  ex3 BFGS at tol 0.03, ex1 at tol 0.10, and ex4 restated as a scenario
+  config file (written to WORKDIR, so the expression compiler and the
+  config loader run end to end) with DFP at tol 0.03;
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5].
 
-The script then compares reports bit for bit and files byte for byte
-(``summary.txt`` but its wall-time line; ``config.txt`` and the manifest are
-listed, as they record the output directory), and resumes the parent's
-checkpoints with the change's code to [0, 1], which must equal the change's
-fresh run.  Exit status 0 when everything matches.  For a change that moves
-results by rounding, every report field, file column or array that differs
-is printed with its maximum relative difference, max|a - b| / max|b|.
+The script then compares measurement sets and reports bit for bit and
+files byte for byte (``summary.txt`` but its wall-time line;
+``config.txt`` and the manifest are listed, as they record the output
+directory), and resumes the parent's checkpoints with the change's code to
+[0, 1], which must equal the change's fresh run.  Exit status 0 when
+everything matches.  For a change that moves results by rounding, every
+measured array, report field, file column or array that differs is
+printed with its maximum relative difference, max|a - b| / max|b|.
 """
 
 import os
@@ -81,6 +83,13 @@ def _max_rel(a, b):
     return diff / scale if scale > 0 else diff
 
 
+def _diff(name, a, b):
+    """How ``a`` differs from ``b``: by its max rel, when comparable."""
+    rel = _max_rel(a, b)
+    return f"{name} differs" if rel is None else f"{name} max rel {rel:.1e}"
+
+
+MEASURED = ("sample_times", "clean", "noisy")
 REPORT_FIELDS = ("index", "t_mid", "u", "residual", "counters", "iterations",
                  "warned", "kernel_rank")
 
@@ -94,9 +103,7 @@ def _report_diffs(a, b):
     for i, name in enumerate(REPORT_FIELDS):
         pa, pb = [seg[i] for seg in a], [seg[i] for seg in b]
         if not _same(pa, pb):
-            rel = _max_rel(pa, pb)
-            out.append(f"{name} max rel {rel:.1e}" if rel is not None
-                       else f"{name} differs")
+            out.append(_diff(name, pa, pb))
     return out
 
 
@@ -122,11 +129,9 @@ def _file_diffs(path_a, path_b):
     if arrays_a is None or arrays_b is None \
             or arrays_a.keys() != arrays_b.keys():
         return "differs"
-    rels = {name: _max_rel(arrays_a[name], arrays_b[name])
-            for name in arrays_a
-            if not _same(arrays_a[name], arrays_b[name])}
-    return ", ".join(f"{name} max rel {rel:.1e}" if rel is not None
-                     else f"{name} differs" for name, rel in rels.items())
+    return ", ".join(_diff(name, arrays_a[name], arrays_b[name])
+                     for name in arrays_a
+                     if not _same(arrays_a[name], arrays_b[name]))
 
 
 def dump(src, out):
@@ -165,6 +170,9 @@ def dump(src, out):
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
+    with open(os.path.join(out, "measurements.pkl"), "wb") as fh:
+        pickle.dump({k: [getattr(m, name) for name in MEASURED]
+                     for k, m in data.items()}, fh)
     cfg = cli.RunConfig(scenario="ex1", horizon=2.0, fine_triangles=3000,
                         coarse_triangles=600, seed=1,
                         outdir=os.path.join(out, "cli"))
@@ -214,11 +222,24 @@ def _read(path):
     return data.rsplit(b"\n", 2)[0] if path.endswith("summary.txt") else data
 
 
+def _load(path):
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
 def compare(parent, change):
     ok = True
-    with open(os.path.join(parent, "windows.pkl"), "rb") as fa, \
-            open(os.path.join(change, "windows.pkl"), "rb") as fb:
-        wa, wb = pickle.load(fa), pickle.load(fb)
+    ma, mb = (_load(os.path.join(side, "measurements.pkl"))
+              for side in (parent, change))
+    for key in ma:
+        differ = [_diff(name, b, a)
+                  for name, a, b in zip(MEASURED, ma[key], mb[key])
+                  if not _same(a, b)]
+        ok &= not differ
+        print(f"{key} measurement set: "
+              f"{'; '.join(differ) or 'bit-identical'}")
+    wa, wb = (_load(os.path.join(side, "windows.pkl"))
+              for side in (parent, change))
     for key in wa:
         same = _same(wa[key], wb.get(key))
         ok &= same
