@@ -10,10 +10,8 @@ the previous time level so every step is one symmetric sparse solve.
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -103,6 +101,8 @@ def _lattice_index(t: float, dt: float) -> int:
 def segment_grid(t_start: float, t_end: float, dt: float) -> SegmentGrid:
     """The grid of the lattice of step ``dt`` from t_start to t_end; both
     must be its nodes, so ``dt`` partitions the interval."""
+    if not dt > 0:
+        raise ValueError("the time step must be positive")
     try:
         first, last = _lattice_index(t_start, dt), _lattice_index(t_end, dt)
     except ValueError:
@@ -505,17 +505,78 @@ class _Pcg:
         return x if np.linalg.norm(r) <= tol else None
 
 
+CONDENSE_STEPS = 25
+_RING_COLUMNS = 16
+
+
+class _Window:
+    """What the step matrices of ``CONDENSE_STEPS`` steps share, condensed
+    onto the unknowns whose rows change (static condensation; Saad,
+    "Iterative Methods for Sparse Linear Systems", ch. 14).
+
+    ``changed`` marks the unknowns R that lie on a cell perturbed at some
+    step of the window.  Every other unknown, O, lies on unperturbed cells
+    only, so its row, and with it S_OO and S_RO = S_OR^T, is the same at
+    every step; the first step's matrix supplies them.  S_OO is factorized
+    once, and X = S_RO S_OO^-1 S_OR, nonzero only on the ring J of R
+    unknowns next to O, is formed ``_RING_COLUMNS`` columns at a time.  The
+    window is the ``make`` of its steps' systems (see ``_Condensed``).
+    """
+
+    def __init__(self, changed: np.ndarray):
+        self.inner = np.flatnonzero(changed)
+        self.outer = np.flatnonzero(~changed)
+        self.lu = None
+
+    def __call__(self, a) -> _Condensed:
+        if self.lu is None:
+            self._condense(a.tocsr())
+        return _Condensed(a, self)
+
+    def _condense(self, a: sparse.csr_array) -> None:
+        self.s_ro = a[self.inner][:, self.outer].tocsr()
+        self.s_or = self.s_ro.T.tocsr()
+        self.lu = _factorize(a[self.outer][:, self.outer].tocsc())
+        ring = np.flatnonzero(np.diff(self.s_ro.indptr))
+        s_jo = self.s_ro[ring]
+        s_oj = s_jo.T.tocsc()
+        x = np.empty((ring.size, ring.size))
+        for lo in range(0, ring.size, _RING_COLUMNS):
+            cols = slice(lo, lo + _RING_COLUMNS)
+            x[:, cols] = s_jo @ self.lu.solve(s_oj[:, cols].toarray())
+        x = 0.5 * (x + x.T)         # X is symmetric; the solves round apart
+        rows, cols = np.repeat(ring, ring.size), np.tile(ring, ring.size)
+        self.ring_block = sparse.csc_array(
+            (x.ravel(), (rows, cols)), shape=(self.inner.size,) * 2)
+
+    def schur(self, a):
+        """S_RR - X of the step matrix ``a``."""
+        return (a[self.inner][:, self.inner] - self.ring_block).tocsc()
+
+
+class _Condensed:
+    """A step's solver by static condensation on its ``window``: the step
+    factorizes only its Schur complement S_RR - X, and each solve is two
+    S_OO solves and one Schur solve."""
+
+    def __init__(self, a, window: _Window):
+        self.window = window
+        self.lu = _factorize(window.schur(a))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w = self.window
+        b_o = b[w.outer]
+        x = np.empty_like(b)
+        x[w.inner] = x_r = self.lu.solve(
+            b[w.inner] - w.s_ro @ w.lu.solve(b_o))
+        x[w.outer] = w.lu.solve(b_o - w.s_or @ x_r)
+        return x
+
+
 def _check_solution(y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise FemError("linear solve produced non-finite values")
     return y
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity API on this platform
-        return 1
 
 
 def _march_serial(steps: int, prepare, advance, y0: np.ndarray, store):
@@ -526,51 +587,57 @@ def _march_serial(steps: int, prepare, advance, y0: np.ndarray, store):
         store(k + 1, y)
 
 
-def _march_time_only(steps: int, prepare, advance, y0: np.ndarray, store):
-    """``_march_serial`` with the next step's system prepared on a second CPU.
+def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
+                     split):
+    """``prepare(k)`` of a march whose operator has a conductivity component
+    and depends on time only: the steps go in windows of ``CONDENSE_STEPS``,
+    and each step's system is condensed on its window (``_Window``).
 
-    ``prepare`` builds and factorizes a step's system without the solution,
-    so with two usable CPUs the odd steps go to one worker thread, which
-    factorizes step k+1 while the calling thread factorizes and solves step
-    k (SuperLU releases the GIL).  Each step runs the same code on either
-    thread, so the result is bitwise that of the serial march.  A step's
-    factorization is dropped on the thread that made it (a SuperLU object
-    freed on another thread leaks its memory), and at most two are alive.
-    With one usable CPU the march stays serial: there the two threads only
-    take turns, and the second factorization in flight costs memory.
+    A window's perturbed cells are those of all its steps, also of steps
+    past the end of the march (``split(k)`` samples step k's midpoint), so
+    a step's result does not depend on where the march ends: a shorter
+    reference march is bitwise the prefix of a longer one, as resuming a
+    run to a longer horizon requires.  A window with no perturbed cell
+    takes the held unperturbed system, and one whose perturbed cells reach
+    every unknown factorizes each step's whole matrix.  The previous
+    window's factorizations are dropped, and the heap trimmed, before the
+    next window is built, so at most one window's factors are alive.
+    ``prepare`` must be called for k = 0, 1, ... in turn.
     """
-    if _usable_cpus() < 2:
-        _march_serial(steps, prepare, advance, y0, store)
-        return
+    make = perturbed = None     # the window's make (see _linear_system)
 
-    def odd_step(k: int, handoff: Future) -> np.ndarray:
-        system = prepare(k)
-        try:
-            return advance(k, system, handoff.result())
-        finally:
-            del system              # also when the calling thread gave up
+    def perturbation(k):
+        coeff, react, _ = split(k)
+        cells = np.flatnonzero((coeff != 1.0) | (react != 0.0))
+        return cells, coeff[cells], react[cells]
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        y, pending = y0, None
-        for k in range(0, steps, 2):
-            handoff = Future()
-            odd = pool.submit(odd_step, k + 1, handoff) \
-                if k + 1 < steps else None
-            try:
-                system = prepare(k)
-                if pending is not None:
-                    y = pending.result()
-                    store(k, y)
-                y = advance(k, system, y)
-                del system              # before the next prepare factorizes
-                store(k + 1, y)
-            except BaseException:
-                handoff.cancel()        # the worker must not wait for y
-                raise
-            handoff.set_result(y)
-            pending = odd
-        if pending is not None:
-            store(steps, pending.result())
+    def prepare(k):
+        nonlocal make, perturbed
+        if k % CONDENSE_STEPS == 0:
+            if k:
+                make = None
+                trim_heap()
+            perturbed = [perturbation(i)
+                         for i in range(k, k + CONDENSE_STEPS)]
+            touched = np.zeros(mesh.num_cells)
+            for cells, _, _ in perturbed:
+                touched[cells] = 1.0
+            # a diagonal entry of R(touched) is nonzero on a touched cell's
+            # vertices only
+            changed = block(mesh, assemble_reaction(mesh, touched).data)[0]
+            changed = changed.diagonal() != 0.0
+            if changed.all():
+                make = _factorize
+            elif changed.any():
+                make = _Window(changed)
+        if make is None:
+            return _unperturbed_system(mesh, mass, dt, block)
+        cells, coeff_part, react_part = perturbed[k % CONDENSE_STEPS]
+        coeff, react = np.ones(mesh.num_cells), np.zeros(mesh.num_cells)
+        coeff[cells], react[cells] = coeff_part, react_part
+        return _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
+                              dt, block, make)
+    return prepare
 
 
 def _check_init(init: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -634,13 +701,14 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     lag the weight at the step midpoint).  Without a conductivity component
     those systems differ from the unperturbed one by a reaction weight
     only, so ``_Pcg`` solves them on the held unperturbed factorization of
-    the same block; otherwise each is factorized, one step ahead on a
-    second thread when the operator depends on time only
-    (``_march_time_only``).
+    the same block.  Otherwise an operator that depends on time only is
+    condensed, window by window, onto the unknowns its perturbed cells
+    reach (``_condensed_steps``), and a lagged power weight's system is
+    factorized.
     """
     u_const, u_sample = _resolve_u(u, ops, mesh)
     mass = assemble_mass(mesh)
-    dt, times = grid.dt, grid.times()
+    dt = grid.dt
     y0 = _check_init(init, mesh)
     keep = slice(None) if rows is None else np.asarray(rows)
     values = np.empty((grid.num_times, y0[keep].size))
@@ -668,8 +736,9 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
         return y_prev
 
     def split(k):
+        # the midpoint of step k, also of a step past the grid's end
         return _split_ops(u_const if u_sample is None
-                          else u_sample(times[k] + 0.5 * dt), ops)
+                          else u_sample((grid.first + k) * dt + 0.5 * dt), ops)
 
     if static:
         coeff, react, _ = split(0)
@@ -679,11 +748,13 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
         _march_serial(grid.steps, lambda k: fixed, advance, y0, store)
     elif u_sample is not None and not any(
             op.kind == POWER_POTENTIAL for op in ops):
-        def prepare(k):
-            coeff, react, _ = split(k)
-            return build(_operator_data(mesh, coeff, react))
-        march = _march_time_only if make is _factorize else _march_serial
-        march(grid.steps, prepare, advance, y0, store)
+        if make is _factorize:
+            prepare = _condensed_steps(mesh, mass, dt, block, split)
+        else:
+            def prepare(k):
+                coeff, react, _ = split(k)
+                return build(_operator_data(mesh, coeff, react))
+        _march_serial(grid.steps, prepare, advance, y0, store)
     else:
         def prepare(k):
             coeff, react, lagged = split(k)
@@ -717,7 +788,9 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     """Crank-Nicolson march of the Neumann problem over one segment.
 
     ``u`` may be None, a cell field of ``mesh`` constant in time, or a
-    sampler ``t -> field`` of such fields evaluated at step midpoints.
+    sampler ``t -> field`` of such fields evaluated at step midpoints (with
+    a conductivity component, up to ``CONDENSE_STEPS`` - 1 steps past
+    ``grid.t_end``; see ``_condensed_steps``).
     ``load(j)`` is the source and flux load at the half-step node j (see
     ``source_load``).  The first step is always two backward-Euler half
     steps, which keep second-order accuracy for rough starting data.
@@ -726,10 +799,11 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     (all of them by default).
 
     A sampler ``u`` without power-potential terms gives an operator that
-    depends on time only.  With a conductivity component its march
-    factorizes one step ahead on a second thread when the process may use
-    two CPUs (see ``_march_time_only``); without one, each step is solved
-    by preconditioned CG (see ``_Pcg``).
+    depends on time only.  With a conductivity component each step
+    factorizes only the Schur complement on the unknowns that the
+    inclusions reach within its window of ``CONDENSE_STEPS`` steps (see
+    ``_Window``); without one, each step is solved by preconditioned CG
+    (see ``_Pcg``).
     """
     return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)

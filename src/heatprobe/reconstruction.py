@@ -80,6 +80,15 @@ class Options:
             raise ScenarioError("damping factor must lie in (0, 1)")
         if self.tol <= 0:
             raise ScenarioError("tolerance must be positive")
+        if not (self.dt > 0 and self.segment_length > 0):
+            raise ScenarioError("dt and the segment length must be positive")
+        if self.max_inner < 1:
+            raise ScenarioError("the inner-iteration cap must be at least 1")
+        if self.rank_cap < INSTALLED_TERMS[self.scheme]:
+            raise ScenarioError(
+                f"rank cap {self.rank_cap} is below the "
+                f"{INSTALLED_TERMS[self.scheme]} terms one {self.scheme} "
+                f"update installs")
         steps = round(self.segment_length / self.dt)
         if abs(steps * self.dt - self.segment_length) > 1e-12:
             raise ScenarioError("segment length is not divisible by dt")
@@ -125,11 +134,16 @@ def make_kernel(coarse: Mesh, n_components: int, nu: float = Options.nu,
                           rank_cap)
 
 
+def _quadrature(coarse: Mesh, grid: SegmentGrid) -> np.ndarray:
+    """Trapezoid weight times cell area, (time nodes, 1, coarse cells): the
+    weights of the space-time inner product over one segment."""
+    return fem.trapezoid_weights(grid)[:, None, None] * coarse.cell_areas
+
+
 def segment_inner(coarse: Mesh, grid: SegmentGrid, a: np.ndarray,
                   b: np.ndarray) -> float:
     """Space-time L2 inner product of coarse vector fields over one segment."""
-    w = fem.trapezoid_weights(grid)
-    return float(np.einsum("k,klc,klc,c->", w, a, b, coarse.cell_areas))
+    return float(np.vdot(a, _quadrature(coarse, grid) * b))
 
 
 def segment_norm(coarse: Mesh, grid: SegmentGrid, a: np.ndarray) -> float:
@@ -171,8 +185,9 @@ def apply_kernel(kernel: ResolverKernel, zeta: np.ndarray, coarse: Mesh,
     """Index field: diagonal product plus the separable low-rank sum."""
     eta = kernel.diag[None, :, :] * zeta
     if kernel.rank:
-        inner = np.einsum("k,rklc,klc,c->r", fem.trapezoid_weights(grid),
-                          kernel.n, zeta, coarse.cell_areas)
+        # each coefficient rounds as segment_inner(n, zeta) does
+        weighted = _quadrature(coarse, grid) * zeta
+        inner = np.array([np.vdot(n, weighted) for n in kernel.n])
         # one term at a time, oldest first, into a new C-ordered array: a
         # batched or in-place sum rounds the estimate's time average apart
         for coef, m in zip(kernel.weight * kernel.damp * inner, kernel.m):

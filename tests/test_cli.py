@@ -444,6 +444,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "nested deeper" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--dt", "0"], "must be positive"),
+        (["--segment-length", "0"], "must be positive"),
+        (["--segment-length", "-0.1"], "must be positive"),
+        (["--max-inner", "0"], "inner-iteration cap"),
+        (["--scheme", "dfp", "--rank-cap", "1"], "below the 2 terms"),
+        (["--scheme", "bfg", "--rank-cap", "2"], "below the 3 terms"),
+    ], ids=["zero-dt", "zero-segment", "negative-segment", "no-inner",
+            "dfp-rank-cap", "bfg-rank-cap"])
+    def test_bad_parameter_is_config_error(self, flags, named, tmp_path,
+                                           capsys):
+        assert cli.main(["reconstruct", "--scenario", "null", *flags,
+                         "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
     def test_missing_measurement_is_io_error(self, tmp_path, capsys):
         code = cli.main(["reconstruct", "--scenario", "null",
                          "--measurement", str(tmp_path / "nope"),

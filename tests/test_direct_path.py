@@ -3,13 +3,15 @@
 The plain march below is the straightforward scheme: at every step it
 assembles the operators from COO triplets, factorizes with SuperLU's
 default options and solves.  The library caches operator patterns and
-factorizations, factorizes in SuperLU's symmetric mode and runs time-only
-marches on two threads, and solves marches with no conductivity component
-by preconditioned CG; none of that may move a result by more than ``RTOL``
-(relative L2 over all time nodes).
+factorizations, factorizes in SuperLU's symmetric mode, condenses marches
+with a time-dependent conductivity onto the unknowns their inclusions
+reach, and solves marches with no conductivity component by preconditioned
+CG; none of that may move a result by more than ``RTOL`` (relative L2 over
+all time nodes).
 """
 
 import gc
+import math
 import os
 import sys
 import threading
@@ -155,13 +157,15 @@ def plain_forward(mesh, grid, u, ops, load, init, picard_sweeps=0,
 
 
 def plain_dirichlet(mesh, grid, u, ops, load, trace_values, init):
-    coeff, react, lagged = plain_split(plain_fine(u), ops)
+    u_at = (lambda t: plain_fine(u(t))) if callable(u) \
+        else (lambda t: plain_fine(u))
     mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
-    dt = grid.dt
+    dt, times = grid.dt, grid.times()
     bnd = mesh.boundary_vertices
     interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
     values = [np.asarray(init, dtype=float)]
     for k in range(grid.steps):
+        coeff, react, lagged = plain_split(u_at(times[k] + 0.5 * dt), ops)
         y_prev = values[-1]
         k_mat = plain_operator(mesh, coeff,
                                react + plain_lagged(mesh, lagged, y_prev))
@@ -210,11 +214,14 @@ def rel(a, b):
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
 def cpus(request, monkeypatch):
-    """Grant the process one or two CPUs, as ``os.sched_getaffinity`` sees."""
+    """Grant the process one or two CPUs, as ``os.sched_getaffinity`` sees;
+    either way the marches of the test start no thread."""
     granted = set(range(request.param))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: granted,
                         raising=False)
-    return request.param
+    threads_before = set(threading.enumerate())
+    yield request.param
+    assert set(threading.enumerate()) <= threads_before
 
 
 def make_scenario(name):
@@ -270,33 +277,6 @@ def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
 
 
 # -- what the fast paths promise beyond the tolerance ------------------------
-
-def test_two_thread_march_is_bitwise_serial(small_fine, monkeypatch):
-    """Also with the interpreter switching threads as often as it can, so a
-    step that read a stale or foreign solution would show."""
-    scn = scenario.builtin("ex2")
-    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
-    grid = fem.segment_grid(0.0, 0.15, 0.01)
-
-    def march(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        return fem.forward_solve(
-            small_fine, grid,
-            lambda t: scenario.eval_truth(scn, t, small_fine), scn.ops,
-            fem.source_load(small_fine, grid, f_fn, g_fn), h,
-            rows=small_fine.boundary_vertices).values
-
-    serial = march(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = [march(2) for _ in range(3)]
-    finally:
-        sys.setswitchinterval(interval)
-    for values in threaded:
-        assert np.array_equal(values, serial)
-
 
 def counted_splu(monkeypatch):
     """Record every factorization made through ``fem.splu``."""
@@ -439,25 +419,111 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
 
 def test_conductivity_reference_factorizes_every_step(cpus, small_fine,
                                                       monkeypatch):
+    """One factorization per step (its Schur complement) and one per window
+    (the block its inclusions do not reach)."""
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(scn, small_fine)
-    grid = fem.segment_grid(0.0, 0.1, 0.01)
+    grid = fem.segment_grid(0.0, 0.3, 0.01)
     calls = counted_splu(monkeypatch)
     fem.forward_solve(small_fine, grid,
                       lambda t: scenario.eval_truth(scn, t, small_fine),
                       scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
                       h, picard_sweeps=1)
+    windows = math.ceil(grid.steps / fem.CONDENSE_STEPS)
+    assert len(calls) == grid.steps + windows
+
+
+# -- static condensation of time-dependent conductivity marches --------------
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex5"])
+def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
+    """Neumann and Dirichlet marches over three windows, the last one short,
+    each condensed on the unknowns its inclusions reach."""
+    scn = scenario.builtin(name)
+    mesh = small_fine
+    grid = fem.SegmentGrid(0.01, 20, 2 * fem.CONDENSE_STEPS + 10)
+    f_fn, g_fn, h = scenario.samplers(scn, mesh)
+
+    def truth(t):
+        return scenario.eval_truth(scn, t, mesh)
+
+    calls = counted_splu(monkeypatch)
+    fast = fem.forward_solve(mesh, grid, truth, scn.ops, fem.source_load(
+        mesh, grid, f_fn, g_fn), h).values
+    assert len(calls) == grid.steps + 3
+    plain = plain_forward(mesh, grid, truth, scn.ops, plain_source_load(
+        mesh, grid, f_fn, g_fn), h).values
+    assert rel(fast, plain) <= RTOL
+
+    trace = plain[:, mesh.boundary_vertices]
+    fast = fem.dirichlet_solve(mesh, grid, truth, scn.ops, fem.source_load(
+        mesh, grid, f_fn, None), trace, h).values
+    plain = plain_dirichlet(mesh, grid, truth, scn.ops, plain_source_load(
+        mesh, grid, f_fn, None), trace, h)
+    assert rel(fast, plain) <= RTOL
+
+
+def test_condensed_march_is_a_prefix_of_a_longer_one(small_fine):
+    """A march ending inside a window condenses on the whole window, so its
+    steps are bitwise those of a longer march (resuming a run to a longer
+    horizon extends its reference march)."""
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+
+    def march(steps):
+        grid = fem.SegmentGrid(0.01, 0, steps)
+        return fem.forward_solve(
+            small_fine, grid,
+            lambda t: scenario.eval_truth(scn, t, small_fine), scn.ops,
+            fem.source_load(small_fine, grid, f_fn, g_fn), h).values
+
+    short = march(fem.CONDENSE_STEPS + 5)
+    assert np.array_equal(march(2 * fem.CONDENSE_STEPS)[:len(short)], short)
+
+
+def conductivity_march(mesh, grid, u):
+    ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
+    return fem.forward_solve(mesh, grid, u, ops,
+                             fem.source_load(mesh, grid, None, None),
+                             np.ones(mesh.num_vertices) + mesh.vertices[:, 0])
+
+
+def test_condensing_every_cell_factorizes_each_step(small_fine, monkeypatch):
+    """With every cell perturbed no unknown is left to condense: each step
+    factorizes its whole matrix and no window factorizes."""
+    grid = fem.segment_grid(0.0, 0.3, 0.01)
+
+    def everywhere(t):
+        return np.full(small_fine.num_cells, 0.5 + t)
+
+    calls = counted_splu(monkeypatch)
+    fast = conductivity_march(small_fine, grid, everywhere).values
     assert len(calls) == grid.steps
+    ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
+    plain = plain_forward(small_fine, grid, everywhere, ops,
+                          plain_source_load(small_fine, grid, None, None),
+                          np.ones(small_fine.num_vertices)
+                          + small_fine.vertices[:, 0]).values
+    assert rel(fast, plain) <= RTOL
 
 
-# -- the two-thread march: failures and memory -------------------------------
+def test_condensing_no_cell_takes_the_held_factorization(monkeypatch):
+    """With no cell perturbed every step is the unperturbed one: the march
+    factorizes nothing and gives bitwise the unperturbed march."""
+    mesh = hm.build_disk_mesh(1000)
+    grid = fem.segment_grid(0.0, 0.3, 0.01)
+    held = conductivity_march(mesh, grid, None).values
+    calls = counted_splu(monkeypatch)
+    zero = conductivity_march(mesh, grid,
+                              lambda t: np.zeros(mesh.num_cells)).values
+    assert len(calls) == 0
+    assert np.array_equal(zero, held)
 
-@pytest.mark.parametrize("bad_step", [4, 7], ids=["even", "odd"])
-def test_two_thread_failure_raises_without_blocking(bad_step, small_fine,
-                                                    monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    grid = fem.segment_grid(0.0, 0.1, 0.01)
+
+@pytest.mark.parametrize("bad_step", [4, 30], ids=["first-window",
+                                                   "second-window"])
+def test_ellipticity_failure_raises(bad_step, small_fine):
+    grid = fem.segment_grid(0.0, 0.4, 0.01)
     ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
 
     def coefficient_drop(t):
@@ -465,24 +531,12 @@ def test_two_thread_failure_raises_without_blocking(bad_step, small_fine,
         # 1 + u turns nonpositive at the bad step: ellipticity fails
         return np.full(small_fine.num_cells, -1.5 if step == bad_step else 0.0)
 
-    outcome = {}
     threads_before = set(threading.enumerate())
-
-    def call():
-        try:
-            fem.forward_solve(small_fine, grid, coefficient_drop, ops,
-                              fem.source_load(small_fine, grid, None, None),
-                              np.ones(small_fine.num_vertices))
-        except Exception as exc:        # noqa: BLE001 - checked below
-            outcome["error"] = exc
-
-    runner = threading.Thread(target=call, daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "the march blocked"
-    assert isinstance(outcome.get("error"), fem.FemError)
-    assert "ellipticity" in str(outcome["error"])
-    assert set(threading.enumerate()) - threads_before == set()
+    with pytest.raises(fem.FemError, match="ellipticity"):
+        fem.forward_solve(small_fine, grid, coefficient_drop, ops,
+                          fem.source_load(small_fine, grid, None, None),
+                          np.ones(small_fine.num_vertices))
+    assert set(threading.enumerate()) <= threads_before
 
 
 def _rss_mb():
@@ -492,11 +546,9 @@ def _rss_mb():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc/self/statm")
-def test_two_thread_march_memory_is_flat(monkeypatch):
-    """Each factorization is freed on the thread that made it; freeing it
-    on the other thread leaks about 5 MB a time."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+def test_condensed_march_memory_is_flat():
+    """A window's factorizations are freed before the next window is built;
+    a march that kept them would grow by about 4 MB a window."""
     mesh = hm.build_disk_mesh(13870)
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(scn, mesh)
@@ -508,7 +560,7 @@ def test_two_thread_march_memory_is_flat(monkeypatch):
                           scn.ops, fem.source_load(mesh, grid, f_fn, g_fn), h,
                           rows=mesh.boundary_vertices)
 
-    march(4)                # the operator cache and both threads' arenas
+    march(4)                # the operator cache and a first window
     before = _rss_mb()
-    march(40)
-    assert _rss_mb() - before < 30.0
+    march(4 * fem.CONDENSE_STEPS)
+    assert _rss_mb() - before < 8.0

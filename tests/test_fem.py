@@ -143,6 +143,9 @@ class TestSegmentGrid:
         for t_end in (0.3, 0.2):
             with pytest.raises(ValueError):
                 fem.segment_grid(0.3, t_end, 0.0125)
+        for dt in (0.0, -0.0125):
+            with pytest.raises(ValueError, match="positive"):
+                fem.segment_grid(0.0, 0.1, dt)
 
     def test_power_requires_p_at_least_two(self):
         with pytest.raises(ValueError):
