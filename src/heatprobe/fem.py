@@ -10,7 +10,6 @@ the previous time level so every step is one symmetric sparse solve.
 from __future__ import annotations
 
 import ctypes
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -246,18 +245,14 @@ def trim_heap() -> None:
 
 
 _OPERATORS: dict[int, _Operators] = {}
-_OPERATORS_LOCK = threading.Lock()
 
 
 def _operators(mesh: Mesh) -> _Operators:
     """The mesh's operator cache; it is dropped when the mesh is."""
     cache = _OPERATORS.get(id(mesh))
     if cache is None:
-        with _OPERATORS_LOCK:
-            cache = _OPERATORS.get(id(mesh))
-            if cache is None:
-                cache = _OPERATORS[id(mesh)] = _Operators(mesh)
-                weakref.finalize(mesh, _drop_operators, id(mesh))
+        cache = _OPERATORS[id(mesh)] = _Operators(mesh)
+        weakref.finalize(mesh, _drop_operators, id(mesh))
     return cache
 
 
@@ -449,7 +444,6 @@ def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array, dt: float,
 
 PCG_MAX_ITERATIONS = 40
 PCG_RTOL = 1e-14
-_PCG_LOCK = threading.Lock()
 
 
 class _Pcg:
@@ -476,8 +470,7 @@ class _Pcg:
             x = self._cg(b)
             if x is not None:
                 return x
-            with _PCG_LOCK:
-                _Pcg.fallbacks += 1
+            _Pcg.fallbacks += 1
             self.direct = _factorize(self.a)
         return self.direct.solve(b)
 
@@ -579,19 +572,12 @@ def _check_solution(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _march_serial(steps: int, prepare, advance, y0: np.ndarray, store):
-    """Run ``y_{k+1} = advance(k, prepare(k), y_k)`` for every step."""
-    y = y0
-    for k in range(steps):
-        y = advance(k, prepare(k), y)
-        store(k + 1, y)
-
-
 def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
                      split):
-    """``prepare(k)`` of a march whose operator has a conductivity component
-    and depends on time only: the steps go in windows of ``CONDENSE_STEPS``,
-    and each step's system is condensed on its window (``_Window``).
+    """``systems`` (see ``_step_systems``) of a march whose operator has a
+    conductivity component and depends on time only: the steps go in
+    windows of ``CONDENSE_STEPS``, and each step's system is condensed on
+    its window (``_Window``).
 
     A window's perturbed cells are those of all its steps, also of steps
     past the end of the march (``split(k)`` samples step k's midpoint), so
@@ -602,7 +588,7 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
     every unknown factorizes each step's whole matrix.  The previous
     window's factorizations are dropped, and the heap trimmed, before the
     next window is built, so at most one window's factors are alive.
-    ``prepare`` must be called for k = 0, 1, ... in turn.
+    ``systems`` must be called for k = 0, 1, ... in turn.
     """
     make = perturbed = None     # the window's make (see _linear_system)
 
@@ -611,7 +597,7 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
         cells = np.flatnonzero((coeff != 1.0) | (react != 0.0))
         return cells, coeff[cells], react[cells]
 
-    def prepare(k):
+    def systems(k):
         nonlocal make, perturbed
         if k % CONDENSE_STEPS == 0:
             if k:
@@ -631,13 +617,16 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
             elif changed.any():
                 make = _Window(changed)
         if make is None:
-            return _unperturbed_system(mesh, mass, dt, block)
+            held = _unperturbed_system(mesh, mass, dt, block)
+            return lambda y_lag: held
         cells, coeff_part, react_part = perturbed[k % CONDENSE_STEPS]
         coeff, react = np.ones(mesh.num_cells), np.zeros(mesh.num_cells)
         coeff[cells], react[cells] = coeff_part, react_part
-        return _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
-                              dt, block, make)
-    return prepare
+        # the window is read when the system is built, so a step's function
+        # does not keep its window alive into the next one
+        return lambda y_lag: _linear_system(
+            mesh, mass, _operator_data(mesh, coeff, react), dt, block, make)
+    return systems
 
 
 def _check_init(init: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -676,6 +665,61 @@ def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
     return _check_solution(solver[0].solve(rhs))
 
 
+def _step_systems(mesh: Mesh, mass: sparse.csr_array, grid: SegmentGrid, u,
+                  ops, block):
+    """``(systems, lagged)`` of a march: ``systems(k)`` is the function
+    ``y_lag -> (solver, S-)`` of step k (see ``_linear_system``), and
+    ``lagged`` tells whether the operator has a power weight, which that
+    function lags at ``y_lag``.  ``systems(k)`` samples step k's
+    coefficients, once; no function keeps a factorization that it built.
+    The steps are of one of four kinds:
+
+    - static (no sampler, every power weight zero): one system, for the
+      whole S+ with no inhomogeneity the held one (``_unperturbed_system``);
+    - reaction-only (no conductivity): the steps differ from the
+      unperturbed operator by a reaction weight only, so ``_Pcg`` solves
+      them on its held factorization of the same block;
+    - conductivity, time only: condensed by windows (``_condensed_steps``);
+    - conductivity with a lagged power weight: factorized at every call.
+    """
+    u_const, u_sample = _resolve_u(u, ops, mesh)
+    dt = grid.dt
+
+    def split(k):
+        # the midpoint of step k, also of a step past the grid's end
+        return _split_ops(u_const if u_sample is None
+                          else u_sample((grid.first + k) * dt + 0.5 * dt), ops)
+
+    if _is_static(u_sample, u_const, ops):
+        coeff, react, _ = split(0)
+        fixed = _unperturbed_system(mesh, mass, dt) \
+            if block is _whole and np.all(coeff == 1.0) and not np.any(react) \
+            else _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
+                                dt, block)
+        return (lambda k: lambda y_lag: fixed), False
+    lagged = any(op.kind == POWER_POTENTIAL for op in ops)
+    if any(op.kind == CONDUCTIVITY for op in ops):
+        if not lagged:
+            return _condensed_steps(mesh, mass, dt, block, split), False
+        make = _factorize
+    else:
+        (held, _), _ = _unperturbed_system(mesh, mass, dt, block)
+        make = partial(_Pcg, precond=held)
+
+    def systems(k):
+        coeff, react, powers = split(k)
+        stiff = assemble_stiffness(mesh, coeff).data
+
+        def system(y_lag):
+            weight = react + _lagged_weight(mesh, powers, y_lag) if powers \
+                else react
+            return _linear_system(
+                mesh, mass, stiff + assemble_reaction(mesh, weight).data, dt,
+                block, make)
+        return system
+    return systems, lagged
+
+
 def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
            block=_whole, solve=_solve_all, picard_sweeps: int = 0,
            rows: np.ndarray | None = None) -> Trajectory:
@@ -687,98 +731,47 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     returns.
     ``block`` takes the matrix a step solves from S+ (see
     ``_linear_system``), and ``solve(solver, rhs, j)`` returns the solution
-    at node j.  The first step is two backward-Euler half steps (Rannacher
-    startup), which damp the weakly decaying high-frequency transients that
-    plain Crank-Nicolson would carry through the march; their operator
-    2M/dt + K is twice S+, so the step's system serves them as well.
+    at node j.
 
-    A static operator (no sampler, every power weight zero) gets one system
-    for all steps; for the whole S+ with no inhomogeneity that is the
-    factorization held for every march of its ``dt``
-    (``_unperturbed_system``).  An
-    operator that depends on time only gets a system per step, and a lagged
-    power weight one per step and Picard sweep (``picard_sweeps`` sweeps
-    lag the weight at the step midpoint).  Without a conductivity component
-    those systems differ from the unperturbed one by a reaction weight
-    only, so ``_Pcg`` solves them on the held unperturbed factorization of
-    the same block.  Otherwise an operator that depends on time only is
-    condensed, window by window, onto the unknowns its perturbed cells
-    reach (``_condensed_steps``), and a lagged power weight's system is
-    factorized.
+    The march is one loop over the steps.  Step k runs the Crank-Nicolson
+    update on the system that ``_step_systems`` gives it: once, or 1 +
+    ``picard_sweeps`` times when the operator has a lagged power weight,
+    which each sweep after the first lags at the step midpoint.  The first
+    step is two backward-Euler half steps (Rannacher startup), which damp
+    the weakly decaying high-frequency transients that plain
+    Crank-Nicolson would carry through the march; their operator
+    2M/dt + K is twice S+, so the step's system serves them as well.
     """
-    u_const, u_sample = _resolve_u(u, ops, mesh)
     mass = assemble_mass(mesh)
     dt = grid.dt
-    y0 = _check_init(init, mesh)
+    y = _check_init(init, mesh)
+    systems, lagged = _step_systems(mesh, mass, grid, u, ops, block)
     keep = slice(None) if rows is None else np.asarray(rows)
-    values = np.empty((grid.num_times, y0[keep].size))
-    values[0] = y0[keep]
-
-    def store(k, y):
-        values[k] = y[keep]
-
-    static = _is_static(u_sample, u_const, ops)
-    make = _factorize
-    if not static and not any(op.kind == CONDUCTIVITY for op in ops):
-        (held, _), _ = _unperturbed_system(mesh, mass, dt, block)
-        make = partial(_Pcg, precond=held)
-
-    def build(k_data):
-        return _linear_system(mesh, mass, k_data, dt, block, make)
-
-    def advance(k, system, y_prev):
-        solver, s_minus = system
-        if k > 0:
-            return solve(solver, s_minus @ y_prev + load(2 * k + 1), 2 * k + 2)
-        for j in (1, 2):
-            y_prev = solve(solver, 0.5 * ((2.0 / dt) * (mass @ y_prev)
-                                          + load(j)), j)
-        return y_prev
-
-    def split(k):
-        # the midpoint of step k, also of a step past the grid's end
-        return _split_ops(u_const if u_sample is None
-                          else u_sample((grid.first + k) * dt + 0.5 * dt), ops)
-
-    if static:
-        coeff, react, _ = split(0)
-        fixed = _unperturbed_system(mesh, mass, dt) \
-            if block is _whole and np.all(coeff == 1.0) and not np.any(react) \
-            else build(_operator_data(mesh, coeff, react))
-        _march_serial(grid.steps, lambda k: fixed, advance, y0, store)
-    elif u_sample is not None and not any(
-            op.kind == POWER_POTENTIAL for op in ops):
-        if make is _factorize:
-            prepare = _condensed_steps(mesh, mass, dt, block, split)
-        else:
-            def prepare(k):
-                coeff, react, _ = split(k)
-                return build(_operator_data(mesh, coeff, react))
-        _march_serial(grid.steps, prepare, advance, y0, store)
-    else:
-        def prepare(k):
-            coeff, react, lagged = split(k)
-            return react, lagged, assemble_stiffness(mesh, coeff).data
-
-        def picard(k, step, y_prev):
-            # the power weight is lagged at the previous level, then refined
-            # by Picard sweeps at the step midpoint
-            react, lagged, stiff = step
-            y_new = None
-            for _ in range(1 + picard_sweeps):
-                y_lag = y_prev if y_new is None else 0.5 * (y_prev + y_new)
-                weight = react + _lagged_weight(mesh, lagged, y_lag)
-                # no name keeps the system, so a factorization is freed
-                # before the next one is made
-                y_next = advance(k, build(
-                    stiff + assemble_reaction(mesh, weight).data), y_prev)
-                done = y_new is not None and np.linalg.norm(
-                    y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
-                y_new = y_next
-                if done:
-                    break
-            return y_new
-        _march_serial(grid.steps, prepare, picard, y0, store)
+    values = np.empty((grid.num_times, y[keep].size))
+    values[0] = y[keep]
+    for k in range(grid.steps):
+        system = systems(k)
+        y_new = None
+        for _ in range(1 + picard_sweeps if lagged else 1):
+            y_lag = y if y_new is None else 0.5 * (y + y_new)
+            solver, s_minus = system(y_lag)
+            if k > 0:
+                y_next = solve(solver, s_minus @ y + load(2 * k + 1),
+                               2 * k + 2)
+            else:
+                y_next = y
+                for j in (1, 2):
+                    y_next = solve(solver, 0.5 * ((2.0 / dt) * (mass @ y_next)
+                                                  + load(j)), j)
+            # free this system before the next one is built
+            del solver, s_minus
+            done = y_new is not None and np.linalg.norm(
+                y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
+            y_new = y_next
+            if done:
+                break
+        y = y_new
+        values[k + 1] = y[keep]
     return Trajectory(grid, values)
 
 
@@ -798,12 +791,13 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     ``rows`` selects the vertices whose values the returned trajectory keeps
     (all of them by default).
 
-    A sampler ``u`` without power-potential terms gives an operator that
-    depends on time only.  With a conductivity component each step
-    factorizes only the Schur complement on the unknowns that the
-    inclusions reach within its window of ``CONDENSE_STEPS`` steps (see
-    ``_Window``); without one, each step is solved by preconditioned CG
-    (see ``_Pcg``).
+    Each step is of one of four kinds (see ``_step_systems``).  A static
+    operator has one factorization.  Without a conductivity component each
+    step is solved by preconditioned CG (``_Pcg``).  With one, a sampler
+    without power-potential terms is condensed: each step factorizes only
+    the Schur complement on the unknowns that the inclusions reach within
+    its window of ``CONDENSE_STEPS`` steps (``_Window``); a lagged power
+    weight factorizes each step and sweep.
     """
     return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)

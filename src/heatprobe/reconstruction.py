@@ -571,17 +571,19 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
                      init: np.ndarray, kernel: ResolverKernel):
     """Restore the segments before the first one that lacks a file or its
     ``segments.csv`` row.  Rows after it are dropped, so that segment and
-    every later one run again.  A restored file that does not parse or does
-    not fit this run raises OSError."""
+    every later one run again; a last row without its line end was cut
+    short and counts as not written.  A restored file that does not parse
+    or does not fit this run raises OSError."""
     path = os.path.join(run_dir, "segments.csv")
     lines = []
     if os.path.exists(path):
         with open(path, newline="") as fh:
             lines = fh.readlines()
+    whole = lines if not lines or lines[-1].endswith("\n") else lines[:-1]
     shape = (scn.num_components, coarse.num_cells)
     reports = []
     try:
-        for n, row in enumerate(csv.DictReader(lines)):
+        for n, row in enumerate(csv.DictReader(whole)):
             names = [f"u_{n:04d}.csv", f"terminal_{n:04d}.txt",
                      f"kernel_{n:04d}.npz"]
             if int(row["segment"]) != n or not all(

@@ -357,6 +357,24 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out)) == cli.EXIT_IO
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", ["line_end", "mid_row"])
+    def test_resume_reruns_a_row_cut_short(self, cut, short_run, tmp_path):
+        """A crash while appending segment 1's ``segments.csv`` row cuts
+        it short, at its line end or mid-row: resume runs segment 1 again
+        and writes the finished run's files."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        segments = out / run_dir / "segments"
+        fresh = file_bytes(segments)
+        table = segments / "segments.csv"
+        text = table.read_bytes()
+        table.write_bytes(text.rstrip(b"\r\n") if cut == "line_end"
+                          else text[:text.rindex(b",")])
+        assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
+            == cli.EXIT_OK
+        assert file_bytes(segments) == fresh
+
     def test_kernel_with_other_time_nodes_is_io_error(self, tmp_path,
                                                       capsys):
         """A kernel checkpoint must hold one slice per time node of a

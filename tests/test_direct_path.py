@@ -10,6 +10,7 @@ CG; none of that may move a result by more than ``RTOL`` (relative L2 over
 all time nodes).
 """
 
+import dataclasses
 import gc
 import math
 import os
@@ -27,7 +28,7 @@ from heatprobe import mesh as hm
 from heatprobe import scenario, synth
 
 RTOL = 1e-10
-SCENARIOS = ["ex1", "ex2", "ex3", "ex4", "ex5", "null"]
+SCENARIOS = ["ex1", "ex2", "ex3", "ex4", "ex5", "null", "mixed"]
 LOCAL_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
@@ -225,6 +226,12 @@ def cpus(request, monkeypatch):
 
 
 def make_scenario(name):
+    if name == "mixed":
+        # ex2's inclusions, the potential one raised to a power law: a
+        # conductivity with a lagged power weight
+        return dataclasses.replace(scenario.builtin("ex2"), name="mixed", ops=(
+            fem.InhomogeneityOp(fem.CONDUCTIVITY, 0),
+            fem.InhomogeneityOp(fem.POWER_POTENTIAL, 1, power=3.0)))
     return scenario.null_scenario() if name == "null" \
         else scenario.builtin(name)
 
@@ -235,8 +242,10 @@ def make_scenario(name):
 def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
                                                 monkeypatch):
     scn = make_scenario(name)
+    calls = counted_splu(monkeypatch)
     fast = synth.generate_reference(scn, small_coarse,
                                     reference_triangles=3000, horizon=0.2)
+    assert len(calls) <= 20 * 2             # steps x (1 + picard_sweeps)
     monkeypatch.setattr(fem, "forward_solve", plain_forward)
     monkeypatch.setattr(fem, "source_load", plain_source_load)
     plain = synth.generate_reference(scn, small_coarse,
@@ -246,7 +255,7 @@ def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
-                                   small_transfer):
+                                   small_transfer, monkeypatch):
     scn = make_scenario(name)
     mesh = small_fine
     grid = fem.segment_grid(0.25, 0.5, 0.0125)
@@ -258,16 +267,21 @@ def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
 
     u_est = hm.prolong(hm.restrict(truth(0.4), small_transfer),
                        small_transfer)
+    calls = counted_splu(monkeypatch)
     for u, picard in ((truth, 1), (None, 1), (u_est, 0)):
+        calls.clear()
         fast = fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
             mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
+        assert len(calls) <= grid.steps * (1 + picard)
         plain = plain_forward(mesh, grid, u, scn.ops, plain_source_load(
             mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
         assert rel(fast, plain) <= RTOL
 
     trace = plain[:, mesh.boundary_vertices]
+    calls.clear()
     fast = fem.dirichlet_solve(mesh, grid, u_est, scn.ops, fem.source_load(
         mesh, grid, f_fn, None), trace, init).values
+    assert len(calls) <= grid.steps
     plain = plain_dirichlet(mesh, grid, u_est, scn.ops, plain_source_load(
         mesh, grid, f_fn, None), trace, init)
     assert rel(fast, plain) <= RTOL
@@ -393,7 +407,7 @@ def reaction_marches(mesh, transfer):
     ]
 
 
-def test_reaction_marches_factorize_once(cpus, small_fine, small_transfer,
+def test_reaction_marches_factorize_once(small_fine, small_transfer,
                                          monkeypatch):
     """Each march factorizes only the unperturbed operator (or its interior
     block), never a step's, and CG never falls back."""
@@ -417,7 +431,27 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
         assert fem._Pcg.fallbacks > fallbacks, label
 
 
-def test_conductivity_reference_factorizes_every_step(cpus, small_fine,
+def test_picard_sweeps_sample_each_step_once(small_fine):
+    """The ex3 reference march samples the inclusions once per step, at its
+    midpoint, however many Picard sweeps the step runs."""
+    scn = scenario.builtin("ex3")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    grid = fem.segment_grid(0.25, 0.5, 0.0125)
+    reads = []
+
+    def truth(t):
+        reads.append(t)
+        return scenario.eval_truth(scn, t, small_fine)
+
+    fem.forward_solve(small_fine, grid, truth, scn.ops,
+                      fem.source_load(small_fine, grid, f_fn, g_fn), h,
+                      picard_sweeps=1)
+    assert len(reads) == grid.steps
+    assert np.allclose(reads, grid.times()[:-1] + 0.5 * grid.dt, rtol=0,
+                       atol=1e-12)
+
+
+def test_conductivity_reference_factorizes_every_step(small_fine,
                                                       monkeypatch):
     """One factorization per step (its Schur complement) and one per window
     (the block its inclusions do not reach)."""

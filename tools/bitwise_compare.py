@@ -12,9 +12,13 @@ writes to WORKDIR:
   (3000/600 triangles, seed 1, 5% noise): ex2 DFP and BFGS with rank cap 5
   and the r_zeta variant at tol 0.03, ex2 DFP at tol 0.03 with damping 0.1
   (kernel terms fade below ``DAMP_DROP`` after 9 damps and are dropped),
-  ex3 BFGS at tol 0.03, ex1 at tol 0.10, and ex4 restated as a scenario
+  ex3 BFGS at tol 0.03, ex1 at tol 0.10, ex4 restated as a scenario
   config file (written to WORKDIR, so the expression compiler and the
-  config loader run end to end) with DFP at tol 0.03;
+  config loader run end to end) with DFP at tol 0.03, and ex2's
+  trajectories restated as a mixed-type config file (``ops =
+  conductivity, power_potential:3``, also written to WORKDIR) with DFP at
+  tol 0.03, whose reference and forward marches factorize a conductivity
+  with a lagged power weight;
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5].
@@ -50,6 +54,27 @@ trajectory = (0.5*cos(pi*t/8 + 4*pi/5), 0.6*cos(pi*t/8 + 4*pi/5))
 contrast = min(2.5*t, 15)
 [bounds]
 0 = 0, 30
+"""
+
+# ex2's inclusions, the potential one raised to a power law
+MIXED_CONFIG = """\
+[scenario]
+name = custom
+horizon = 10
+ops = conductivity, power_potential:3
+[inclusion.1]
+trajectory = (0.65*cos(pi*t/8 - 7*pi/6), 0.65*sin(pi*t/8 - 7*pi/6))
+contrast = -0.9
+[inclusion.2]
+trajectory = (0.6*cos(pi*t/8 - pi/3), 0.7*sin(pi*t/8 - pi/3))
+contrast = -0.9
+[inclusion.3]
+component = 1
+trajectory = (0.7*cos(pi*t/8 - pi/3), 0.5*sin(pi*t/8 - pi/3))
+contrast = 15
+[bounds]
+0 = -0.99, 0
+1 = 0, 30
 """
 
 
@@ -140,11 +165,12 @@ def dump(src, out):
     from heatprobe import cli, mesh, reconstruction as recon, scenario, synth
     fine, coarse = mesh.build_disk_mesh(3000), mesh.build_disk_mesh(600)
     transfer = mesh.build_transfer(fine, coarse)
-    config = os.path.join(out, "ex4.cfg")
-    with open(config, "w", encoding="utf-8") as fh:
-        fh.write(EX4_CONFIG)
     scenarios = {name: scenario.builtin(name) for name in ("ex1", "ex2", "ex3")}
-    scenarios["ex4_config"] = scenario.load_scenario_config(config)
+    for name, text in (("ex4_config", EX4_CONFIG), ("mixed", MIXED_CONFIG)):
+        config = os.path.join(out, f"{name}.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        scenarios[name] = scenario.load_scenario_config(config)
     data = {}
 
     def window(name, horizon, **kw):
@@ -167,6 +193,7 @@ def dump(src, out):
         "ex3_bfg": window("ex3", 0.5, tol=0.03, scheme="bfg"),
         "ex1_bfg": window("ex1", 1.0, tol=0.10, scheme="bfg"),
         "ex4_config_dfp": window("ex4_config", 1.0, tol=0.03, scheme="dfp"),
+        "mixed_dfp": window("mixed", 1.0, tol=0.03, scheme="dfp"),
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
