@@ -18,6 +18,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import reconstruction, synth
 from .fem import FemError
@@ -110,25 +111,16 @@ def area_jaccard(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> float:
 
 def connected_components(mesh: Mesh, mask: np.ndarray,
                          adjacency=None) -> list[np.ndarray]:
-    """Split a cell mask into edge-connected components."""
+    """Split a cell mask into edge-connected components: sorted cell
+    arrays, in the order of their smallest cell."""
     adjacency = adjacency if adjacency is not None else cell_adjacency(mesh)
-    labels = np.full(mesh.num_cells, -1, dtype=np.int64)
-    comps = []
-    for seed in np.flatnonzero(mask):
-        if labels[seed] >= 0:
-            continue
-        stack = [seed]
-        labels[seed] = len(comps)
-        cells = [seed]
-        while stack:
-            cur = stack.pop()
-            for nb in adjacency[cur]:
-                if mask[nb] and labels[nb] < 0:
-                    labels[nb] = len(comps)
-                    stack.append(nb)
-                    cells.append(nb)
-        comps.append(np.array(sorted(cells), dtype=np.int64))
-    return comps
+    cells = np.flatnonzero(mask)
+    if not cells.size:
+        return []
+    _, labels = csgraph.connected_components(adjacency[cells][:, cells],
+                                             directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return [cells[labels == labels[i]] for i in np.sort(first)]
 
 
 def _blob_centroids(mesh: Mesh, comps) -> np.ndarray:
@@ -158,25 +150,19 @@ def centroid_errors(mesh: Mesh, recon_mask: np.ndarray,
     return float(dists.min(axis=1).max())
 
 
-def score_segment(coarse: Mesh, u: np.ndarray, truth: np.ndarray,
-                  adjacency) -> tuple[list[float], list[float]]:
-    """Per-component Jaccard index and centroid error of an estimate's
-    support against the truth's."""
-    jac, cent = [], []
-    for comp in range(len(u)):
-        recon, t_mask = support_mask(u[comp]), truth[comp] != 0
-        jac.append(area_jaccard(coarse, recon, t_mask))
-        cent.append(centroid_errors(coarse, recon, t_mask, adjacency))
-    return jac, cent
-
-
 def compute_metrics(result: reconstruction.RunResult, scn: Scenario) -> list[MetricsRow]:
-    adjacency = cell_adjacency(result.coarse)
+    """Per segment and component, the Jaccard index and the centroid error
+    of the estimate's support against the truth's."""
+    coarse = result.coarse
+    adjacency = cell_adjacency(coarse)
     rows = []
     for seg in result.segments:
-        jac, cent = score_segment(result.coarse, seg.u,
-                                  eval_truth(scn, seg.t_mid, result.coarse),
-                                  adjacency)
+        truth = eval_truth(scn, seg.t_mid, coarse)
+        jac, cent = [], []
+        for comp in range(len(seg.u)):
+            recon, t_mask = support_mask(seg.u[comp]), truth[comp] != 0
+            jac.append(area_jaccard(coarse, recon, t_mask))
+            cent.append(centroid_errors(coarse, recon, t_mask, adjacency))
         rows.append(MetricsRow(**vars(seg), jaccard=jac, centroid_error=cent))
     return rows
 
@@ -407,55 +393,33 @@ def _read_config_value(path: str, key: str) -> str:
 
 
 def cmd_metrics(run_dir: str, scenario_name: str) -> str:
-    """Score a finished run directory against the exact truth."""
+    """Score the finished segments of a run directory (those that
+    ``--resume`` restores) against the exact truth."""
     scn = resolve_scenario(scenario_name)
     seg_dir = os.path.join(run_dir, "segments")
-    if not os.path.isdir(seg_dir):
-        raise OSError(f"{run_dir} has no segments/ directory")
-    config = os.path.join(run_dir, "config.txt")
-    coarse = build_disk_mesh(int(_read_config_value(config,
-                                                    "coarse_triangles")))
-    seg_len = float(_read_config_value(config, "segment_length"))
-    files = sorted(f for f in os.listdir(seg_dir)
-                   if f.startswith("u_") and f.endswith(".csv"))
-    if not files:
-        raise OSError(f"{seg_dir} holds no segment estimates")
-    adjacency = cell_adjacency(coarse)
+    coarse = build_disk_mesh(int(_read_config_value(
+        os.path.join(run_dir, "config.txt"), "coarse_triangles")))
+    reports, _ = reconstruction.read_reports(
+        seg_dir, (scn.num_components, coarse.num_cells))
+    if not reports:
+        raise OSError(f"{seg_dir} holds no finished segment")
+    rows = compute_metrics(reconstruction.RunResult(reports, coarse), scn)
+    out_path = os.path.join(run_dir, "metrics_truth.csv")
+    write_metrics_csv(out_path, rows, scn.num_components)
     raster = _Raster(coarse)
     map_dir = os.path.join(run_dir, "heatmaps_truth")
     os.makedirs(map_dir, exist_ok=True)
-    out_path = os.path.join(run_dir, "metrics_truth.csv")
-    med = {}
-    with open(out_path, "w") as fh:
-        header_written = False
-        for name in files:
-            n = int(name[2:6])
-            u = np.loadtxt(os.path.join(seg_dir, name), delimiter=",",
-                           skiprows=1, ndmin=2).T
-            if u.shape[1] != coarse.num_cells:
-                raise OSError(f"{name}: cell count mismatch with the coarse "
-                              "mesh in config.txt")
-            t_mid = (n + 0.5) * seg_len
-            truth = eval_truth(scn, t_mid, coarse)
-            if not header_written:
-                cols = ["segment", "t_mid"]
-                cols += [f"jaccard_{c}" for c in range(len(u))]
-                cols += [f"centroid_error_{c}" for c in range(len(u))]
-                fh.write(",".join(cols) + "\n")
-                header_written = True
-            jac, cent = score_segment(coarse, u, truth, adjacency)
-            for comp in range(len(u)):
-                img = render_heatmap(raster, u[comp],
-                                     truth_mask=truth[comp] != 0)
-                write_pgm(os.path.join(map_dir, f"seg{n:04d}_c{comp}.pgm"),
-                          img)
-                med.setdefault(comp, []).append(jac[comp])
-            fh.write(",".join([str(n), f"{t_mid:.6f}"]
-                              + [f"{x:.6f}" for x in jac]
-                              + [f"{x:.6f}" for x in cent]) + "\n")
-    for comp, vals in sorted(med.items()):
-        print(f"component {comp}: median jaccard {np.median(vals):.3f} "
-              f"over {len(vals)} segments")
+    for row in rows:
+        truth = eval_truth(scn, row.t_mid, coarse)
+        for comp in range(scn.num_components):
+            img = render_heatmap(raster, row.u[comp],
+                                 truth_mask=truth[comp] != 0)
+            write_pgm(os.path.join(map_dir,
+                                   f"seg{row.index:04d}_c{comp}.pgm"), img)
+    for comp in range(scn.num_components):
+        print(f"component {comp}: median jaccard "
+              f"{np.median([r.jaccard[comp] for r in rows]):.3f} "
+              f"over {len(rows)} segments")
     return out_path
 
 

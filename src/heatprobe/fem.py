@@ -586,8 +586,8 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
     run to a longer horizon requires.  A window with no perturbed cell
     takes the held unperturbed system, and one whose perturbed cells reach
     every unknown factorizes each step's whole matrix.  The previous
-    window's factorizations are dropped, and the heap trimmed, before the
-    next window is built, so at most one window's factors are alive.
+    window's factorizations are dropped before the next window is built,
+    so at most one window's factors are alive.
     ``systems`` must be called for k = 0, 1, ... in turn.
     """
     make = perturbed = None     # the window's make (see _linear_system)
@@ -600,9 +600,7 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
     def systems(k):
         nonlocal make, perturbed
         if k % CONDENSE_STEPS == 0:
-            if k:
-                make = None
-                trim_heap()
+            make = None
             perturbed = [perturbation(i)
                          for i in range(k, k + CONDENSE_STEPS)]
             touched = np.zeros(mesh.num_cells)
@@ -751,18 +749,20 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     values[0] = y[keep]
     for k in range(grid.steps):
         system = systems(k)
+        # the step's loads, read once for all its sweeps
+        loads = {j: load(j) for j in ((2 * k + 1,) if k else (1, 2))}
         y_new = None
         for _ in range(1 + picard_sweeps if lagged else 1):
             y_lag = y if y_new is None else 0.5 * (y + y_new)
             solver, s_minus = system(y_lag)
             if k > 0:
-                y_next = solve(solver, s_minus @ y + load(2 * k + 1),
+                y_next = solve(solver, s_minus @ y + loads[2 * k + 1],
                                2 * k + 2)
             else:
                 y_next = y
                 for j in (1, 2):
                     y_next = solve(solver, 0.5 * ((2.0 / dt) * (mass @ y_next)
-                                                  + load(j)), j)
+                                                  + loads[j]), j)
             # free this system before the next one is built
             del solver, s_minus
             done = y_new is not None and np.linalg.norm(

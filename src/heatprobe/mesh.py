@@ -288,15 +288,14 @@ def _locate_chunk(mesh: Mesh, tree: cKDTree, points: np.ndarray,
 class TransferOps:
     """Cell-field maps between a fine and a coarse mesh of the same domain.
 
-    Each fine cell is assigned to the coarse cell containing its centroid;
-    ``fine_to_coarse`` averages with fine-area weights over that assignment
-    (rows sum to one), and ``coarse_to_fine`` injects the assigned coarse
-    value.  The composition restrict(prolong(.)) is the identity on coarse
-    fields by construction.
+    Each fine cell is assigned to the coarse cell containing its centroid
+    (``cell_map``); ``fine_to_coarse`` averages with fine-area weights over
+    that assignment (rows sum to one), and ``prolong`` injects the assigned
+    coarse value.  The composition restrict(prolong(.)) is the identity on
+    coarse fields by construction.
     """
 
     fine_to_coarse: sparse.csr_array    # (Tc, Tf)
-    coarse_to_fine: sparse.csr_array    # (Tf, Tc)
     cell_map: np.ndarray                # (Tf,) coarse cell per fine cell
     num_fine: int
     num_coarse: int
@@ -314,10 +313,8 @@ def build_transfer(fine: Mesh, coarse: Mesh) -> TransferOps:
                         "the fine mesh is not fine enough for this transfer")
     rows = sparse.csr_array((w / denom[cmap], (cmap, np.arange(tf))),
                             shape=(tc, tf))
-    inj = sparse.csr_array((np.ones(tf), (np.arange(tf), cmap)),
-                           shape=(tf, tc))
-    return TransferOps(fine_to_coarse=rows, coarse_to_fine=inj,
-                       cell_map=cmap, num_fine=tf, num_coarse=tc)
+    return TransferOps(fine_to_coarse=rows, cell_map=cmap, num_fine=tf,
+                       num_coarse=tc)
 
 
 def restrict(field: np.ndarray, ops: TransferOps) -> np.ndarray:
@@ -340,17 +337,18 @@ def prolong(field: np.ndarray, ops: TransferOps) -> np.ndarray:
     return field[..., ops.cell_map]
 
 
-def cell_adjacency(mesh: Mesh) -> list[np.ndarray]:
-    """Neighbor cell indices across shared edges, per cell."""
-    edge_owner: dict[tuple[int, int], int] = {}
-    neighbors: list[list[int]] = [[] for _ in range(mesh.num_cells)]
-    for t, tri in enumerate(mesh.triangles):
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            other = edge_owner.pop(key, None)
-            if other is None:
-                edge_owner[key] = t
-            else:
-                neighbors[t].append(other)
-                neighbors[other].append(t)
-    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+def cell_adjacency(mesh: Mesh) -> sparse.csr_array:
+    """Symmetric (T x T) matrix with a one for each pair of cells that
+    share an edge."""
+    tri = mesh.triangles
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                    tri[:, [2, 0]]]), axis=1)
+    owner = np.tile(np.arange(mesh.num_cells), 3)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges, owner = edges[order], owner[order]
+    # an interior edge is two equal rows next to each other
+    shared = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    a, b = owner[shared], owner[shared + 1]
+    return sparse.csr_array(
+        (np.ones(2 * len(a)), (np.concatenate([a, b]), np.concatenate([b, a]))),
+        shape=(mesh.num_cells, mesh.num_cells))

@@ -373,12 +373,8 @@ class SegmentReport:
 
 @dataclass
 class RunResult:
-    scenario: str
-    options: Options
     segments: list[SegmentReport]
-    fine: Mesh
     coarse: Mesh
-    transfer: TransferOps
 
     def mean_counters(self) -> dict[str, float]:
         n = max(len(self.segments), 1)
@@ -534,8 +530,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
         reports.append(report)
         if checkpoint_dir:
             _save_checkpoint(checkpoint_dir, report, init, kernel)
-    return RunResult(scenario=scn.name, options=opts, segments=reports,
-                     fine=fine, coarse=coarse, transfer=transfer)
+    return RunResult(reports, coarse)
 
 
 def _save_checkpoint(run_dir: str, report: SegmentReport,
@@ -567,20 +562,20 @@ def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
 
 
-def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
-                     init: np.ndarray, kernel: ResolverKernel):
-    """Restore the segments before the first one that lacks a file or its
-    ``segments.csv`` row.  Rows after it are dropped, so that segment and
-    every later one run again; a last row without its line end was cut
-    short and counts as not written.  A restored file that does not parse
-    or does not fit this run raises OSError."""
+def read_reports(run_dir: str,
+                 shape: tuple) -> tuple[list[SegmentReport], list[str]]:
+    """The reports of a run's finished segments, and the lines of its
+    ``segments.csv``.  A segment is finished if it and every one before it
+    have their files and their ``segments.csv`` row; a last row without its
+    line end was cut short and counts as not written.  An estimate that
+    does not parse or whose (components, coarse cells) are not ``shape``
+    raises OSError."""
     path = os.path.join(run_dir, "segments.csv")
     lines = []
     if os.path.exists(path):
         with open(path, newline="") as fh:
             lines = fh.readlines()
     whole = lines if not lines or lines[-1].endswith("\n") else lines[:-1]
-    shape = (scn.num_components, coarse.num_cells)
     reports = []
     try:
         for n, row in enumerate(csv.DictReader(whole)):
@@ -600,9 +595,23 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
                 iterations=int(row["iterations"]),
                 warned=bool(int(row["warned"])),
                 kernel_rank=int(row["kernel_rank"])))
-        if not reports:
-            return 0, init, kernel, []
-        last = len(reports) - 1
+    except (ValueError, LookupError, TypeError) as exc:
+        raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc
+    return reports, lines
+
+
+def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
+                     init: np.ndarray, kernel: ResolverKernel):
+    """Restore the finished segments (see ``read_reports``).  Rows after
+    them are dropped, so the first unfinished segment and every later one
+    run again.  A restored file that does not parse or does not fit this
+    run raises OSError."""
+    shape = (scn.num_components, coarse.num_cells)
+    reports, lines = read_reports(run_dir, shape)
+    if not reports:
+        return 0, init, kernel, []
+    last = len(reports) - 1
+    try:
         terminal = np.loadtxt(read_lines(
             os.path.join(run_dir, f"terminal_{last:04d}.txt")))
         _expect_shape(terminal, init.shape, f"terminal_{last:04d}.txt")
@@ -619,7 +628,8 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
             zipfile.BadZipFile) as exc:
         raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc
     if len(lines) > last + 2:           # the header plus one row a segment
-        with open(path, "w", newline="") as fh:
+        with open(os.path.join(run_dir, "segments.csv"), "w",
+                  newline="") as fh:
             fh.writelines(lines[:last + 2])
     logger.info("resuming after segment %d (%d reports restored)",
                 last, len(reports))

@@ -123,6 +123,43 @@ class TestMetricsHelpers:
         assert len(comps) == 2
         assert sum(len(c) for c in comps) == (blob1 | blob2).sum()
 
+    def test_connected_components_match_a_flood_fill(self):
+        """Sorted cell arrays in the order of their smallest cell, as a
+        flood fill over shared edges from each cell in turn gives them."""
+        mesh = hm.build_disk_mesh(600)
+        owners = {}
+        for cell, tri in enumerate(mesh.triangles.tolist()):
+            for edge in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                owners.setdefault(frozenset(edge), []).append(cell)
+        neighbors = [[] for _ in range(mesh.num_cells)]
+        for pair in owners.values():
+            if len(pair) == 2:
+                neighbors[pair[0]].append(pair[1])
+                neighbors[pair[1]].append(pair[0])
+
+        def flood_fill(mask):
+            seen, comps = set(), []
+            for seed in np.flatnonzero(mask):
+                if seed in seen:
+                    continue
+                stack, comp = [seed], {seed}
+                while stack:
+                    for nb in neighbors[stack.pop()]:
+                        if mask[nb] and nb not in comp:
+                            comp.add(nb)
+                            stack.append(nb)
+                seen |= comp
+                comps.append(sorted(comp))
+            return comps
+
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            mask = rng.random(mesh.num_cells) < 0.4
+            assert [c.tolist() for c in cli.connected_components(mesh, mask)] \
+                == flood_fill(mask)
+        assert cli.connected_components(mesh, np.zeros(mesh.num_cells,
+                                                       dtype=bool)) == []
+
     def test_centroid_errors(self):
         mesh = hm.build_disk_mesh(600)
         truth = np.linalg.norm(mesh.centroids - [0.4, 0.1], axis=1) <= 0.2
@@ -374,6 +411,49 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
             == cli.EXIT_OK
         assert file_bytes(segments) == fresh
+
+    def test_metrics_refuses_a_cut_estimate(self, short_run, tmp_path,
+                                            capsys):
+        """An estimate cut inside its last number still parses, to another
+        number; ``metrics`` rejects it as ``--resume`` does."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        path = out / run_dir / "segments" / "u_0001.csv"
+        path.write_bytes(path.read_bytes()[:-5])
+        assert cli.main(["metrics", "--run", str(out / run_dir),
+                         "--scenario", "null"]) == cli.EXIT_IO
+        assert "u_0001.csv is truncated" in capsys.readouterr().err
+
+    def test_metrics_refuses_a_run_of_another_shape(self, short_run,
+                                                    tmp_path, capsys):
+        """The one-component run does not fit ex2's two components."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        assert cli.main(["metrics", "--run", str(out / run_dir),
+                         "--scenario", "ex2"]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "(1, 300)" in err and "(2, 300)" in err
+        assert not os.path.exists(out / run_dir / "metrics_truth.csv")
+
+    def test_metrics_scores_the_finished_segments(self, short_run, tmp_path):
+        """A segment without its ``segments.csv`` row is not finished, so
+        ``metrics`` does not score it; the finished one scores as in the
+        run's own ``metrics.csv``, byte for byte."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        run_dir = out / run_dir
+        table = run_dir / "segments" / "segments.csv"
+        table.write_text("".join(table.read_text().splitlines(True)[:2]))
+        path = cli.cmd_metrics(str(run_dir), "null")
+        with open(run_dir / "metrics.csv") as fh:
+            run = fh.readlines()
+        with open(path) as fh:
+            assert fh.readlines() == run[:2]
+        assert sorted(os.listdir(run_dir / "heatmaps_truth")) \
+            == ["seg0000_c0.pgm"]
 
     def test_kernel_with_other_time_nodes_is_io_error(self, tmp_path,
                                                       capsys):

@@ -433,22 +433,30 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
 
 def test_picard_sweeps_sample_each_step_once(small_fine):
     """The ex3 reference march samples the inclusions once per step, at its
-    midpoint, however many Picard sweeps the step runs."""
+    midpoint, and reads each half-step node's load once, however many
+    Picard sweeps the step runs."""
     scn = scenario.builtin("ex3")
     f_fn, g_fn, h = scenario.samplers(scn, small_fine)
     grid = fem.segment_grid(0.25, 0.5, 0.0125)
-    reads = []
+    reads, loads = [], []
 
     def truth(t):
         reads.append(t)
         return scenario.eval_truth(scn, t, small_fine)
 
-    fem.forward_solve(small_fine, grid, truth, scn.ops,
-                      fem.source_load(small_fine, grid, f_fn, g_fn), h,
+    source = fem.source_load(small_fine, grid, f_fn, g_fn)
+
+    def load(j):
+        loads.append(j)
+        return source(j)
+
+    fem.forward_solve(small_fine, grid, truth, scn.ops, load, h,
                       picard_sweeps=1)
     assert len(reads) == grid.steps
     assert np.allclose(reads, grid.times()[:-1] + 0.5 * grid.dt, rtol=0,
                        atol=1e-12)
+    # the startup's two half steps, then each later step's midpoint
+    assert loads == [1, 2, *range(3, 2 * grid.steps, 2)]
 
 
 def test_conductivity_reference_factorizes_every_step(small_fine,
