@@ -93,6 +93,7 @@ class MetricsRow(reconstruction.SegmentReport):
 
     jaccard: list[float]        # per component
     centroid_error: list[float]  # per component; nan when truth is empty
+    truth: np.ndarray           # (components, cells) support of the truth
 
 
 def support_mask(u_comp: np.ndarray) -> np.ndarray:
@@ -157,13 +158,15 @@ def compute_metrics(result: reconstruction.RunResult, scn: Scenario) -> list[Met
     adjacency = cell_adjacency(coarse)
     rows = []
     for seg in result.segments:
-        truth = eval_truth(scn, seg.t_mid, coarse)
+        truth = eval_truth(scn, seg.t_mid, coarse) != 0
         jac, cent = [], []
         for comp in range(len(seg.u)):
-            recon, t_mask = support_mask(seg.u[comp]), truth[comp] != 0
-            jac.append(area_jaccard(coarse, recon, t_mask))
-            cent.append(centroid_errors(coarse, recon, t_mask, adjacency))
-        rows.append(MetricsRow(**vars(seg), jaccard=jac, centroid_error=cent))
+            recon = support_mask(seg.u[comp])
+            jac.append(area_jaccard(coarse, recon, truth[comp]))
+            cent.append(centroid_errors(coarse, recon, truth[comp],
+                                        adjacency))
+        rows.append(MetricsRow(**vars(seg), jaccard=jac, centroid_error=cent,
+                               truth=truth))
     return rows
 
 
@@ -244,11 +247,12 @@ def _measurement_digest(mset: synth.MeasurementSet, scn: Scenario,
                         horizon: str) -> str:
     """Digest of the samples on [0, horizon] ("None": the scenario's), times
     bit for bit: sample times are lattice nodes, so data made for a longer
-    horizon has the same ones.  The tag keeps runs begun before that (whose
-    results differ in their last bits) from resuming."""
+    horizon has the same ones.  The tag keeps runs begun before a time near
+    a sample read that sample exactly (``synth.sample_measurement``), whose
+    results differ in their last bits, from resuming."""
     end = scn.horizon if horizon == "None" else float(horizon)
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"lattice times\n"
+    return hashlib.sha256(b"snapped samples\n"
                           + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 
@@ -410,10 +414,9 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
     map_dir = os.path.join(run_dir, "heatmaps_truth")
     os.makedirs(map_dir, exist_ok=True)
     for row in rows:
-        truth = eval_truth(scn, row.t_mid, coarse)
         for comp in range(scn.num_components):
             img = render_heatmap(raster, row.u[comp],
-                                 truth_mask=truth[comp] != 0)
+                                 truth_mask=row.truth[comp])
             write_pgm(os.path.join(map_dir,
                                    f"seg{row.index:04d}_c{comp}.pgm"), img)
     for comp in range(scn.num_components):

@@ -282,23 +282,33 @@ def assemble_mass(mesh: Mesh) -> sparse.csr_array:
     return cache.assemble(np.ones(mesh.num_cells), cache.mass_blocks)
 
 
-def assemble_stiffness(mesh: Mesh, coefficient: np.ndarray) -> sparse.csr_array:
-    """P1 stiffness matrix with a piecewise-constant coefficient."""
+def _elliptic(coefficient: np.ndarray) -> np.ndarray:
+    """A diffusion coefficient, checked to be positive on every cell."""
     coefficient = np.asarray(coefficient, dtype=float)
-    if coefficient.min() <= 0:
+    if np.any(coefficient <= 0):
         raise FemError(f"nonpositive diffusion coefficient "
                        f"(min {coefficient.min():.3e}) violates ellipticity")
+    return coefficient
+
+
+def _finite(weight: np.ndarray) -> np.ndarray:
+    """A reaction weight, checked to be finite on every cell."""
+    weight = np.asarray(weight, dtype=float)
+    if not np.all(np.isfinite(weight)):
+        raise FemError("reaction weight must be finite")
+    return weight
+
+
+def assemble_stiffness(mesh: Mesh, coefficient: np.ndarray) -> sparse.csr_array:
+    """P1 stiffness matrix with a piecewise-constant coefficient."""
     cache = _operators(mesh)
-    return cache.assemble(coefficient, cache.stiffness_blocks)
+    return cache.assemble(_elliptic(coefficient), cache.stiffness_blocks)
 
 
 def assemble_reaction(mesh: Mesh, weight: np.ndarray) -> sparse.csr_array:
     """Cellwise-weighted P1 mass matrix (zeroth-order term)."""
-    weight = np.asarray(weight, dtype=float)
-    if not np.all(np.isfinite(weight)):
-        raise FemError("reaction weight must be finite")
     cache = _operators(mesh)
-    return cache.assemble(weight, cache.mass_blocks)
+    return cache.assemble(_finite(weight), cache.mass_blocks)
 
 
 def assemble_neumann_load(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
@@ -502,59 +512,91 @@ CONDENSE_STEPS = 25
 _RING_COLUMNS = 16
 
 
+def _labels(mesh: Mesh, block):
+    """``block`` of the mesh's pattern and its coupling to the pinned rows,
+    each entry holding its position in the pattern plus one (so that none
+    is an explicit zero): slices of them label the entries of theirs."""
+    return block(mesh, np.arange(1, _operators(mesh).indices.size + 1,
+                                 dtype=np.int32))
+
+
+def _positions(labels) -> np.ndarray:
+    return labels.data - 1
+
+
+def _take(labels, data: np.ndarray):
+    """The matrix of ``labels``' pattern whose entries are those of ``data``
+    (on the mesh's pattern) that they label."""
+    return type(labels)((data[_positions(labels)], labels.indices,
+                         labels.indptr), shape=labels.shape)
+
+
 class _Window:
     """What the step matrices of ``CONDENSE_STEPS`` steps share, condensed
     onto the unknowns whose rows change (static condensation; Saad,
     "Iterative Methods for Sparse Linear Systems", ch. 14).
 
-    ``changed`` marks the unknowns R that lie on a cell perturbed at some
-    step of the window.  Every other unknown, O, lies on unperturbed cells
-    only, so its row, and with it S_OO and S_RO = S_OR^T, is the same at
-    every step; the first step's matrix supplies them.  S_OO is factorized
-    once, and X = S_RO S_OO^-1 S_OR, nonzero only on the ring J of R
-    unknowns next to O, is formed ``_RING_COLUMNS`` columns at a time.  The
-    window is the ``make`` of its steps' systems (see ``_Condensed``).
+    ``changed`` marks the unknowns R of a block (``labels``, see
+    ``_labels``) that lie on a cell perturbed at some step of the window.
+    Every other unknown, O, lies on unperturbed cells only, so its row, and
+    with it S_OO and S_RO = S_OR^T, is that of the unperturbed S+ (data
+    ``plus`` on the mesh's pattern) at every step.  S_OO is factorized
+    once, and X = S_RO S_OO^-1 S_OR once (``_ring_block``), so the window
+    holds S_RR - X of the unperturbed S+; a step adds to it what its
+    perturbed cells change (``schur``).
     """
 
-    def __init__(self, changed: np.ndarray):
+    def __init__(self, labels, plus: np.ndarray, changed: np.ndarray):
         self.inner = np.flatnonzero(changed)
         self.outer = np.flatnonzero(~changed)
-        self.lu = None
-
-    def __call__(self, a) -> _Condensed:
-        if self.lu is None:
-            self._condense(a.tocsr())
-        return _Condensed(a, self)
-
-    def _condense(self, a: sparse.csr_array) -> None:
-        self.s_ro = a[self.inner][:, self.outer].tocsr()
+        rows = labels[self.inner]
+        self.s_ro = _take(rows[:, self.outer].tocsr(), plus)
         self.s_or = self.s_ro.T.tocsr()
-        self.lu = _factorize(a[self.outer][:, self.outer].tocsc())
+        self.lu = _factorize(_take(labels[self.outer][:, self.outer].tocsc(),
+                                   plus))
         ring = np.flatnonzero(np.diff(self.s_ro.indptr))
-        s_jo = self.s_ro[ring]
+        x = self._ring_block(self.s_ro[ring])
+        # S_RR - X lies on the union of their patterns, held by columns:
+        # the key of entry (i, j) is j * n + i
+        n = self.inner.size
+        s_rr = rows[:, self.inner].tocoo()
+        rr_keys = s_rr.col.astype(np.int64) * n + s_rr.row
+        x_keys = (ring[None, :] * n + ring[:, None]).ravel()
+        keys = np.union1d(rr_keys, x_keys)
+        self.rr_slots = np.searchsorted(keys, rr_keys)
+        self.rr_positions = _positions(s_rr)
+        self.schur_data = np.zeros(keys.size)
+        self.schur_data[self.rr_slots] = plus[self.rr_positions]
+        self.schur_data[np.searchsorted(keys, x_keys)] -= x.ravel()
+        cols, self.schur_rows = np.divmod(keys, n)
+        self.schur_starts = np.searchsorted(cols, np.arange(n + 1))
+
+    def _ring_block(self, s_jo) -> np.ndarray:
+        """X = S_JO S_OO^-1 S_OJ on the ring J of R unknowns next to O,
+        formed ``_RING_COLUMNS`` columns at a time."""
         s_oj = s_jo.T.tocsc()
-        x = np.empty((ring.size, ring.size))
-        for lo in range(0, ring.size, _RING_COLUMNS):
+        x = np.empty((s_jo.shape[0],) * 2)
+        for lo in range(0, x.shape[0], _RING_COLUMNS):
             cols = slice(lo, lo + _RING_COLUMNS)
             x[:, cols] = s_jo @ self.lu.solve(s_oj[:, cols].toarray())
-        x = 0.5 * (x + x.T)         # X is symmetric; the solves round apart
-        rows, cols = np.repeat(ring, ring.size), np.tile(ring, ring.size)
-        self.ring_block = sparse.csc_array(
-            (x.ravel(), (rows, cols)), shape=(self.inner.size,) * 2)
+        return 0.5 * (x + x.T)      # X is symmetric; the solves round apart
 
-    def schur(self, a):
-        """S_RR - X of the step matrix ``a``."""
-        return (a[self.inner][:, self.inner] - self.ring_block).tocsc()
+    def schur(self, change: np.ndarray):
+        """S_RR - X of a step whose S+ is the unperturbed one plus
+        ``change`` (data on the mesh's pattern)."""
+        data = self.schur_data.copy()
+        data[self.rr_slots] += change[self.rr_positions]
+        return sparse.csc_array((data, self.schur_rows, self.schur_starts),
+                                shape=(self.inner.size,) * 2)
 
 
 class _Condensed:
-    """A step's solver by static condensation on its ``window``: the step
-    factorizes only its Schur complement S_RR - X, and each solve is two
-    S_OO solves and one Schur solve."""
+    """A step's solver by static condensation on its ``window``, from the
+    factorization ``lu`` of its Schur complement S_RR - X: each solve is
+    two S_OO solves and one Schur solve."""
 
-    def __init__(self, a, window: _Window):
-        self.window = window
-        self.lu = _factorize(window.schur(a))
+    def __init__(self, lu, window: _Window):
+        self.window, self.lu = window, lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         w = self.window
@@ -579,7 +621,10 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
     windows of ``CONDENSE_STEPS``, and each step's system is condensed on
     its window (``_Window``).
 
-    A window's perturbed cells are those of all its steps, also of steps
+    A step's S+ and S- differ from the unperturbed ones only on its
+    perturbed cells, so a step assembles those cells' change alone, after
+    checking their coefficients, and adds it to the unperturbed data.  A
+    window's perturbed cells are those of all its steps, also of steps
     past the end of the march (``split(k)`` samples step k's midpoint), so
     a step's result does not depend on where the march ends: a shorter
     reference march is bitwise the prefix of a longer one, as resuming a
@@ -590,7 +635,14 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
     so at most one window's factors are alive.
     ``systems`` must be called for k = 0, 1, ... in turn.
     """
-    make = perturbed = None     # the window's make (see _linear_system)
+    cache = _operators(mesh)
+    scaled = mass.data / dt
+    half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
+    plus, minus = scaled + half, scaled - half
+    labels, coupling = _labels(mesh, block)
+    labels = labels.tocsr()
+    cell_entries = cache.scatter.reshape(-1, 9)
+    window = held = perturbed = None
 
     def perturbation(k):
         coeff, react, _ = split(k)
@@ -598,32 +650,39 @@ def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
         return cells, coeff[cells], react[cells]
 
     def systems(k):
-        nonlocal make, perturbed
+        nonlocal window, held, perturbed
         if k % CONDENSE_STEPS == 0:
-            make = None
+            window = held = None
             perturbed = [perturbation(i)
                          for i in range(k, k + CONDENSE_STEPS)]
-            touched = np.zeros(mesh.num_cells)
+            touched = np.zeros(mesh.num_vertices, dtype=bool)
             for cells, _, _ in perturbed:
-                touched[cells] = 1.0
-            # a diagonal entry of R(touched) is nonzero on a touched cell's
-            # vertices only
-            changed = block(mesh, assemble_reaction(mesh, touched).data)[0]
-            changed = changed.diagonal() != 0.0
-            if changed.all():
-                make = _factorize
-            elif changed.any():
-                make = _Window(changed)
-        if make is None:
-            held = _unperturbed_system(mesh, mass, dt, block)
+                touched[mesh.triangles[cells]] = True
+            # an unknown's vertex is the column of its diagonal entry
+            changed = touched[cache.indices[labels.diagonal() - 1]]
+            if not changed.any():
+                held = _unperturbed_system(mesh, mass, dt, block)
+            elif not changed.all():
+                window = _Window(labels, plus, changed)
+        if held is not None:
             return lambda y_lag: held
-        cells, coeff_part, react_part = perturbed[k % CONDENSE_STEPS]
-        coeff, react = np.ones(mesh.num_cells), np.zeros(mesh.num_cells)
-        coeff[cells], react[cells] = coeff_part, react_part
-        # the window is read when the system is built, so a step's function
-        # does not keep its window alive into the next one
-        return lambda y_lag: _linear_system(
-            mesh, mass, _operator_data(mesh, coeff, react), dt, block, make)
+        return partial(system, *perturbed[k % CONDENSE_STEPS])
+
+    def system(cells, coeff, react, y_lag):
+        # S+ changes by half the change of K + R on the perturbed cells
+        blocks = (_elliptic(coeff) - 1.0)[:, None] \
+            * cache.stiffness_blocks[cells] \
+            + _finite(react)[:, None] * cache.mass_blocks[cells]
+        change = np.bincount(cell_entries[cells].ravel(),
+                             0.5 * blocks.ravel(), minlength=plus.size)
+        pinned = None if coupling is None else _take(coupling, plus + change)
+        # the window is read when the system is built, so a step's
+        # function does not keep its window alive into the next one; with
+        # none, the perturbed cells reach every unknown
+        solver = _factorize(_take(labels, plus + change).tocsc()) \
+            if window is None \
+            else _Condensed(_factorize(window.schur(change)), window)
+        return (solver, pinned), cache.matrix(minus - change)
     return systems
 
 

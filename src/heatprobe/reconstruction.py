@@ -568,8 +568,8 @@ def read_reports(run_dir: str,
     ``segments.csv``.  A segment is finished if it and every one before it
     have their files and their ``segments.csv`` row; a last row without its
     line end was cut short and counts as not written.  An estimate that
-    does not parse or whose (components, coarse cells) are not ``shape``
-    raises OSError."""
+    does not parse raises OSError, and so does one whose (components,
+    coarse cells) are not ``shape``: the run does not fit the scenario."""
     path = os.path.join(run_dir, "segments.csv")
     lines = []
     if os.path.exists(path):
@@ -586,7 +586,11 @@ def read_reports(run_dir: str,
                 break
             u = np.loadtxt(read_lines(os.path.join(run_dir, names[0])),
                            delimiter=",", skiprows=1, ndmin=2).T
-            _expect_shape(u, shape, names[0])
+            if u.shape != shape:
+                raise OSError(
+                    f"the run in {run_dir} does not fit the scenario: "
+                    f"{names[0]} has (components, cells) {u.shape}, where "
+                    f"the scenario and mesh give {shape}")
             reports.append(SegmentReport(
                 index=n, t_mid=float(row["t_mid"]), u=u,
                 residual=float(row["residual"]),

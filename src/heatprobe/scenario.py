@@ -42,11 +42,13 @@ class Inclusion:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Closed-form source triple; ``g`` contracts a gradient with the
-    outward unit normal at the evaluation points."""
+    """Closed-form source triple.  ``f`` binds the interior source to its
+    evaluation points once and returns its ``t -> values``; ``g``
+    contracts a gradient with the outward unit normal at the evaluation
+    points."""
 
     name: str
-    f: Callable[[np.ndarray, float], np.ndarray]
+    f: Callable[[np.ndarray], Callable[[float], np.ndarray]]
     g: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
 
@@ -65,9 +67,9 @@ class Scenario:
         return len(self.ops)
 
 
-def _standard_f(points: np.ndarray, t: float) -> np.ndarray:
-    x, y = points[:, 0], points[:, 1]
-    return 25.0 * math.sin(t * math.pi / 4.0) * np.sin(3 * x) * np.cos(4 * y)
+def _standard_f(points: np.ndarray) -> Callable[[float], np.ndarray]:
+    sin_x, cos_y = np.sin(3 * points[:, 0]), np.cos(4 * points[:, 1])
+    return lambda t: 25.0 * math.sin(t * math.pi / 4.0) * sin_x * cos_y
 
 
 def _standard_g(points: np.ndarray, normals: np.ndarray, t: float) -> np.ndarray:
@@ -239,39 +241,41 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
         raise ScenarioError(f"t={t} outside the horizon [0, {scn.horizon}]")
     out = np.zeros((scn.num_components, mesh.num_cells))
     claimed = np.zeros((scn.num_components, mesh.num_cells), dtype=bool)
+    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
     for inc in scn.inclusions:
         r = inc.radius(t)
         if r <= 0.0:
             continue
         center = np.asarray(inc.center(t))
-        mask = np.linalg.norm(mesh.centroids - center, axis=1) <= r
+        # the cells of the disk's bounding box, widened past any rounding
+        # of the disk test, then that test on them alone
+        box = r + 1e-9
+        near = np.flatnonzero((np.abs(x - center[0]) <= box)
+                              & (np.abs(y - center[1]) <= box))
+        cells = near[np.linalg.norm(mesh.centroids[near] - center, axis=1)
+                     <= r]
         value = inc.contrast(t)
-        clash = claimed[inc.component] & mask
-        if np.any(clash) and np.any(
-                np.abs(out[inc.component][clash] - value) > 1e-12):
+        clash = cells[claimed[inc.component][cells]]
+        if np.any(np.abs(out[inc.component][clash] - value) > 1e-12):
             raise ScenarioError(
                 f"overlapping component-{inc.component} inclusions with "
                 f"different contrasts at t={t}")
-        out[inc.component][mask] = value
-        claimed[inc.component] |= mask
+        out[inc.component][cells] = value
+        claimed[inc.component][cells] = True
     return out
 
 
 def samplers(scn: Scenario, mesh: Mesh):
     """Mesh-bound source samplers: ``f(t)`` over cells, ``g(t)`` over the
     boundary vertices, and the nodal initial field ``h``."""
-    centroids = mesh.centroids
     bpts = mesh.vertices[mesh.boundary_vertices]
     normals = bpts / np.linalg.norm(bpts, axis=1, keepdims=True)
     src = scn.sources
 
-    def f_fn(t: float) -> np.ndarray:
-        return src.f(centroids, t)
-
     def g_fn(t: float) -> np.ndarray:
         return src.g(bpts, normals, t)
 
-    return f_fn, g_fn, src.h(mesh.vertices)
+    return src.f(mesh.centroids), g_fn, src.h(mesh.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,13 @@ def measure(trace: fem.BoundaryTrace, noise_level: float, seed: int,
 
 
 def sample_measurement(mset: MeasurementSet, t, noisy: bool = True) -> np.ndarray:
-    """Linear-in-time interpolation of the stored samples at time(s) ``t``."""
+    """Linear-in-time interpolation of the stored samples at time(s) ``t``.
+
+    A time within 1e-9 sample steps of a sample reads that sample exactly.
+    So a time reads the same value from the data of every horizon that
+    covers it: a lattice node that rounds past the last sample of shorter
+    data reads that sample, as longer data give it.
+    """
     times = mset.sample_times
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.min() < times[0] - 1e-12 or t_arr.max() > times[-1] + 1e-12:
@@ -138,7 +144,7 @@ def sample_measurement(mset: MeasurementSet, t, noisy: bool = True) -> np.ndarra
     idx = np.clip(np.searchsorted(times, t_arr, side="right") - 1,
                   0, len(times) - 2)
     w = (t_arr - times[idx]) / (times[idx + 1] - times[idx])
-    w = np.clip(w, 0.0, 1.0)[:, None]
+    w = np.where(w < 1e-9, 0.0, np.where(w > 1.0 - 1e-9, 1.0, w))[:, None]
     out = (1.0 - w) * values[idx] + w * values[idx + 1]
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 

@@ -300,6 +300,27 @@ class TestCommands:
         with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
             assert fh.read() == metrics
 
+    @pytest.mark.parametrize("short, long", [(0.3, 0.5), (0.6, 0.8)])
+    def test_resume_past_a_node_beyond_the_last_sample(self, tmp_path, short,
+                                                       long):
+        """The last lattice node of a run to ``short`` lies a rounding past
+        the last sample of its data (24 * 0.0125 = 0.30000000000000004).
+        Resumed to ``long``, the run writes byte for byte the files of a
+        fresh run to ``long``, which reads that node from longer data."""
+        kw = dict(scenario="ex1", reference_triangles=1200)
+        cfg = micro_config(tmp_path / "resumed", horizon=short, **kw)
+        run_dir = cli.cmd_reconstruct(cfg)
+        cli.cmd_reconstruct(dataclasses.replace(cfg, horizon=long),
+                            resume=True)
+        fresh = cli.cmd_reconstruct(micro_config(tmp_path / "fresh",
+                                                 horizon=long, **kw))
+        resumed_files = file_bytes(os.path.join(run_dir, "segments"))
+        assert len(resumed_files) == 1 + 3 * round(long / 0.1)
+        assert resumed_files == file_bytes(os.path.join(fresh, "segments"))
+        metrics = [pathlib.Path(path, "metrics.csv").read_bytes()
+                   for path in (run_dir, fresh)]
+        assert metrics[0] == metrics[1]
+
     def test_pipeline_determinism(self, tmp_path):
         cfg_a = micro_config(tmp_path / "a", scenario="ex1", noise=0.05)
         cfg_b = micro_config(tmp_path / "b", scenario="ex1", noise=0.05)
@@ -435,7 +456,26 @@ class TestCheckpoints:
                          "--scenario", "ex2"]) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert "(1, 300)" in err and "(2, 300)" in err
+        assert "does not fit the scenario" in err and "corrupt" not in err
         assert not os.path.exists(out / run_dir / "metrics_truth.csv")
+
+    def test_metrics_evaluates_each_truth_once(self, short_run, tmp_path,
+                                               monkeypatch):
+        """The truth of a segment both scores it and outlines its
+        ``heatmaps_truth/`` images."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        times = []
+
+        def truth(scn, t, mesh):
+            times.append(t)
+            return sc.eval_truth(scn, t, mesh)
+
+        monkeypatch.setattr(cli, "eval_truth", truth)
+        cli.cmd_metrics(str(out / run_dir), "ex1")
+        assert len(times) == len(set(times)) == 2
+        assert len(os.listdir(out / run_dir / "heatmaps_truth")) == 2
 
     def test_metrics_scores_the_finished_segments(self, short_run, tmp_path):
         """A segment without its ``segments.csv`` row is not finished, so

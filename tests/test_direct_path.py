@@ -606,3 +606,122 @@ def test_condensed_march_memory_is_flat():
     before = _rss_mb()
     march(4 * fem.CONDENSE_STEPS)
     assert _rss_mb() - before < 8.0
+
+
+
+# -- what a condensed step assembles -----------------------------------------
+
+def ex1_window(mesh, first, dt=0.01):
+    """``(split, window)``: ``split(k)`` of ex1's reference march from
+    lattice node ``first``, and the window of its first steps."""
+    scn = scenario.builtin("ex1")
+
+    def split(k):
+        return fem._split_ops(
+            scenario.eval_truth(scn, (first + k + 0.5) * dt, mesh), scn.ops)
+
+    touched = np.zeros(mesh.num_cells)
+    for k in range(fem.CONDENSE_STEPS):
+        coeff, _, _ = split(k)
+        touched[coeff != 1.0] = 1.0
+    changed = fem.assemble_reaction(mesh, touched).diagonal() != 0.0
+    plus = fem.assemble_mass(mesh).data / dt + 0.5 * fem.assemble_stiffness(
+        mesh, np.ones(mesh.num_cells)).data
+    labels, _ = fem._labels(mesh, fem._whole)
+    return split, fem._Window(labels.tocsr(), plus, changed)
+
+
+def step_matrices(mesh, coeff, react, dt=0.01):
+    """Dense S+ and S- of a step, assembled from every cell."""
+    mass = plain_matrix(mesh, mesh.cell_areas[:, None, None] * LOCAL_MASS)
+    half = 0.5 * plain_operator(mesh, coeff, react)
+    return (mass / dt + half).toarray(), (mass / dt - half).toarray()
+
+
+def dense_ring_block(s_plus, window):
+    """X = S_RO S_OO^-1 S_OR of the dense S+, on all of R."""
+    s_ro = s_plus[np.ix_(window.inner, window.outer)]
+    s_oo = s_plus[np.ix_(window.outer, window.outer)]
+    return s_ro @ np.linalg.solve(s_oo, s_ro.T)
+
+
+def test_window_ring_block_is_the_dense_one(small_fine):
+    """The window's X is the dense S_RO S_OO^-1 S_OR."""
+    mesh = small_fine
+    _, window = ex1_window(mesh, 20)
+    s_plus, _ = step_matrices(mesh, np.ones(mesh.num_cells),
+                              np.zeros(mesh.num_cells))
+    dense = dense_ring_block(s_plus, window)
+    ring = np.flatnonzero(np.diff(window.s_ro.indptr))
+    assert 0 < ring.size < window.inner.size
+    assert np.abs(np.delete(dense, ring, axis=0)).max() == 0.0
+    x = window._ring_block(window.s_ro[ring])
+    dense = dense[np.ix_(ring, ring)]
+    assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_condensed_step_is_the_whole_matrix_condensed(small_fine,
+                                                      monkeypatch):
+    """A step adds its perturbed cells' change to the window's unperturbed
+    S_RR - X and S-; the Schur complement it factorizes and its S- y are
+    those of the step matrix assembled from every cell."""
+    mesh, dt = small_fine, 0.01
+    split, _ = ex1_window(mesh, 20)
+    factorized = []
+    original = fem._factorize
+    monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
+                        or original(a))
+    systems = fem._condensed_steps(mesh, fem.assemble_mass(mesh), dt,
+                                   fem._whole, split)
+    y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    for k in range(fem.CONDENSE_STEPS):
+        (solver, coupling), s_minus = systems(k)(y)
+        assert coupling is None
+        coeff, react, _ = split(k)
+        s_plus, s_minus_whole = step_matrices(mesh, coeff, react)
+        window = solver.window
+        schur = s_plus[np.ix_(window.inner, window.inner)] \
+            - dense_ring_block(s_plus, window)
+        assert rel(factorized[-1].toarray(), schur) <= 1e-13
+        assert rel(s_minus @ y, s_minus_whole @ y) <= 1e-13
+    # the window's S_OO, then one Schur complement per step
+    assert len(factorized) == 1 + fem.CONDENSE_STEPS
+
+
+def test_condensed_march_assembles_per_window(small_fine, monkeypatch):
+    """A condensed march assembles the whole mesh's operators a few times
+    per window, never once per step."""
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+    grid = fem.SegmentGrid(0.01, 0, 3 * fem.CONDENSE_STEPS)
+    calls = []
+    original = fem._Operators.assemble
+    monkeypatch.setattr(fem._Operators, "assemble", lambda self, *args:
+                        calls.append(1) or original(self, *args))
+    fem.forward_solve(small_fine, grid,
+                      lambda t: scenario.eval_truth(scn, t, small_fine),
+                      scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
+                      h)
+    assert len(calls) <= 2 * 3
+
+
+def full_truth(scn, t, mesh):
+    """``scenario.eval_truth`` by the centroid-in-disk test on every cell."""
+    out = np.zeros((scn.num_components, mesh.num_cells))
+    for inc in scn.inclusions:
+        r = inc.radius(t)
+        if r > 0.0:
+            mask = np.linalg.norm(mesh.centroids - np.asarray(inc.center(t)),
+                                  axis=1) <= r
+            out[inc.component][mask] = inc.contrast(t)
+    return out
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5"])
+def test_truth_on_nearby_cells_is_the_full_one(name, small_fine):
+    """The truth tests only the cells near each inclusion, and gives
+    bitwise what the test on every cell gives."""
+    scn = scenario.builtin(name)
+    for t in np.linspace(0.0, scn.horizon, 50):
+        assert np.array_equal(scenario.eval_truth(scn, t, small_fine),
+                              full_truth(scn, t, small_fine))
