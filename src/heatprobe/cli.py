@@ -247,12 +247,12 @@ def _measurement_digest(mset: synth.MeasurementSet, scn: Scenario,
                         horizon: str) -> str:
     """Digest of the samples on [0, horizon] ("None": the scenario's), times
     bit for bit: sample times are lattice nodes, so data made for a longer
-    horizon has the same ones.  The tag keeps runs begun before a time near
-    a sample read that sample exactly (``synth.sample_measurement``), whose
-    results differ in their last bits, from resuming."""
+    horizon has the same ones.  The tag keeps runs begun before every march
+    built its steps from their perturbed cells' change, whose results differ
+    in their last bits, from resuming."""
     end = scn.horizon if horizon == "None" else float(horizon)
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"snapped samples\n"
+    return hashlib.sha256(b"perturbed-cell steps\n"
                           + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 
@@ -316,8 +316,8 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     fine = build_disk_mesh(cfg.fine_triangles)
     if measurement_base is not None:
         # the inverse-crime guard needs the mesh the data was made on
-        reference = int(_read_config_value(measurement_base + "_manifest.txt",
-                                           "reference_triangles"))
+        reference = _read_config_int(measurement_base + "_manifest.txt",
+                                     "reference_triangles")
         mset = synth.load_measurement_set(measurement_base, reference)
     elif mset is None:
         mset = synth.build_measurement_set(
@@ -389,11 +389,13 @@ def _read_config(path: str) -> dict[str, str]:
                 (line.partition("=") for line in fh)}
 
 
-def _read_config_value(path: str, key: str) -> str:
+def _read_config_int(path: str, key: str) -> int:
+    """The integer entry ``key`` of a manifest or config file."""
     value = _read_config(path).get(key)
-    if value is None:
-        raise OSError(f"{path} has no {key} entry")
-    return value
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise OSError(f"{path} has no integer {key} entry") from None
 
 
 def cmd_metrics(run_dir: str, scenario_name: str) -> str:
@@ -401,8 +403,8 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
     ``--resume`` restores) against the exact truth."""
     scn = resolve_scenario(scenario_name)
     seg_dir = os.path.join(run_dir, "segments")
-    coarse = build_disk_mesh(int(_read_config_value(
-        os.path.join(run_dir, "config.txt"), "coarse_triangles")))
+    coarse = build_disk_mesh(_read_config_int(
+        os.path.join(run_dir, "config.txt"), "coarse_triangles"))
     reports, _ = reconstruction.read_reports(
         seg_dir, (scn.num_components, coarse.num_cells))
     if not reports:

@@ -182,11 +182,14 @@ class _Operators:
         self.basis_gradients = g
         # {(dt, block): system}, all of one dt; see _unperturbed_system
         self.unperturbed = {}
+        # {block: (labels, coupling)}; see _labels
+        self.labels = {}
+        self.unperturbed_data = (None, None, None)  # see _unperturbed_data
 
-    def matrix(self, data: np.ndarray, fmt=sparse.csr_array):
-        """A matrix on the shared pattern.  Every operator here is exactly
-        symmetric, so its CSR arrays are also its CSC arrays."""
-        return fmt((data, self.indices, self.indptr), shape=self.shape)
+    def matrix(self, data: np.ndarray) -> sparse.csr_array:
+        """A matrix on the shared pattern."""
+        return sparse.csr_array((data, self.indices, self.indptr),
+                                shape=self.shape)
 
     def assemble(self, weights: np.ndarray, blocks: np.ndarray):
         data = np.bincount(self.scatter, (weights[:, None] * blocks).ravel(),
@@ -326,18 +329,6 @@ def assemble_cell_load(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return _operators(mesh).cell_load @ np.asarray(values, dtype=float)
 
 
-def _resolve_u(u, ops, mesh: Mesh):
-    """Normalize the inhomogeneity argument to fine (L, T) arrays or a sampler."""
-    n_comp = len(ops)
-    if u is None:
-        return np.zeros((n_comp, mesh.num_cells)), None
-    if callable(u):
-        def sample(t: float) -> np.ndarray:
-            return _to_fine(np.asarray(u(t), dtype=float), n_comp, mesh)
-        return None, sample
-    return _to_fine(np.asarray(u, dtype=float), n_comp, mesh), None
-
-
 def _to_fine(arr: np.ndarray, n_comp: int, mesh: Mesh) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -366,27 +357,21 @@ def _split_ops(u_fine: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray, list]:
     return coeff, react, lagged
 
 
-def _lagged_weight(mesh: Mesh, lagged, y: np.ndarray) -> np.ndarray:
-    w = np.zeros(mesh.num_cells)
-    ybar = y[mesh.triangles].mean(axis=1)
-    for comp, power in lagged:
-        w += comp * np.abs(ybar) ** (power - 2.0)
-    return w
-
-
-def _is_static(u_sample, u_const: np.ndarray, ops) -> bool:
-    """Whether every step has the same operator: no time sampler, and each
-    power-potential component vanishes, so its lagged weight is zero."""
-    return u_sample is None and not any(
-        op.kind == POWER_POTENTIAL and np.any(u_const[op.component])
-        for op in ops)
-
-
-def _operator_data(mesh: Mesh, coeff: np.ndarray,
-                   weight: np.ndarray) -> np.ndarray:
-    """Data of K(coeff) + R(weight) on the mesh's shared pattern."""
-    return (assemble_stiffness(mesh, coeff).data
-            + assemble_reaction(mesh, weight).data)
+def _perturbation(u, ops, mesh: Mesh):
+    """``(cells, coeff, react, powers)`` of the inhomogeneity ``u`` (a cell
+    field of ``mesh``, None for zero): its perturbed cells, where the
+    coefficient is not 1, the reaction weight not 0 or a power component
+    not 0, and their coefficients, weights and power terms.  A power
+    component that is 0 on every cell adds no power term."""
+    u_fine = np.zeros((len(ops), mesh.num_cells)) if u is None \
+        else _to_fine(np.asarray(u, dtype=float), len(ops), mesh)
+    coeff, react, powers = _split_ops(u_fine, ops)
+    perturbed = (coeff != 1.0) | (react != 0.0)
+    for comp, _ in powers:
+        perturbed |= comp != 0.0
+    cells = np.flatnonzero(perturbed)
+    return cells, coeff[cells], react[cells], [
+        (comp[cells], power) for comp, power in powers if np.any(comp)]
 
 
 def _factorize(matrix):
@@ -397,58 +382,97 @@ def _factorize(matrix):
     than the default column ordering and factors in two thirds the time.
     """
     try:
-        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
+        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FemError(f"sparse factorization failed: {exc}") from exc
 
 
-def _whole(mesh: Mesh, plus: np.ndarray):
-    """All of S+, from its data on the mesh's pattern; no row is pinned."""
-    return _operators(mesh).matrix(plus, sparse.csc_array), None
+def _whole(mesh: Mesh, data: np.ndarray):
+    """All of the matrix of ``data``; no row is pinned."""
+    return _operators(mesh).matrix(data), None
 
 
-def _interior_block(mesh: Mesh, plus: np.ndarray):
-    """The interior block of S+ and the block coupling it to the boundary
-    rows, which a Dirichlet march pins.  Boundary rows and columns are
-    eliminated symmetrically, so the interior block stays symmetric."""
+def _interior_block(mesh: Mesh, data: np.ndarray):
+    """The interior block of the matrix of ``data`` and the block coupling
+    it to the boundary rows, which a Dirichlet march pins.  Boundary rows
+    and columns are eliminated symmetrically, so the interior block of a
+    symmetric matrix stays symmetric."""
     cache = _operators(mesh)
-    s_pi = cache.matrix(plus)[cache.interior, :].tocsr()
-    return (s_pi[:, cache.interior].tocsc(),
-            s_pi[:, mesh.boundary_vertices].tocsr())
+    rows = cache.matrix(data)[cache.interior]
+    return rows[:, cache.interior], rows[:, mesh.boundary_vertices]
 
 
-def _linear_system(mesh: Mesh, mass: sparse.csr_array, k_data: np.ndarray,
-                   dt: float, block=_whole, make=_factorize):
-    """The solver of S+ = M/dt + K/2 and the explicit S- = M/dt - K/2 of a
-    Crank-Nicolson step.  The solver is the pair of ``make``'s solver of the
-    matrix that ``block`` takes from S+ and the block's coupling to the
-    pinned rows."""
-    scaled, half = mass.data / dt, 0.5 * k_data
-    a, coupling = block(mesh, scaled + half)
-    return (make(a), coupling), _operators(mesh).matrix(scaled - half)
+def _labels(mesh: Mesh, block):
+    """``block`` of the mesh's pattern and its coupling to the pinned rows,
+    each entry holding its position in the pattern plus one (so that none
+    is an explicit zero): slices of them label the entries of theirs.
+    Built once per mesh and block."""
+    cache = _operators(mesh)
+    if block not in cache.labels:
+        cache.labels[block] = block(mesh, np.arange(
+            1, cache.indices.size + 1, dtype=np.int32))
+    return cache.labels[block]
 
 
-def _unperturbed_system(mesh: Mesh, mass: sparse.csr_array, dt: float,
-                        block=_whole):
+def _positions(labels) -> np.ndarray:
+    return labels.data - 1
+
+
+def _take(labels, data: np.ndarray):
+    """The matrix of ``labels``' pattern whose entries are those of ``data``
+    (on the mesh's pattern) that they label."""
+    return type(labels)((data[_positions(labels)], labels.indices,
+                         labels.indptr), shape=labels.shape)
+
+
+def _unperturbed_data(mesh: Mesh, dt: float):
+    """The data of S+ = M/dt + K(1)/2 and S- = M/dt - K(1)/2 of a
+    Crank-Nicolson step, on the mesh's pattern.  The mesh's cache holds
+    those of the last ``dt`` asked for, read-only."""
+    cache = _operators(mesh)
+    if cache.unperturbed_data[0] != dt:
+        scaled = assemble_mass(mesh).data / dt
+        half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
+        cache.unperturbed_data = dt, scaled + half, scaled - half
+        for data in cache.unperturbed_data[1:]:
+            data.flags.writeable = False
+    return cache.unperturbed_data[1:]
+
+
+def _step_system(mesh: Mesh, dt: float, block, change, make):
+    """``((solver, coupling), S-)`` of a Crank-Nicolson step whose S+ and
+    S- are the unperturbed ones (``_unperturbed_data``) plus and minus
+    ``change``: ``make(s_plus, change)`` solves the matrix that ``block``
+    takes from S+, and ``coupling`` is the block's coupling to the pinned
+    rows (None when no row is pinned)."""
+    plus, minus = _unperturbed_data(mesh, dt)
+    s_plus = plus + change
+    _, coupling = _labels(mesh, block)
+    pinned = None if coupling is None else _take(coupling, s_plus)
+    return ((make(s_plus, change), pinned),
+            _operators(mesh).matrix(minus - change))
+
+
+def _unperturbed_system(mesh: Mesh, dt: float, block=_whole):
     """The system of M/dt + K(1)/2, or of its ``block``.
 
-    The whole one is shared by background and adjoint marches, and each
-    serves as the preconditioner of the marches that ``_Pcg`` solves.  The
-    mesh's cache holds them, keyed by what defines the matrix (the mesh,
-    ``dt`` and the block), until a march of another ``dt`` asks or the mesh
-    dies.  Every segment of a run lies on one time lattice, so a run
-    factorizes each of them once; a held factorization is the one a fresh
-    build would give.
+    A march takes it for each step with no perturbed cell, and ``_Pcg``
+    preconditions with its factorization.  The mesh's cache holds it,
+    keyed by what defines the matrix (the mesh, ``dt`` and the block),
+    until a march of another ``dt`` asks or the mesh dies.  Every segment
+    of a run lies on one time lattice, so a run factorizes each of them
+    once; a held factorization is the one a fresh build would give.
     """
     cache = _operators(mesh)
     held = cache.unperturbed
     if (dt, block) not in held:
         if any(key_dt != dt for key_dt, _ in held):
             cache.drop_unperturbed()
-        held[dt, block] = _linear_system(
-            mesh, mass, assemble_stiffness(mesh, np.ones(mesh.num_cells)).data,
-            dt, block)
+        labels, _ = _labels(mesh, block)
+        held[dt, block] = _step_system(
+            mesh, dt, block, 0.0,
+            lambda s_plus, change: _factorize(_take(labels, s_plus)))
     return held[dt, block]
 
 
@@ -510,25 +534,6 @@ class _Pcg:
 
 CONDENSE_STEPS = 25
 _RING_COLUMNS = 16
-
-
-def _labels(mesh: Mesh, block):
-    """``block`` of the mesh's pattern and its coupling to the pinned rows,
-    each entry holding its position in the pattern plus one (so that none
-    is an explicit zero): slices of them label the entries of theirs."""
-    return block(mesh, np.arange(1, _operators(mesh).indices.size + 1,
-                                 dtype=np.int32))
-
-
-def _positions(labels) -> np.ndarray:
-    return labels.data - 1
-
-
-def _take(labels, data: np.ndarray):
-    """The matrix of ``labels``' pattern whose entries are those of ``data``
-    (on the mesh's pattern) that they label."""
-    return type(labels)((data[_positions(labels)], labels.indices,
-                         labels.indptr), shape=labels.shape)
 
 
 class _Window:
@@ -614,78 +619,6 @@ def _check_solution(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _condensed_steps(mesh: Mesh, mass: sparse.csr_array, dt: float, block,
-                     split):
-    """``systems`` (see ``_step_systems``) of a march whose operator has a
-    conductivity component and depends on time only: the steps go in
-    windows of ``CONDENSE_STEPS``, and each step's system is condensed on
-    its window (``_Window``).
-
-    A step's S+ and S- differ from the unperturbed ones only on its
-    perturbed cells, so a step assembles those cells' change alone, after
-    checking their coefficients, and adds it to the unperturbed data.  A
-    window's perturbed cells are those of all its steps, also of steps
-    past the end of the march (``split(k)`` samples step k's midpoint), so
-    a step's result does not depend on where the march ends: a shorter
-    reference march is bitwise the prefix of a longer one, as resuming a
-    run to a longer horizon requires.  A window with no perturbed cell
-    takes the held unperturbed system, and one whose perturbed cells reach
-    every unknown factorizes each step's whole matrix.  The previous
-    window's factorizations are dropped before the next window is built,
-    so at most one window's factors are alive.
-    ``systems`` must be called for k = 0, 1, ... in turn.
-    """
-    cache = _operators(mesh)
-    scaled = mass.data / dt
-    half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
-    plus, minus = scaled + half, scaled - half
-    labels, coupling = _labels(mesh, block)
-    labels = labels.tocsr()
-    cell_entries = cache.scatter.reshape(-1, 9)
-    window = held = perturbed = None
-
-    def perturbation(k):
-        coeff, react, _ = split(k)
-        cells = np.flatnonzero((coeff != 1.0) | (react != 0.0))
-        return cells, coeff[cells], react[cells]
-
-    def systems(k):
-        nonlocal window, held, perturbed
-        if k % CONDENSE_STEPS == 0:
-            window = held = None
-            perturbed = [perturbation(i)
-                         for i in range(k, k + CONDENSE_STEPS)]
-            touched = np.zeros(mesh.num_vertices, dtype=bool)
-            for cells, _, _ in perturbed:
-                touched[mesh.triangles[cells]] = True
-            # an unknown's vertex is the column of its diagonal entry
-            changed = touched[cache.indices[labels.diagonal() - 1]]
-            if not changed.any():
-                held = _unperturbed_system(mesh, mass, dt, block)
-            elif not changed.all():
-                window = _Window(labels, plus, changed)
-        if held is not None:
-            return lambda y_lag: held
-        return partial(system, *perturbed[k % CONDENSE_STEPS])
-
-    def system(cells, coeff, react, y_lag):
-        # S+ changes by half the change of K + R on the perturbed cells
-        blocks = (_elliptic(coeff) - 1.0)[:, None] \
-            * cache.stiffness_blocks[cells] \
-            + _finite(react)[:, None] * cache.mass_blocks[cells]
-        change = np.bincount(cell_entries[cells].ravel(),
-                             0.5 * blocks.ravel(), minlength=plus.size)
-        pinned = None if coupling is None else _take(coupling, plus + change)
-        # the window is read when the system is built, so a step's
-        # function does not keep its window alive into the next one; with
-        # none, the perturbed cells reach every unknown
-        solver = _factorize(_take(labels, plus + change).tocsc()) \
-            if window is None \
-            else _Condensed(_factorize(window.schur(change)), window)
-        return (solver, pinned), cache.matrix(minus - change)
-    return systems
-
-
 def _check_init(init: np.ndarray, mesh: Mesh) -> np.ndarray:
     init = np.asarray(init, dtype=float)
     if init.shape != (mesh.num_vertices,):
@@ -722,58 +655,92 @@ def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
     return _check_solution(solver[0].solve(rhs))
 
 
-def _step_systems(mesh: Mesh, mass: sparse.csr_array, grid: SegmentGrid, u,
-                  ops, block):
+def _change(mesh: Mesh, cells, coeff, react, powers, y_lag) -> np.ndarray:
+    """Half the change of K + R on a step's perturbed cells (data on the
+    mesh's pattern), their power weight lagged at ``y_lag``."""
+    cache = _operators(mesh)
+    if powers:
+        ybar = y_lag[mesh.triangles[cells]].mean(axis=1)
+        react = react + sum(comp * np.abs(ybar) ** (power - 2.0)
+                            for comp, power in powers)
+    blocks = (_elliptic(coeff) - 1.0)[:, None] * cache.stiffness_blocks[cells] \
+        + _finite(react)[:, None] * cache.mass_blocks[cells]
+    return np.bincount(cache.scatter.reshape(-1, 9)[cells].ravel(),
+                       0.5 * blocks.ravel(), minlength=cache.indices.size)
+
+
+def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
     """``(systems, lagged)`` of a march: ``systems(k)`` is the function
-    ``y_lag -> (solver, S-)`` of step k (see ``_linear_system``), and
+    ``y_lag -> (solver, S-)`` of step k (see ``_step_system``), and
     ``lagged`` tells whether the operator has a power weight, which that
     function lags at ``y_lag``.  ``systems(k)`` samples step k's
-    coefficients, once; no function keeps a factorization that it built.
-    The steps are of one of four kinds:
+    coefficients, once, and must be called for k = 0, 1, ... in turn; no
+    function keeps a factorization that it built.
 
-    - static (no sampler, every power weight zero): one system, for the
-      whole S+ with no inhomogeneity the held one (``_unperturbed_system``);
-    - reaction-only (no conductivity): the steps differ from the
-      unperturbed operator by a reaction weight only, so ``_Pcg`` solves
-      them on its held factorization of the same block;
-    - conductivity, time only: condensed by windows (``_condensed_steps``);
+    A step with no perturbed cell (``_perturbation``) takes the held
+    unperturbed system.  Any other step is solved by the march's kind:
+
+    - static (no sampler, no nonzero power weight): one factorization;
+    - reaction-only (no conductivity): ``_Pcg`` on the held factorization
+      of the same block;
+    - conductivity, time only: condensed on windows of ``CONDENSE_STEPS``
+      steps (``_Window``), at most one alive.  A window's perturbed cells
+      are those of all its steps, also of steps past the grid's end, so a
+      shorter reference march is bitwise the prefix of a longer one, as
+      resuming a run to a longer horizon requires; one whose cells reach
+      every unknown factorizes each step's whole matrix;
     - conductivity with a lagged power weight: factorized at every call.
     """
-    u_const, u_sample = _resolve_u(u, ops, mesh)
     dt = grid.dt
+    labels, _ = _labels(mesh, block)
+    fixed = None if callable(u) else _perturbation(u, ops, mesh)
+    static = fixed is not None and not fixed[3]
+    lagged = not static and any(op.kind == POWER_POTENTIAL for op in ops)
+    conductivity = any(op.kind == CONDUCTIVITY for op in ops)
+    precond = window = steps = None
+    if not (static or conductivity):
+        (precond, _), _ = _unperturbed_system(mesh, dt, block)
 
-    def split(k):
+    def perturbation(k):
         # the midpoint of step k, also of a step past the grid's end
-        return _split_ops(u_const if u_sample is None
-                          else u_sample((grid.first + k) * dt + 0.5 * dt), ops)
+        return fixed if fixed is not None else _perturbation(
+            u((grid.first + k) * dt + 0.5 * dt), ops, mesh)
 
-    if _is_static(u_sample, u_const, ops):
-        coeff, react, _ = split(0)
-        fixed = _unperturbed_system(mesh, mass, dt) \
-            if block is _whole and np.all(coeff == 1.0) and not np.any(react) \
-            else _linear_system(mesh, mass, _operator_data(mesh, coeff, react),
-                                dt, block)
-        return (lambda k: lambda y_lag: fixed), False
-    lagged = any(op.kind == POWER_POTENTIAL for op in ops)
-    if any(op.kind == CONDUCTIVITY for op in ops):
-        if not lagged:
-            return _condensed_steps(mesh, mass, dt, block, split), False
-        make = _factorize
-    else:
-        (held, _), _ = _unperturbed_system(mesh, mass, dt, block)
-        make = partial(_Pcg, precond=held)
+    def solver(s_plus, change):
+        # the window is read when the system is built, so a step's
+        # function does not keep its window alive into the next one
+        if precond is not None:
+            return _Pcg(_take(labels, s_plus), precond)
+        if window is not None:
+            return _Condensed(_factorize(window.schur(change)), window)
+        return _factorize(_take(labels, s_plus))
+
+    def system(perturbed, y_lag):
+        if not perturbed[0].size:
+            return _unperturbed_system(mesh, dt, block)
+        return _step_system(mesh, dt, block, _change(mesh, *perturbed, y_lag),
+                            solver)
 
     def systems(k):
-        coeff, react, powers = split(k)
-        stiff = assemble_stiffness(mesh, coeff).data
+        nonlocal window, steps
+        if lagged or not conductivity:
+            return partial(system, perturbation(k))
+        if k % CONDENSE_STEPS == 0:
+            window = None
+            steps = [perturbation(i) for i in range(k, k + CONDENSE_STEPS)]
+            touched = np.zeros(mesh.num_vertices, dtype=bool)
+            for cells, *_ in steps:
+                touched[mesh.triangles[cells]] = True
+            # an unknown's vertex is the column of its diagonal entry
+            changed = touched[_operators(mesh).indices[labels.diagonal() - 1]]
+            if changed.any() and not changed.all():
+                window = _Window(labels, _unperturbed_data(mesh, dt)[0],
+                                 changed)
+        return partial(system, steps[k % CONDENSE_STEPS])
 
-        def system(y_lag):
-            weight = react + _lagged_weight(mesh, powers, y_lag) if powers \
-                else react
-            return _linear_system(
-                mesh, mass, stiff + assemble_reaction(mesh, weight).data, dt,
-                block, make)
-        return system
+    if static:
+        step = system(fixed, None)
+        return (lambda k: lambda y_lag: step), False
     return systems, lagged
 
 
@@ -787,7 +754,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     node j (time t_start + j*dt/2); the march only reads the vectors it
     returns.
     ``block`` takes the matrix a step solves from S+ (see
-    ``_linear_system``), and ``solve(solver, rhs, j)`` returns the solution
+    ``_step_system``), and ``solve(solver, rhs, j)`` returns the solution
     at node j.
 
     The march is one loop over the steps.  Step k runs the Crank-Nicolson
@@ -802,7 +769,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     mass = assemble_mass(mesh)
     dt = grid.dt
     y = _check_init(init, mesh)
-    systems, lagged = _step_systems(mesh, mass, grid, u, ops, block)
+    systems, lagged = _step_systems(mesh, grid, u, ops, block)
     keep = slice(None) if rows is None else np.asarray(rows)
     values = np.empty((grid.num_times, y[keep].size))
     values[0] = y[keep]
@@ -842,7 +809,7 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     ``u`` may be None, a cell field of ``mesh`` constant in time, or a
     sampler ``t -> field`` of such fields evaluated at step midpoints (with
     a conductivity component, up to ``CONDENSE_STEPS`` - 1 steps past
-    ``grid.t_end``; see ``_condensed_steps``).
+    ``grid.t_end``; see ``_step_systems``).
     ``load(j)`` is the source and flux load at the half-step node j (see
     ``source_load``).  The first step is always two backward-Euler half
     steps, which keep second-order accuracy for rough starting data.
@@ -850,13 +817,11 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     ``rows`` selects the vertices whose values the returned trajectory keeps
     (all of them by default).
 
-    Each step is of one of four kinds (see ``_step_systems``).  A static
-    operator has one factorization.  Without a conductivity component each
-    step is solved by preconditioned CG (``_Pcg``).  With one, a sampler
-    without power-potential terms is condensed: each step factorizes only
-    the Schur complement on the unknowns that the inclusions reach within
-    its window of ``CONDENSE_STEPS`` steps (``_Window``); a lagged power
-    weight factorizes each step and sweep.
+    Each step adds its perturbed cells' change to the unperturbed operator
+    and is solved as ``_step_systems`` sets out: a static operator by one
+    factorization, one without conductivity by preconditioned CG, a
+    time-dependent conductivity by condensation on windows, and one with a
+    lagged power weight by a factorization per step and sweep.
     """
     return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)

@@ -82,6 +82,8 @@ class Options:
             raise ScenarioError("tolerance must be positive")
         if not (self.dt > 0 and self.segment_length > 0):
             raise ScenarioError("dt and the segment length must be positive")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ScenarioError("the horizon must be positive")
         if self.max_inner < 1:
             raise ScenarioError("the inner-iteration cap must be at least 1")
         if self.rank_cap < INSTALLED_TERMS[self.scheme]:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import pathlib
 import shutil
@@ -9,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from heatprobe import cli, fem
+from heatprobe import cli, fem, synth
 from heatprobe import mesh as hm
 from heatprobe import scenario as sc
 
@@ -446,6 +447,20 @@ class TestCheckpoints:
                          "--scenario", "null"]) == cli.EXIT_IO
         assert "u_0001.csv is truncated" in capsys.readouterr().err
 
+    def test_metrics_refuses_a_bad_coarse_mesh_entry(self, short_run,
+                                                     tmp_path, capsys):
+        """A ``coarse_triangles`` entry that is not an integer is a corrupt
+        run directory, not a configuration error."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        config = out / run_dir / "config.txt"
+        config.write_text(config.read_text().replace(
+            "coarse_triangles = 300", "coarse_triangles = 3x0"))
+        assert cli.main(["metrics", "--run", str(out / run_dir),
+                         "--scenario", "null"]) == cli.EXIT_IO
+        assert "coarse_triangles" in capsys.readouterr().err
+
     def test_metrics_refuses_a_run_of_another_shape(self, short_run,
                                                     tmp_path, capsys):
         """The one-component run does not fit ex2's two components."""
@@ -529,6 +544,31 @@ class TestCheckpoints:
         assert file_bytes(out) == before
         assert cli.main(resume_argv(out) + ["--measurement", first]) \
             == cli.EXIT_OK
+
+    def test_resume_refuses_a_run_of_the_earlier_steps(self, tmp_path,
+                                                       capsys):
+        """A run whose measurement digest has the tag of the code before
+        every march added its perturbed cells' change to the unperturbed
+        operator does not resume: its results differ in their last bits."""
+        base = cli.cmd_generate(micro_config(tmp_path / "data",
+                                             reference_triangles=960))
+        run_dir = cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2),
+                                      measurement_base=base)
+        mset = synth.load_measurement_set(base, 960)
+        kept = mset.sample_times <= 0.2 + 1e-9
+        earlier = hashlib.sha256(b"snapped samples\n"
+                                 + mset.sample_times[kept].tobytes()
+                                 + mset.noisy[kept].tobytes()).hexdigest()
+        config = pathlib.Path(run_dir) / "config.txt"
+        text = config.read_text()
+        digest = cli._read_config(config)["measurement"]
+        assert digest != earlier
+        config.write_text(text.replace(digest, earlier))
+        argv = resume_argv(tmp_path / "runs") + ["--measurement", base]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert "measurement" in capsys.readouterr().err
+        config.write_text(text)
+        assert cli.main(argv) == cli.EXIT_OK
 
     def test_resume_refuses_changed_parameters(self, short_run, tmp_path,
                                                capsys):
@@ -635,6 +675,35 @@ class TestMainExitCodes:
                          "--coarse-triangles", "300", "--horizon", "0.2",
                          "--out", str(tmp_path / "runs")]) == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-0.5"])
+    def test_nonpositive_horizon_is_config_error(self, horizon, null_data,
+                                                 tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", null_data, "--fine-triangles",
+                         "1000", "--coarse-triangles", "300",
+                         "--horizon", horizon, "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "horizon" in err
+        assert not out.exists()
+
+    def test_bad_reference_mesh_entry_is_io_error(self, null_data, tmp_path,
+                                                  capsys):
+        """A manifest whose ``reference_triangles`` is not an integer is
+        corrupt data, not a configuration error."""
+        base = str(tmp_path / "m")
+        for suffix in ("_clean.txt", "_noisy.txt", "_manifest.txt"):
+            shutil.copy(null_data + suffix, base + suffix)
+        manifest = pathlib.Path(base + "_manifest.txt")
+        manifest.write_text(manifest.read_text().replace(
+            "reference_triangles = 960", "reference_triangles = 9.6e2"))
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", base, "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(tmp_path / "runs")]) == cli.EXIT_IO
+        assert "reference_triangles" in capsys.readouterr().err
 
     def test_reference_mesh_comes_from_the_manifest(self, tmp_path, capsys):
         """Data made on 960 triangles cannot be inverted on 960, whatever

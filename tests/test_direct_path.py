@@ -363,6 +363,84 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     assert len(trims) == 2
 
 
+# -- one way to build a step --------------------------------------------------
+
+def estimate(name, mesh, transfer):
+    """A coarse estimate of the scenario's truth at t = 0.4, prolonged."""
+    scn = make_scenario(name)
+    return hm.prolong(hm.restrict(scenario.eval_truth(scn, 0.4, mesh),
+                                  transfer), transfer)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex4"])
+def test_static_march_factorizes_once(name, small_fine, small_transfer,
+                                      monkeypatch):
+    """A march with a constant estimate factorizes its step matrix once,
+    Neumann and Dirichlet, also with a potential only: it does not go to
+    CG on the held unperturbed factorization."""
+    mesh, scn = small_fine, make_scenario(name)
+    grid = fem.segment_grid(0.25, 0.5, 0.0125)
+    f_fn, g_fn, h = scenario.samplers(scn, mesh)
+    trace = np.ones((grid.num_times, mesh.num_boundary_vertices))
+
+    def marches(u):
+        yield fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
+            mesh, grid, f_fn, g_fn), h)
+        yield fem.dirichlet_solve(mesh, grid, u, scn.ops, fem.source_load(
+            mesh, grid, f_fn, None), trace, h)
+
+    for _ in marches(None):         # hold the unperturbed systems
+        pass
+    calls = counted_splu(monkeypatch)
+    for _ in marches(estimate(name, mesh, small_transfer)):
+        assert len(calls) == 1, name
+        calls.clear()
+
+
+@pytest.mark.parametrize("block", [fem._whole, fem._interior_block],
+                         ids=["whole", "interior"])
+@pytest.mark.parametrize("name, kind", [("ex3", "reaction"),
+                                        ("mixed", "mixed"),
+                                        ("ex1", "static")])
+def test_step_is_the_matrix_of_every_cell(name, kind, block, small_fine,
+                                          small_transfer, monkeypatch):
+    """A reaction-only step lagged at y, a mixed lagged step and a static
+    step add their perturbed cells' change to the unperturbed operator: the
+    matrix each solves, S- y and the pinned coupling are those assembled
+    from every cell."""
+    mesh, dt = small_fine, 0.0125
+    scn = make_scenario(name)
+    grid = fem.SegmentGrid(dt, 20, 4)
+    t = grid.first * dt + 0.5 * dt
+    u = (lambda s: scenario.eval_truth(scn, s, mesh)) if kind == "mixed" \
+        else estimate(name, mesh, small_transfer)
+    factorized = []
+    original = fem._factorize
+    monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
+                        or original(a))
+    systems, lagged = fem._step_systems(mesh, grid, u, scn.ops, block)
+    assert lagged == (kind != "static")
+    y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    (solver, pinned), s_minus = systems(0)(y)
+    a = solver.a if kind == "reaction" else factorized[-1]
+    assert isinstance(solver, fem._Pcg) == (kind == "reaction")
+
+    coeff, react, powers = plain_split(plain_fine(u(t) if callable(u) else u),
+                                       scn.ops)
+    assert bool(powers) == (kind != "static")
+    s_plus, s_minus_whole = step_matrices(
+        mesh, coeff, react + plain_lagged(mesh, powers, y), dt)
+    assert rel(s_minus @ y, s_minus_whole @ y) <= 1e-13
+    if block is fem._whole:
+        assert pinned is None
+        assert rel(a.toarray(), s_plus) <= 1e-13
+        return
+    bnd = mesh.boundary_vertices
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
+    assert rel(a.toarray(), s_plus[np.ix_(interior, interior)]) <= 1e-13
+    assert rel(pinned.toarray(), s_plus[np.ix_(interior, bnd)]) <= 1e-13
+
+
 # -- preconditioned CG on the unperturbed factorization ----------------------
 
 def reaction_marches(mesh, transfer):
@@ -603,8 +681,10 @@ def test_condensed_march_memory_is_flat():
                           rows=mesh.boundary_vertices)
 
     march(4)                # the operator cache and a first window
+    fem.trim_heap()         # read resident pages, not the heap's free ones
     before = _rss_mb()
     march(4 * fem.CONDENSE_STEPS)
+    fem.trim_heap()
     assert _rss_mb() - before < 8.0
 
 
@@ -671,8 +751,11 @@ def test_condensed_step_is_the_whole_matrix_condensed(small_fine,
     original = fem._factorize
     monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
                         or original(a))
-    systems = fem._condensed_steps(mesh, fem.assemble_mass(mesh), dt,
-                                   fem._whole, split)
+    scn = scenario.builtin("ex1")
+    systems, lagged = fem._step_systems(
+        mesh, fem.SegmentGrid(dt, 20, 1),
+        lambda t: scenario.eval_truth(scn, t, mesh), scn.ops, fem._whole)
+    assert not lagged
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     for k in range(fem.CONDENSE_STEPS):
         (solver, coupling), s_minus = systems(k)(y)
