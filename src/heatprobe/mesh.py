@@ -74,53 +74,6 @@ def _triangle_geometry(vertices: np.ndarray, triangles: np.ndarray):
     return areas, centroids, grads
 
 
-def _boundary_loop(triangles: np.ndarray) -> np.ndarray:
-    """Extract the boundary edges of a CCW triangulation as one closed walk."""
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    seen = set(map(tuple, edges))
-    loose = [e for e in edges if (e[1], e[0]) not in seen]
-    if not loose:
-        raise MeshError("mesh has no boundary")
-    succ = {int(a): int(b) for a, b in loose}
-    if len(succ) != len(loose):
-        raise MeshError("non-manifold boundary")
-    start = min(succ)
-    walk = [start]
-    node = succ[start]
-    while node != start:
-        walk.append(node)
-        node = succ[node]
-        if len(walk) > len(loose):
-            raise MeshError("boundary is not a single closed loop")
-    if len(walk) != len(loose):
-        raise MeshError("boundary is not a single closed loop")
-    loop = np.array(walk, dtype=np.int64)
-    return np.column_stack([loop, np.roll(loop, -1)])
-
-
-def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
-    """Assemble a :class:`Mesh` from raw arrays, rejecting degenerate input."""
-    vertices = np.ascontiguousarray(vertices, dtype=float)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshError("vertices must be an (V, 2) array")
-    if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise MeshError("triangles must be a (T, 3) array")
-    areas, centroids, grads = _triangle_geometry(vertices, triangles)
-    if np.any(areas <= 0):
-        bad = int(np.argmin(areas))
-        raise MeshError(f"triangle {bad} is degenerate or clockwise "
-                        f"(signed area {areas[bad]:.3e})")
-    b_edges = _boundary_loop(triangles)
-    lengths = np.linalg.norm(vertices[b_edges[:, 1]] - vertices[b_edges[:, 0]],
-                             axis=1)
-    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=b_edges,
-                cell_areas=areas, boundary_edge_lengths=lengths,
-                centroids=centroids, basis_gradients=grads,
-                boundary_vertices=b_edges[:, 0].copy())
-
-
 def _polygon_area_deficit(n: int) -> float:
     """Relative area lost by the inscribed regular n-gon versus the disk."""
     return 1.0 - (n / 2.0) * np.sin(2.0 * np.pi / n) / np.pi
@@ -199,32 +152,30 @@ def build_disk_mesh(target_triangles: int) -> Mesh:
     for k in range(1, rings):
         tris.extend(_zip_rings(ring_idx[k - 1], ring_ang[k - 1],
                                ring_idx[k], ring_ang[k]))
-    mesh = make_mesh(vertices, np.array(tris, dtype=np.int64))
-    count = mesh.num_cells
-    if abs(count - target_triangles) > 0.1 * target_triangles:
-        raise MeshError(f"ring layout produced {count} triangles for target "
-                        f"{target_triangles}")
-    return mesh
+    triangles = np.array(tris, dtype=np.int64)
+    areas, centroids, grads = _triangle_geometry(vertices, triangles)
+    # the outer ring is the boundary, walked counterclockwise: each of its
+    # edges is (outer[j], outer[j+1]) of a counterclockwise triangle
+    loop = ring_idx[-1]
+    b_edges = np.column_stack([loop, np.roll(loop, -1)])
+    lengths = np.linalg.norm(vertices[b_edges[:, 1]] - vertices[b_edges[:, 0]],
+                             axis=1)
+    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=b_edges,
+                cell_areas=areas, boundary_edge_lengths=lengths,
+                centroids=centroids, basis_gradients=grads,
+                boundary_vertices=loop)
 
 
 def boundary_distance(mesh: Mesh) -> np.ndarray:
-    """Distance from each cell centroid to the boundary, as a cell field.
+    """Distance 1 - |x| from each cell centroid to the unit circle.
 
-    On the unit disk the distance is 1 - |x|; for any other domain it falls
-    back to the exact distance to the boundary edge segments.
+    Raises :class:`MeshError` for a mesh whose boundary is not on the unit
+    circle.
     """
     radii = np.linalg.norm(mesh.vertices[mesh.boundary_vertices], axis=1)
-    if np.all(np.abs(radii - 1.0) <= BOUNDARY_TOL):
-        return 1.0 - np.linalg.norm(mesh.centroids, axis=1)
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    diff = mesh.centroids[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pej,ej->pe", diff, ab) / denom, 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.linalg.norm(mesh.centroids[:, None, :] - closest, axis=2)
-    return d.min(axis=1)
+    if np.any(np.abs(radii - 1.0) > BOUNDARY_TOL):
+        raise MeshError("boundary_distance needs a mesh of the unit disk")
+    return 1.0 - np.linalg.norm(mesh.centroids, axis=1)
 
 
 def boundary_vertex_weights(mesh: Mesh) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Disk meshing, boundary queries, transfer operators, and mesh I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,24 @@ class TestBuildDiskMesh:
         mesh = hm.build_disk_mesh(500)
         assert np.all(mesh.cell_areas > 0)
 
+    @pytest.mark.parametrize("target", [16, 100, 3000])
+    def test_boundary_edges_are_the_unshared_edges(self, target):
+        """The boundary edges are the triangle edges whose reverse lies in
+        no triangle, in their triangles' orientation, and the loop starts
+        at its smallest vertex."""
+        mesh = hm.build_disk_mesh(target)
+        tri = mesh.triangles
+        edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                tri[:, [2, 0]]])
+        key = edges[:, 0] * mesh.num_vertices + edges[:, 1]
+        reverse = edges[:, 1] * mesh.num_vertices + edges[:, 0]
+        unshared = edges[~np.isin(reverse, key)]
+        assert sorted(map(tuple, unshared)) \
+            == sorted(map(tuple, mesh.boundary_edges))
+        assert mesh.boundary_vertices[0] == mesh.boundary_vertices.min()
+        assert np.array_equal(mesh.boundary_vertices,
+                              mesh.boundary_edges[:, 0])
+
     def test_boundary_loop_is_cyclic(self):
         mesh = hm.build_disk_mesh(200)
         assert np.array_equal(mesh.boundary_edges[:, 1],
@@ -92,14 +112,11 @@ class TestBoundaryDistance:
         assert np.all(d[touching] > 0)
         assert np.all(d[touching] < h)
 
-    def test_polygon_fallback_close_to_analytic(self):
+    def test_off_circle_boundary_rejected(self):
         mesh = hm.build_disk_mesh(1120)
-        off_circle = hm.make_mesh(mesh.vertices * 2.0, mesh.triangles)
-        d = hm.boundary_distance(off_circle)
-        expected = 2.0 - np.linalg.norm(off_circle.centroids, axis=1)
-        # polygon chords undercut the circle by at most the sagitta
-        assert np.all(d <= expected + 1e-12)
-        assert np.abs(d - expected).max() < 0.01
+        with pytest.raises(hm.MeshError):
+            hm.boundary_distance(
+                dataclasses.replace(mesh, vertices=2.0 * mesh.vertices))
 
 
 class TestTransfer:
@@ -201,11 +218,3 @@ class TestLocateCells:
         assert np.array_equal(hm.locate_cells(mesh, points), whole)
         assert len(whole) == len(points)
 
-
-class TestMakeMesh:
-    def test_clockwise_triangle_rejected(self):
-        mesh = hm.build_disk_mesh(100)
-        tri = mesh.triangles.copy()
-        tri[0] = tri[0][::-1]
-        with pytest.raises(hm.MeshError):
-            hm.make_mesh(mesh.vertices, tri)

@@ -21,9 +21,12 @@ writes to WORKDIR:
   with a lagged power weight;
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
-- the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5].
+- the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5];
+- every field of the disk meshes in ``MESH_SIZES``: those of the runs
+  above (3000, 600 and the 13870-triangle reference), of the tests and of
+  the acceptance scale.
 
-The script then compares measurement sets and reports bit for bit and
+The script then compares meshes, measurement sets and reports bit for bit and
 files byte for byte (``summary.txt`` but its wall-time line;
 ``config.txt`` and the manifest are listed, as they record the output
 directory), and resumes the parent's checkpoints with the change's code to
@@ -115,6 +118,7 @@ def _diff(name, a, b):
 
 
 MEASURED = ("sample_times", "clean", "noisy")
+MESH_SIZES = (300, 600, 1000, 1120, 1200, 3000, 7002, 13870)
 REPORT_FIELDS = ("index", "t_mid", "u", "residual", "counters", "iterations",
                  "warned", "kernel_rank")
 
@@ -197,6 +201,9 @@ def dump(src, out):
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
+    with open(os.path.join(out, "meshes.pkl"), "wb") as fh:
+        pickle.dump({n: vars(mesh.build_disk_mesh(n)) for n in MESH_SIZES},
+                    fh)
     with open(os.path.join(out, "measurements.pkl"), "wb") as fh:
         pickle.dump({k: [getattr(m, name) for name in MEASURED]
                      for k, m in data.items()}, fh)
@@ -255,7 +262,12 @@ def _load(path):
 
 
 def compare(parent, change):
-    ok = True
+    meshes_a, meshes_b = (_load(os.path.join(side, "meshes.pkl"))
+                          for side in (parent, change))
+    differ = [f"{n} {name}" for n in meshes_a for name in meshes_a[n]
+              if not _same(meshes_a[n][name], meshes_b[n][name])]
+    ok = not differ
+    print(f"meshes: {'; '.join(differ) or 'bit-identical'}")
     ma, mb = (_load(os.path.join(side, "measurements.pkl"))
               for side in (parent, change))
     for key in ma:
