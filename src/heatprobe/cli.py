@@ -61,7 +61,9 @@ class RunConfig(reconstruction.Options):
     """Everything one reconstruction run depends on: the algorithm's options
     plus the data and output settings.  Each field is one command-line flag.
     ``tol`` and ``scheme`` left at None take the scenario's EXAMPLE_DEFAULTS
-    entry when the config is made, so ``config.txt`` records the values used.
+    entry when the config is made, and a reconstruction takes the data
+    settings (noise, seed, reference mesh, sample step) from its data, so
+    ``config.txt`` records the values used.
     """
 
     tol: float | None = _per_scenario("tol")
@@ -243,30 +245,34 @@ def _write_manifest(path, cfg: RunConfig, extra: dict | None = None) -> None:
 RESUMABLE_CHANGES = ("horizon", "outdir")
 
 
-def _measurement_digest(mset: synth.MeasurementSet, scn: Scenario,
-                        horizon: str) -> str:
-    """Digest of the samples on [0, horizon] ("None": the scenario's), times
-    bit for bit: sample times are lattice nodes, so data made for a longer
-    horizon has the same ones.  The tag keeps runs begun before every march
-    built its steps from their perturbed cells' change, whose results differ
-    in their last bits, from resuming."""
-    end = scn.horizon if horizon == "None" else float(horizon)
+def _measurement_digest(mset: synth.MeasurementSet, end: float) -> str:
+    """Digest of the samples on [0, end], times bit for bit: sample times
+    are lattice nodes, so data made for a longer horizon has the same ones.
+    The tag keeps runs begun before the kernel's inner products were summed
+    in a fixed order, whose results differ in their last bits, from
+    resuming."""
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"perturbed-cell steps\n"
+    return hashlib.sha256(b"fixed-order inner products\n"
                           + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 
 
 def _check_resume_config(path: str, cfg: RunConfig, scn: Scenario,
                          mset: synth.MeasurementSet) -> None:
-    """Refuse to resume a run made with other parameters than ``cfg`` (but
-    RESUMABLE_CHANGES) or from other samples on its horizon than ``mset``'s."""
+    """Refuse to resume a run made from other samples on its horizon than
+    ``mset``'s, with other parameters than ``cfg`` (but RESUMABLE_CHANGES)
+    or to a shorter horizon: a resume extends a run, never shortens it."""
     stored = _read_config(path)
+    horizon = stored.get("horizon", "None")     # "None": the scenario's
     try:
-        digest = _measurement_digest(mset, scn, stored.get("horizon", "None"))
+        end = scn.horizon if horizon == "None" else float(horizon)
     except ValueError as exc:
         raise OSError(f"cannot resume: {path} has a bad horizon") from exc
-    for name, value in {**_config_items(cfg), "measurement": digest}.items():
+    if (scn.horizon if cfg.horizon is None else cfg.horizon) < end - 1e-9:
+        raise OSError(f"cannot resume: {path} has horizon = {horizon}, this "
+                      f"run {cfg.horizon}; a resume cannot shorten a run")
+    digest = _measurement_digest(mset, end)
+    for name, value in {"measurement": digest, **_config_items(cfg)}.items():
         if name not in RESUMABLE_CHANGES and stored.get(name) != value:
             raise OSError(f"cannot resume: {path} has {name} = "
                           f"{stored.get(name)}, this run {value}")
@@ -301,18 +307,15 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     """Run the reconstruction and write the full run directory.
 
     The data are read from ``measurement_base``, taken as ``mset``, or
-    generated from ``cfg``.  ``config.txt`` is written before the first
-    segment.  With ``resume=True`` an interrupted run restarts after its
-    last fully checkpointed segment instead of from scratch; its
+    generated from ``cfg``; their noise, seed, reference mesh and sample
+    step replace ``cfg``'s.  A run that ``reconstruction.check_run``
+    refuses creates nothing; else ``config.txt`` is written before the
+    first segment.  With ``resume=True`` an interrupted run restarts after
+    its last fully checkpointed segment instead of from scratch; its
     ``config.txt`` must match ``cfg`` and the measurement, see
     ``_check_resume_config``.
     """
     scn = resolve_scenario(cfg.scenario)
-    run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"
-    seg_dir = os.path.join(run_dir, "segments")
-    map_dir = os.path.join(run_dir, "heatmaps")
-    config = os.path.join(run_dir, "config.txt")
-
     fine = build_disk_mesh(cfg.fine_triangles)
     if measurement_base is not None:
         # the inverse-crime guard needs the mesh the data was made on
@@ -324,13 +327,23 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
             scn, fine, cfg.noise, cfg.seed,
             reference_triangles=cfg.reference_triangles,
             sample_dt=cfg.sample_dt, horizon=cfg.horizon)
+    # the run is named and recorded by the data it inverts
+    cfg = replace(cfg, noise=mset.noise_level, seed=mset.seed,
+                  reference_triangles=mset.reference_triangles,
+                  sample_dt=mset.sample_dt)
+    reconstruction.check_run(scn, mset, cfg, fine)
+
+    run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"
+    seg_dir = os.path.join(run_dir, "segments")
+    map_dir = os.path.join(run_dir, "heatmaps")
+    config = os.path.join(run_dir, "config.txt")
     if resume and os.path.exists(os.path.join(seg_dir, "segments.csv")):
         _check_resume_config(config, cfg, scn, mset)
 
     os.makedirs(seg_dir, exist_ok=True)
     os.makedirs(map_dir, exist_ok=True)
     _write_manifest(config, cfg, {"measurement": _measurement_digest(
-        mset, scn, str(cfg.horizon))})
+        mset, scn.horizon if cfg.horizon is None else cfg.horizon)})
 
     started = time.perf_counter()
     result = reconstruction.run(scn, mset, cfg, fine=fine,
@@ -526,7 +539,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FemError, synth.SynthError) as exc:
+    except FemError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

@@ -144,8 +144,12 @@ def _quadrature(coarse: Mesh, grid: SegmentGrid) -> np.ndarray:
 
 def segment_inner(coarse: Mesh, grid: SegmentGrid, a: np.ndarray,
                   b: np.ndarray) -> float:
-    """Space-time L2 inner product of coarse vector fields over one segment."""
-    return float(np.vdot(a, _quadrature(coarse, grid) * b))
+    """Space-time L2 inner product of coarse vector fields over one segment.
+
+    numpy's pairwise sum adds in one fixed order; BLAS ``ddot`` (``np.vdot``)
+    splits long vectors over its threads, so its rounding would depend on
+    the thread count."""
+    return float(np.sum(a * (_quadrature(coarse, grid) * b)))
 
 
 def segment_norm(coarse: Mesh, grid: SegmentGrid, a: np.ndarray) -> float:
@@ -189,7 +193,7 @@ def apply_kernel(kernel: ResolverKernel, zeta: np.ndarray, coarse: Mesh,
     if kernel.rank:
         # each coefficient rounds as segment_inner(n, zeta) does
         weighted = _quadrature(coarse, grid) * zeta
-        inner = np.array([np.vdot(n, weighted) for n in kernel.n])
+        inner = np.array([np.sum(n * weighted) for n in kernel.n])
         # one term at a time, oldest first, into a new C-ordered array: a
         # batched or in-place sum rounds the estimate's time average apart
         for coef, m in zip(kernel.weight * kernel.damp * inner, kernel.m):
@@ -477,6 +481,33 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     return report, y_dir.values[-1].copy()
 
 
+def check_run(scn: Scenario, mset: MeasurementSet, opts: Options,
+              fine: Mesh) -> int:
+    """Refuse, with ValueError, a run that cannot start: data that do not
+    cover the horizon or do not fit the fine mesh's boundary, a segment
+    length that does not partition the horizon, or an inversion on the
+    data's own time step or mesh (inverse-crime guards).  Returns the
+    number of segments."""
+    horizon = scn.horizon if opts.horizon is None else opts.horizon
+    if mset.horizon < horizon - 1e-9:
+        raise ValueError(f"measurement horizon {mset.horizon} does not cover "
+                         f"[0, {horizon}]")
+    if abs(opts.dt - mset.sample_dt) < 1e-12:
+        raise ValueError("inversion time step equals the reference sampling "
+                         "step (inverse-crime guard)")
+    n_segments = round(horizon / opts.segment_length)
+    if abs(n_segments * opts.segment_length - horizon) > 1e-9:
+        raise ValueError("segment length does not partition the horizon")
+    if fine.num_cells == mset.reference_triangles:
+        raise ValueError("inversion mesh equals the reference mesh "
+                         "(inverse-crime guard)")
+    if mset.noisy.shape[1] != fine.num_boundary_vertices:
+        raise ValueError(f"measurement has {mset.noisy.shape[1]} boundary "
+                         f"values per sample but the inversion mesh has "
+                         f"{fine.num_boundary_vertices} boundary vertices")
+    return n_segments
+
+
 def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
         fine: Mesh | None = None, coarse: Mesh | None = None,
         transfer: TransferOps | None = None,
@@ -488,27 +519,10 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     interrupted run from its last complete segment.
     """
     opts = opts or Options()
-    horizon = scn.horizon if opts.horizon is None else opts.horizon
-    if mset.horizon < horizon - 1e-9:
-        raise ValueError(f"measurement horizon {mset.horizon} does not cover "
-                         f"[0, {horizon}]")
-    if abs(opts.dt - mset.sample_dt) < 1e-12:
-        raise ValueError("inversion time step equals the reference sampling "
-                         "step (inverse-crime guard)")
-    n_segments = round(horizon / opts.segment_length)
-    if abs(n_segments * opts.segment_length - horizon) > 1e-9:
-        raise ValueError("segment length does not partition the horizon")
-    steps = round(opts.segment_length / opts.dt)
-
     fine = fine or build_disk_mesh(opts.fine_triangles)
+    n_segments = check_run(scn, mset, opts, fine)
+    steps = round(opts.segment_length / opts.dt)
     coarse = coarse or build_disk_mesh(opts.coarse_triangles)
-    if fine.num_cells == mset.reference_triangles:
-        raise ValueError("inversion mesh equals the reference mesh "
-                         "(inverse-crime guard)")
-    if mset.noisy.shape[1] != fine.num_boundary_vertices:
-        raise ValueError(f"measurement has {mset.noisy.shape[1]} boundary "
-                         f"values per sample but the inversion mesh has "
-                         f"{fine.num_boundary_vertices} boundary vertices")
     transfer = transfer or build_transfer(fine, coarse)
     f_fn, g_fn, h = samplers(scn, fine)
 

@@ -22,7 +22,7 @@ REFERENCE_TRIANGLES = 13870
 SAMPLE_DT = 0.01
 
 
-class SynthError(RuntimeError):
+class SynthError(ValueError):
     """Invalid synthetic-data request (including inverse-crime guards)."""
 
 

@@ -570,6 +570,20 @@ class TestCheckpoints:
         config.write_text(text)
         assert cli.main(argv) == cli.EXIT_OK
 
+    def test_resume_refuses_a_shorter_horizon(self, tmp_path, capsys):
+        """A run to 0.5 is not resumed to 0.3: a resume extends a run and
+        never shortens it, and the refusal writes nothing."""
+        base = cli.cmd_generate(micro_config(
+            tmp_path / "data", scenario="ex1", reference_triangles=1200))
+        cli.cmd_reconstruct(micro_config(tmp_path, scenario="ex1"),
+                            measurement_base=base)
+        out = tmp_path / "runs"
+        before = file_bytes(out)
+        argv = resume_argv(out) + ["--scenario", "ex1", "--measurement", base]
+        assert cli.main(argv + ["--horizon", "0.3"]) == cli.EXIT_IO
+        assert "shorten" in capsys.readouterr().err
+        assert file_bytes(out) == before
+
     def test_resume_refuses_changed_parameters(self, short_run, tmp_path,
                                                capsys):
         """Only the horizon may change when a run resumes."""
@@ -704,6 +718,49 @@ class TestMainExitCodes:
                          "--coarse-triangles", "300", "--horizon", "0.2",
                          "--out", str(tmp_path / "runs")]) == cli.EXIT_IO
         assert "reference_triangles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "reconstruct"])
+    def test_inverse_crime_at_generation_is_config_error(self, command,
+                                                         tmp_path, capsys):
+        assert cli.main([command, "--scenario", "null",
+                         "--fine-triangles", "960",
+                         "--reference-triangles", "960",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "inverse-crime" in err
+
+    def test_refused_run_creates_no_directory(self, tmp_path, capsys):
+        """A horizon that the segments do not partition is refused before
+        the run directory is made."""
+        out = tmp_path / "runs"
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.05",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "partition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_is_named_and_recorded_by_its_data(self, tmp_path):
+        """Data made with other noise, seed, reference mesh and sample step
+        than the reconstruct flags name the run and fill its config.txt."""
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--scenario", "null", "--noise", "0.02",
+                         "--seed", "3", "--reference-triangles", "1200",
+                         "--sample-dt", "0.02", "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(data)]) == cli.EXIT_OK
+        out = tmp_path / "runs"
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", str(data / "null_eps0.02_seed3"),
+                         "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert os.listdir(out) == ["null_eps0.02_seed3_dfp"]
+        config = cli._read_config(
+            out / "null_eps0.02_seed3_dfp" / "config.txt")
+        assert (config["noise"], config["seed"], config["reference_triangles"],
+                config["sample_dt"]) == ("0.02", "3", "1200", "0.02")
 
     def test_reference_mesh_comes_from_the_manifest(self, tmp_path, capsys):
         """Data made on 960 triangles cannot be inverted on 960, whatever

@@ -1,6 +1,9 @@
 """Resolver kernel algebra, quasi-Newton updates, and the segment loop."""
 
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +149,41 @@ def test_memory_order_does_not_round(tiny):
     assert np.array_equal(projected, recon.project(eta, bounds))
     assert np.array_equal(recon.time_average(fortran, grid),
                           recon.time_average(eta, grid))
+
+
+# segment_inner and apply_kernel on 9 nodes x 2 components x 1120 cells,
+# long enough for BLAS to split a dot product over two threads
+INNER_PRODUCTS = """
+import hashlib
+import numpy as np
+from heatprobe import fem, mesh as hm, reconstruction as recon
+mesh, grid = hm.build_disk_mesh(1120), fem.SegmentGrid(0.0125, 0, 8)
+rng = np.random.default_rng(7)
+shape = (grid.num_times, 2, mesh.num_cells)
+a, b = rng.normal(size=shape), rng.normal(size=shape)
+kernel = recon.make_kernel(mesh, 2)
+kernel.m, kernel.n = rng.normal(size=(2, 3) + shape)
+kernel.weight, kernel.damp = rng.normal(size=3), np.ones(3)
+eta = recon.apply_kernel(kernel, a, mesh, grid)
+print(recon.segment_inner(mesh, grid, a, b).hex(),
+      hashlib.sha256(eta.tobytes()).hexdigest())
+"""
+
+
+def test_inner_products_do_not_depend_on_the_blas_threads():
+    """segment_inner and apply_kernel give the same bits under one and two
+    BLAS threads."""
+    src = os.path.dirname(os.path.dirname(recon.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", INNER_PRODUCTS], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestEtaHat:
