@@ -10,7 +10,7 @@ from .fem import (BoundaryTrace, FemError, InhomogeneityOp, SegmentGrid,
                   forward_solve, segment_grid, source_load)
 from .scenario import (Inclusion, Scenario, ScenarioError, builtin,
                        eval_truth, load_scenario_config, null_scenario,
-                       resolve_scenario, standard_sources)
+                       resolve_scenario)
 from .synth import (MeasurementSet, SynthError, add_noise,
                     build_measurement_set, generate_reference,
                     sample_measurement)

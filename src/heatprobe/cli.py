@@ -309,10 +309,11 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     The data are read from ``measurement_base``, taken as ``mset``, or
     generated from ``cfg``; their noise, seed, reference mesh and sample
     step replace ``cfg``'s.  A run that ``reconstruction.check_run``
-    refuses creates nothing; else ``config.txt`` is written before the
-    first segment.  With ``resume=True`` an interrupted run restarts after
-    its last fully checkpointed segment instead of from scratch; its
-    ``config.txt`` must match ``cfg`` and the measurement, see
+    refuses creates nothing, and data are generated only for settings that
+    ``reconstruction.check_settings`` accepts; else ``config.txt`` is
+    written before the first segment.  With ``resume=True`` an interrupted
+    run restarts after its last fully checkpointed segment instead of from
+    scratch; its ``config.txt`` must match ``cfg`` and the measurement, see
     ``_check_resume_config``.
     """
     scn = resolve_scenario(cfg.scenario)
@@ -323,6 +324,9 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
                                      "reference_triangles")
         mset = synth.load_measurement_set(measurement_base, reference)
     elif mset is None:
+        # refuse bad settings before paying for the data
+        reconstruction.check_settings(scn, cfg, fine, cfg.sample_dt,
+                                      cfg.reference_triangles)
         mset = synth.build_measurement_set(
             scn, fine, cfg.noise, cfg.seed,
             reference_triangles=cfg.reference_triangles,
@@ -445,17 +449,20 @@ def cmd_sweep(cfg: RunConfig, noises: list[float], dampings: list[float],
               schemes: list[str]) -> list[str]:
     """Grid of reconstructions over noise level, damping and scheme.
 
-    The clean reference depends on none of them, so it is generated once
-    and perturbed per noise level.
+    The clean reference depends on none of them, so it is generated once,
+    for settings that ``reconstruction.check_settings`` accepts, and
+    perturbed per noise level.
     """
-    clean = synth.generate_reference(
-        resolve_scenario(cfg.scenario), build_disk_mesh(cfg.fine_triangles),
-        cfg.reference_triangles, cfg.sample_dt, cfg.horizon)
+    scn = resolve_scenario(cfg.scenario)
+    fine = build_disk_mesh(cfg.fine_triangles)
+    reconstruction.check_settings(scn, cfg, fine, cfg.sample_dt,
+                                  cfg.reference_triangles)
+    clean = synth.generate_reference(scn, fine, cfg.reference_triangles,
+                                     cfg.sample_dt, cfg.horizon)
     out = []
     base_out = cfg.outdir
     for eps in noises:
-        mset = synth.measure(clean, eps, cfg.seed, cfg.reference_triangles,
-                             cfg.sample_dt)
+        mset = synth.measure(clean, eps, cfg.seed, cfg.reference_triangles)
         for lam in dampings:
             for scheme in schemes:
                 sub = os.path.join(base_out,

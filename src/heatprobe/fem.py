@@ -171,7 +171,7 @@ class _Operators:
         lens = mesh.boundary_edge_lengths / 6.0
         here = np.arange(nb)
         nxt = np.roll(here, -1)
-        e0, e1 = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+        e0, e1 = mesh.boundary_vertices, mesh.boundary_vertices[nxt]
         self.neumann_load = sparse.csr_array(
             (np.concatenate([2.0 * lens, lens, lens, 2.0 * lens]),
              (np.concatenate([e0, e0, e1, e1]),
@@ -185,6 +185,7 @@ class _Operators:
         # {block: (labels, coupling)}; see _labels
         self.labels = {}
         self.unperturbed_data = (None, None, None)  # see _unperturbed_data
+        self.mass = None                            # see _mass
 
     def matrix(self, data: np.ndarray) -> sparse.csr_array:
         """A matrix on the shared pattern."""
@@ -283,6 +284,16 @@ def assemble_mass(mesh: Mesh) -> sparse.csr_array:
         raise FemError("mesh contains a degenerate (zero-area) triangle")
     cache = _operators(mesh)
     return cache.assemble(np.ones(mesh.num_cells), cache.mass_blocks)
+
+
+def _mass(mesh: Mesh) -> sparse.csr_array:
+    """The mesh's mass matrix (``assemble_mass``), built on first use and
+    kept, read-only, with the mesh."""
+    cache = _operators(mesh)
+    if cache.mass is None:
+        cache.mass = assemble_mass(mesh)
+        cache.mass.data.flags.writeable = False
+    return cache.mass
 
 
 def _elliptic(coefficient: np.ndarray) -> np.ndarray:
@@ -432,7 +443,7 @@ def _unperturbed_data(mesh: Mesh, dt: float):
     those of the last ``dt`` asked for, read-only."""
     cache = _operators(mesh)
     if cache.unperturbed_data[0] != dt:
-        scaled = assemble_mass(mesh).data / dt
+        scaled = _mass(mesh).data / dt
         half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
         cache.unperturbed_data = dt, scaled + half, scaled - half
         for data in cache.unperturbed_data[1:]:
@@ -766,7 +777,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     Crank-Nicolson would carry through the march; their operator
     2M/dt + K is twice S+, so the step's system serves them as well.
     """
-    mass = assemble_mass(mesh)
+    mass = _mass(mesh)
     dt = grid.dt
     y = _check_init(init, mesh)
     systems, lagged = _step_systems(mesh, grid, u, ops, block)
@@ -831,8 +842,8 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
                     trace_values: np.ndarray, init: np.ndarray) -> Trajectory:
     """Crank-Nicolson march with the boundary rows pinned to measured values.
 
-    ``u`` is as for ``forward_solve``, and ``load(j)`` the interior source
-    load at the half-step node j; the pinned rows ignore any flux part.
+    ``u`` and ``load(j)`` are as for ``forward_solve``.  The pinned rows
+    drop the load's flux part, whose interior entries are exact zeros.
     ``trace_values`` holds one row per grid time node over the boundary
     vertices (callers interpolate measurements onto the grid).  Each step
     solves the interior block of S+ (see ``_interior_block``).

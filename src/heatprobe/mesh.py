@@ -29,14 +29,13 @@ class MeshError(ValueError):
 class Mesh:
     """Triangle mesh with counterclockwise cells and an ordered boundary loop.
 
-    ``boundary_edges[i]`` is ``(boundary_vertices[i], boundary_vertices[i+1])``
-    walking the boundary counterclockwise; the loop is closed, so there are as
-    many boundary edges as boundary vertices.
+    The loop ``boundary_vertices`` walks the boundary counterclockwise, and
+    boundary edge i runs from its vertex i to vertex i + 1 (cyclically), so
+    there are as many boundary edges as boundary vertices.
     """
 
     vertices: np.ndarray            # (V, 2)
     triangles: np.ndarray           # (T, 3) vertex indices, CCW
-    boundary_edges: np.ndarray      # (B, 2) vertex indices, CCW walk
     cell_areas: np.ndarray          # (T,)
     boundary_edge_lengths: np.ndarray  # (B,)
     centroids: np.ndarray           # (T, 2)
@@ -99,7 +98,6 @@ def _ring_counts(target: int) -> list[int]:
         if _polygon_area_deficit(outer) > 0.04:
             continue
         return counts + [outer]
-    return [target]
 
 
 def _zip_rings(inner: np.ndarray, inner_ang: np.ndarray,
@@ -157,10 +155,9 @@ def build_disk_mesh(target_triangles: int) -> Mesh:
     # the outer ring is the boundary, walked counterclockwise: each of its
     # edges is (outer[j], outer[j+1]) of a counterclockwise triangle
     loop = ring_idx[-1]
-    b_edges = np.column_stack([loop, np.roll(loop, -1)])
-    lengths = np.linalg.norm(vertices[b_edges[:, 1]] - vertices[b_edges[:, 0]],
+    lengths = np.linalg.norm(vertices[np.roll(loop, -1)] - vertices[loop],
                              axis=1)
-    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=b_edges,
+    return Mesh(vertices=vertices, triangles=triangles,
                 cell_areas=areas, boundary_edge_lengths=lengths,
                 centroids=centroids, basis_gradients=grads,
                 boundary_vertices=loop)
@@ -290,16 +287,13 @@ def prolong(field: np.ndarray, ops: TransferOps) -> np.ndarray:
 
 def cell_adjacency(mesh: Mesh) -> sparse.csr_array:
     """Symmetric (T x T) matrix with a one for each pair of cells that
-    share an edge."""
-    tri = mesh.triangles
-    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
-                                    tri[:, [2, 0]]]), axis=1)
-    owner = np.tile(np.arange(mesh.num_cells), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges, owner = edges[order], owner[order]
-    # an interior edge is two equal rows next to each other
-    shared = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
-    a, b = owner[shared], owner[shared + 1]
-    return sparse.csr_array(
-        (np.ones(2 * len(a)), (np.concatenate([a, b]), np.concatenate([b, a]))),
-        shape=(mesh.num_cells, mesh.num_cells))
+    share an edge: in a conforming mesh, those that share two vertices."""
+    t = mesh.num_cells
+    incidence = sparse.csr_array(
+        (np.ones(3 * t), mesh.triangles.ravel(), np.arange(0, 3 * t + 1, 3)),
+        shape=(t, mesh.num_vertices))
+    shared = incidence @ incidence.T        # the vertices two cells share
+    shared.data = (shared.data == 2).astype(float)
+    shared.eliminate_zeros()
+    shared.sort_indices()
+    return shared

@@ -398,14 +398,8 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     """One reconstruction cycle; returns (report, terminal nodal field)."""
     counters = Counters()
     ops, bounds = scn.ops, scn.bounds
-    # the marches of the segment read one set of source loads
-    f_load = functools.cache(fem.source_load(fine, grid, f_fn, None))
-    g_load = functools.cache(fem.source_load(fine, grid, None, g_fn))
-
-    def load(j: int) -> np.ndarray:
-        # (0 + f) + (0 + g) rounds as the sum 0 + f + g of source_load
-        return f_load(j) + g_load(j)
-
+    # the four marches of the segment read one set of source loads
+    load = functools.cache(fem.source_load(fine, grid, f_fn, g_fn))
     y_bg = fem.forward_solve(fine, grid, None, ops, load, init)
     counters.background += 1
     bg_trace = fem.boundary_trace(y_bg, fine).values
@@ -469,7 +463,7 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
         apply_kernel(kernel, zeta_fin, coarse, grid), bounds), grid)
 
     y_dir = fem.dirichlet_solve(fine, grid, prolong(u_fin, transfer), ops,
-                                f_load, y_d, init)
+                                load, y_d, init)
     counters.dirichlet += 1
     damp_kernel(kernel, opts.damping)
 
@@ -481,26 +475,37 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
     return report, y_dir.values[-1].copy()
 
 
-def check_run(scn: Scenario, mset: MeasurementSet, opts: Options,
-              fine: Mesh) -> int:
-    """Refuse, with ValueError, a run that cannot start: data that do not
-    cover the horizon or do not fit the fine mesh's boundary, a segment
+def check_settings(scn: Scenario, opts: Options, fine: Mesh,
+                   sample_dt: float, reference_triangles: int) -> int:
+    """Refuse, with ValueError, settings that no data can mend: a segment
     length that does not partition the horizon, or an inversion on the
-    data's own time step or mesh (inverse-crime guards).  Returns the
-    number of segments."""
+    data's time step or mesh (inverse-crime guards).  Returns the number
+    of segments."""
     horizon = scn.horizon if opts.horizon is None else opts.horizon
-    if mset.horizon < horizon - 1e-9:
-        raise ValueError(f"measurement horizon {mset.horizon} does not cover "
-                         f"[0, {horizon}]")
-    if abs(opts.dt - mset.sample_dt) < 1e-12:
+    if abs(opts.dt - sample_dt) < 1e-12:
         raise ValueError("inversion time step equals the reference sampling "
                          "step (inverse-crime guard)")
     n_segments = round(horizon / opts.segment_length)
     if abs(n_segments * opts.segment_length - horizon) > 1e-9:
         raise ValueError("segment length does not partition the horizon")
-    if fine.num_cells == mset.reference_triangles:
+    if fine.num_cells == reference_triangles:
         raise ValueError("inversion mesh equals the reference mesh "
                          "(inverse-crime guard)")
+    return n_segments
+
+
+def check_run(scn: Scenario, mset: MeasurementSet, opts: Options,
+              fine: Mesh) -> int:
+    """Refuse, with ValueError, a run that cannot start: data that do not
+    cover the horizon or do not fit the fine mesh's boundary, or settings
+    that ``check_settings`` refuses for the data's own sample step and
+    reference mesh.  Returns the number of segments."""
+    horizon = scn.horizon if opts.horizon is None else opts.horizon
+    if mset.horizon < horizon - 1e-9:
+        raise ValueError(f"measurement horizon {mset.horizon} does not cover "
+                         f"[0, {horizon}]")
+    n_segments = check_settings(scn, opts, fine, mset.sample_dt,
+                                mset.reference_triangles)
     if mset.noisy.shape[1] != fine.num_boundary_vertices:
         raise ValueError(f"measurement has {mset.noisy.shape[1]} boundary "
                          f"values per sample but the inversion mesh has "

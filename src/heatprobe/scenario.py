@@ -1,10 +1,10 @@
-"""Ground-truth moving inclusions, shared sources, and scenario configs.
+"""Ground-truth moving inclusions, the shared sources, and scenario configs.
 
 A scenario bundles the true inhomogeneity (disk-shaped inclusions moving
-along closed-form trajectories), the operator types of its components, the
-projection bounds used by the reconstruction, and the source triple
-(interior source, boundary flux, initial value) common to all benchmark
-cases.  Scenarios are immutable; evaluation is pure.
+along closed-form trajectories), the operator types of its components and
+the projection bounds used by the reconstruction.  Every scenario is driven
+by one source triple (interior source, boundary flux, initial value), which
+``samplers`` binds to a mesh.  Scenarios are immutable; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -41,26 +41,12 @@ class Inclusion:
 
 
 @dataclass(frozen=True)
-class SourceSet:
-    """Closed-form source triple.  ``f`` binds the interior source to its
-    evaluation points once and returns its ``t -> values``; ``g``
-    contracts a gradient with the outward unit normal at the evaluation
-    points."""
-
-    name: str
-    f: Callable[[np.ndarray], Callable[[float], np.ndarray]]
-    g: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     inclusions: tuple[Inclusion, ...]
     ops: tuple[InhomogeneityOp, ...]
     bounds: np.ndarray          # (L, 2) box per component
     horizon: float
-    sources: SourceSet
 
     @property
     def num_components(self) -> int:
@@ -83,11 +69,6 @@ def _standard_h(points: np.ndarray) -> np.ndarray:
     return 3.0 + np.sin(3 * points[:, 0]) * np.cos(4 * points[:, 1])
 
 
-def standard_sources() -> SourceSet:
-    """The shared source triple of the benchmark scenarios."""
-    return SourceSet("standard", _standard_f, _standard_g, _standard_h)
-
-
 def _check_clearance(scn: Scenario, samples: int = 1001) -> None:
     for j, inc in enumerate(scn.inclusions):
         for t in np.linspace(0.0, scn.horizon, samples):
@@ -107,8 +88,7 @@ def _check_clearance(scn: Scenario, samples: int = 1001) -> None:
 
 def _make(name, inclusions, ops, bounds, horizon=10.0) -> Scenario:
     scn = Scenario(name=name, inclusions=tuple(inclusions), ops=tuple(ops),
-                   bounds=np.asarray(bounds, dtype=float), horizon=horizon,
-                   sources=standard_sources())
+                   bounds=np.asarray(bounds, dtype=float), horizon=horizon)
     _check_clearance(scn)
     return scn
 
@@ -266,16 +246,16 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
 
 
 def samplers(scn: Scenario, mesh: Mesh):
-    """Mesh-bound source samplers: ``f(t)`` over cells, ``g(t)`` over the
-    boundary vertices, and the nodal initial field ``h``."""
+    """Mesh-bound samplers of the source triple that every scenario shares:
+    ``f(t)`` over cells, ``g(t)`` over the boundary vertices, and the nodal
+    initial field ``h``."""
     bpts = mesh.vertices[mesh.boundary_vertices]
     normals = bpts / np.linalg.norm(bpts, axis=1, keepdims=True)
-    src = scn.sources
 
     def g_fn(t: float) -> np.ndarray:
-        return src.g(bpts, normals, t)
+        return _standard_g(bpts, normals, t)
 
-    return src.f(mesh.centroids), g_fn, src.h(mesh.vertices)
+    return _standard_f(mesh.centroids), g_fn, _standard_h(mesh.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ class SynthError(ValueError):
 
 @dataclass
 class MeasurementSet:
-    """Clean and noisy boundary samples on the inversion mesh's boundary."""
+    """Clean and noisy boundary samples on the inversion mesh's boundary;
+    the sample step is read off the sample times."""
 
     sample_times: np.ndarray        # (S,)
     clean: np.ndarray               # (S, B)
@@ -36,11 +37,16 @@ class MeasurementSet:
     noise_level: float
     seed: int
     reference_triangles: int
-    sample_dt: float
 
     @property
     def horizon(self) -> float:
         return float(self.sample_times[-1])
+
+    @property
+    def sample_dt(self) -> float:
+        """The step between the first two samples (0.0 for one sample)."""
+        t = self.sample_times
+        return float(t[1] - t[0]) if len(t) > 1 else 0.0
 
 
 def boundary_angles(mesh: Mesh) -> np.ndarray:
@@ -113,18 +119,16 @@ def build_measurement_set(scn: Scenario, inversion_mesh: Mesh,
     """Generate, perturb and package the measured data for one scenario."""
     return measure(generate_reference(scn, inversion_mesh,
                                       reference_triangles, sample_dt, horizon),
-                   noise_level, seed, reference_triangles, sample_dt)
+                   noise_level, seed, reference_triangles)
 
 
 def measure(trace: fem.BoundaryTrace, noise_level: float, seed: int,
-            reference_triangles: int = REFERENCE_TRIANGLES,
-            sample_dt: float = SAMPLE_DT) -> MeasurementSet:
+            reference_triangles: int = REFERENCE_TRIANGLES) -> MeasurementSet:
     """Perturb a clean reference trace and package it as measured data."""
     noisy = add_noise(trace.values, noise_level, seed)
     return MeasurementSet(sample_times=trace.times, clean=trace.values,
                           noisy=noisy, noise_level=noise_level, seed=seed,
-                          reference_triangles=reference_triangles,
-                          sample_dt=sample_dt)
+                          reference_triangles=reference_triangles)
 
 
 def sample_measurement(mset: MeasurementSet, t, noisy: bool = True) -> np.ndarray:
@@ -203,8 +207,6 @@ def load_measurement_set(base_path, reference_triangles: int) -> MeasurementSet:
     if len(times) != len(times_n) or not np.array_equal(times, times_n):
         raise OSError(f"{base_path}: clean and noisy traces disagree on "
                       f"sample times")
-    dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
     return MeasurementSet(sample_times=times, clean=clean, noisy=noisy,
                           noise_level=noise_level, seed=seed,
-                          reference_triangles=reference_triangles,
-                          sample_dt=dt)
+                          reference_triangles=reference_triangles)

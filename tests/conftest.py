@@ -67,8 +67,7 @@ def measurement_factory(reference_cache):
         return synth.MeasurementSet(
             sample_times=trace.times, clean=trace.values, noisy=noisy,
             noise_level=noise, seed=seed,
-            reference_triangles=synth.REFERENCE_TRIANGLES,
-            sample_dt=synth.SAMPLE_DT)
+            reference_triangles=synth.REFERENCE_TRIANGLES)
 
     return make
 

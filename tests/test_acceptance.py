@@ -226,7 +226,7 @@ def test_criterion_4_null_scenario(fine, coarse, transfer):
     trace = synth.generate_reference(scn, fine)
     mset = synth.MeasurementSet(
         trace.times, trace.values, synth.add_noise(trace.values, 0.05, 1),
-        0.05, 1, synth.REFERENCE_TRIANGLES, synth.SAMPLE_DT)
+        0.05, 1, synth.REFERENCE_TRIANGLES)
     res = recon.run(scn, mset, recon.Options(tol=0.08, scheme="bfg"),
                    fine=fine, coarse=coarse, transfer=transfer)
     clean = sum(1 for s in res.segments

@@ -741,6 +741,23 @@ class TestMainExitCodes:
         assert "partition" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_bad_settings_are_refused_before_generating(
+            self, command, tmp_path, capsys, monkeypatch):
+        """Settings that no data can mend are refused before the reference
+        is generated."""
+        def never(*args, **kwargs):
+            raise AssertionError("generated data for refused settings")
+
+        monkeypatch.setattr(synth, "generate_reference", never)
+        out = tmp_path / "runs"
+        assert cli.main([command, "--scenario", "ex1",
+                         "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "1.05",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "partition" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_is_named_and_recorded_by_its_data(self, tmp_path):
         """Data made with other noise, seed, reference mesh and sample step
         than the reconstruct flags name the run and fill its config.txt."""

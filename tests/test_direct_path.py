@@ -63,9 +63,10 @@ def plain_neumann_load(mesh, flux):
     gi = np.asarray(flux, dtype=float)
     gj = np.roll(gi, -1)
     lens = mesh.boundary_edge_lengths / 6.0
+    loop = mesh.boundary_vertices
     load = np.zeros(mesh.num_vertices)
-    np.add.at(load, mesh.boundary_edges[:, 0], lens * (2.0 * gi + gj))
-    np.add.at(load, mesh.boundary_edges[:, 1], lens * (gi + 2.0 * gj))
+    np.add.at(load, loop, lens * (2.0 * gi + gj))
+    np.add.at(load, np.roll(loop, -1), lens * (gi + 2.0 * gj))
     return load
 
 
@@ -213,15 +214,11 @@ def rel(a, b):
 
 # -- fixtures ----------------------------------------------------------------
 
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
-def cpus(request, monkeypatch):
-    """Grant the process one or two CPUs, as ``os.sched_getaffinity`` sees;
-    either way the marches of the test start no thread."""
-    granted = set(range(request.param))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: granted,
-                        raising=False)
+@pytest.fixture
+def no_threads():
+    """The marches of the test start no thread."""
     threads_before = set(threading.enumerate())
-    yield request.param
+    yield
     assert set(threading.enumerate()) <= threads_before
 
 
@@ -239,8 +236,8 @@ def make_scenario(name):
 # -- agreement with the plain march ----------------------------------------
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
-                                                monkeypatch):
+def test_generate_reference_matches_plain_march(name, no_threads,
+                                                small_coarse, monkeypatch):
     scn = make_scenario(name)
     calls = counted_splu(monkeypatch)
     fast = synth.generate_reference(scn, small_coarse,
@@ -254,8 +251,8 @@ def test_generate_reference_matches_plain_march(name, cpus, small_coarse,
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_marches_match_plain_march(name, cpus, small_fine, small_coarse,
-                                   small_transfer, monkeypatch):
+def test_marches_match_plain_march(name, no_threads, small_fine,
+                                   small_coarse, small_transfer, monkeypatch):
     scn = make_scenario(name)
     mesh = small_fine
     grid = fem.segment_grid(0.25, 0.5, 0.0125)
@@ -507,6 +504,25 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
         fallbacks = fem._Pcg.fallbacks
         assert rel(march(), plain()) <= RTOL, label
         assert fem._Pcg.fallbacks > fallbacks, label
+
+
+def test_pcg_breakdown_solves_directly(small_fine):
+    """A strong negative potential makes the step matrices indefinite: CG
+    breaks down (p.Ap <= 0), and each step falls back to a factorization,
+    which gives the direct result."""
+    mesh = small_fine
+    inside = np.linalg.norm(mesh.centroids - (0.3, 0.2), axis=1) <= 0.2
+    potential = np.where(inside, -1000.0, 0.0)[None, :]
+    ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
+    grid = fem.segment_grid(0.0, 0.05, 0.0125)
+    f_fn, g_fn, h = scenario.samplers(scenario.null_scenario(), mesh)
+    fallbacks = fem._Pcg.fallbacks
+    fast = fem.forward_solve(mesh, grid, lambda t: potential, ops,
+                             fem.source_load(mesh, grid, f_fn, g_fn), h)
+    assert fem._Pcg.fallbacks == fallbacks + grid.steps
+    plain = plain_forward(mesh, grid, lambda t: potential, ops,
+                          plain_source_load(mesh, grid, f_fn, g_fn), h)
+    assert rel(fast.values, plain.values) <= RTOL
 
 
 def test_picard_sweeps_sample_each_step_once(small_fine):

@@ -235,8 +235,10 @@ class TestForwardSolve:
             + 1e-12
 
     def test_shared_source_loads_change_no_bit(self, disk1800):
-        """Marches that read cached loads, as a reconstruction segment
-        shares them, equal those that assemble every load they read."""
+        """Marches that read one cached load, as a reconstruction segment
+        shares it, equal those that assemble every load they read; a
+        Dirichlet march given the flux too equals one given the source
+        alone."""
         mesh = disk1800
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         f = lambda t: np.sin(3 * t) * mesh.centroids[:, 0]  # noqa: E731
@@ -245,20 +247,32 @@ class TestForwardSolve:
         init = np.ones(mesh.num_vertices)
         own = fem.forward_solve(mesh, grid, None, [],
                                 fem.source_load(mesh, grid, f, g), init).values
-        f_load = functools.cache(fem.source_load(mesh, grid, f, None))
-        g_load = functools.cache(fem.source_load(mesh, grid, None, g))
+        load = functools.cache(fem.source_load(mesh, grid, f, g))
         for _ in range(2):
-            shared = fem.forward_solve(mesh, grid, None, [],
-                                       lambda j: f_load(j) + g_load(j),
+            shared = fem.forward_solve(mesh, grid, None, [], load,
                                        init).values
             assert np.array_equal(shared, own)
         trace = own[:, mesh.boundary_vertices]
         assert np.array_equal(
-            fem.dirichlet_solve(mesh, grid, None, [], f_load, trace,
+            fem.dirichlet_solve(mesh, grid, None, [], load, trace,
                                 init).values,
             fem.dirichlet_solve(mesh, grid, None, [],
                                 fem.source_load(mesh, grid, f, None), trace,
                                 init).values)
+
+    def test_marches_share_the_mass_matrix(self, monkeypatch):
+        """The mass matrix depends on the mesh only: two marches of one
+        mesh and dt assemble it at most once."""
+        mesh = hm.build_disk_mesh(1000)
+        grid = fem.segment_grid(0.0, 0.05, 0.0125)
+        calls = []
+        assemble = fem.assemble_mass
+        monkeypatch.setattr(fem, "assemble_mass",
+                            lambda m: calls.append(m) or assemble(m))
+        for _ in range(2):
+            fem.forward_solve(mesh, grid, None, [], no_load(mesh, grid),
+                              np.ones(mesh.num_vertices))
+        assert len(calls) <= 1
 
     def test_ellipticity_violation_rejected(self, disk1800):
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
@@ -303,7 +317,7 @@ class TestDirichletSolve:
         trace = synth.generate_reference(scn, small_fine, horizon=1.0)
         noisy = synth.add_noise(trace.values, 0.05, seed=3)
         mset = synth.MeasurementSet(trace.times, trace.values, noisy,
-                                    0.05, 3, synth.REFERENCE_TRIANGLES, 0.01)
+                                    0.05, 3, synth.REFERENCE_TRIANGLES)
         f_fn, g_fn, h = scenario.samplers(scn, small_fine)
 
         def u_est(t):

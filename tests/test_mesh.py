@@ -67,9 +67,9 @@ class TestBuildDiskMesh:
 
     @pytest.mark.parametrize("target", [16, 100, 3000])
     def test_boundary_edges_are_the_unshared_edges(self, target):
-        """The boundary edges are the triangle edges whose reverse lies in
-        no triangle, in their triangles' orientation, and the loop starts
-        at its smallest vertex."""
+        """The edges of the boundary loop (vertex i to i + 1, cyclically)
+        are the triangle edges whose reverse lies in no triangle, in their
+        triangles' orientation, and the loop starts at its smallest vertex."""
         mesh = hm.build_disk_mesh(target)
         tri = mesh.triangles
         edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
@@ -77,16 +77,10 @@ class TestBuildDiskMesh:
         key = edges[:, 0] * mesh.num_vertices + edges[:, 1]
         reverse = edges[:, 1] * mesh.num_vertices + edges[:, 0]
         unshared = edges[~np.isin(reverse, key)]
+        loop = mesh.boundary_vertices
         assert sorted(map(tuple, unshared)) \
-            == sorted(map(tuple, mesh.boundary_edges))
-        assert mesh.boundary_vertices[0] == mesh.boundary_vertices.min()
-        assert np.array_equal(mesh.boundary_vertices,
-                              mesh.boundary_edges[:, 0])
-
-    def test_boundary_loop_is_cyclic(self):
-        mesh = hm.build_disk_mesh(200)
-        assert np.array_equal(mesh.boundary_edges[:, 1],
-                              np.roll(mesh.boundary_edges[:, 0], -1))
+            == sorted(zip(loop, np.roll(loop, -1)))
+        assert loop[0] == loop.min()
 
 
 class TestBoundaryDistance:

@@ -268,6 +268,28 @@ class TestUpdates:
         assert not kernel.rank
         assert any("curvature" in r.message for r in caplog.records)
 
+    def test_secant_check_rolls_back(self, tiny, caplog, monkeypatch):
+        """An update whose secant residual exceeds SECANT_TOL is taken
+        back: the kernel keeps the terms it had, and the update reports
+        False."""
+        mesh, grid = tiny
+        rng = np.random.default_rng(12)
+        kernel = recon.make_kernel(mesh, 2)
+        assert recon.update_dfp(kernel, rand_field(rng, mesh, grid),
+                                rand_field(rng, mesh, grid), mesh, grid)
+        before = [kernel.m, kernel.n, kernel.weight, kernel.damp]
+        monkeypatch.setattr(recon, "SECANT_TOL", -1.0)
+        with caplog.at_level(logging.WARNING, logger="heatprobe.reconstruction"):
+            accepted = recon.update_dfp(
+                kernel, rand_field(rng, mesh, grid),
+                rand_field(rng, mesh, grid), mesh, grid)
+        assert not accepted
+        assert kernel.rank == 2
+        for kept, old in zip([kernel.m, kernel.n, kernel.weight,
+                              kernel.damp], before):
+            assert np.array_equal(kept, old)
+        assert any("rolled back" in r.message for r in caplog.records)
+
     def test_rank_cap_respected_and_secant_kept(self, tiny):
         mesh, grid = tiny
         rng = np.random.default_rng(11)
@@ -465,7 +487,7 @@ class TestSegmentLoop:
         noisy = synth.add_noise(trace.values, noise, seed)
         return scn, synth.MeasurementSet(trace.times, trace.values, noisy,
                                          noise, seed,
-                                         synth.REFERENCE_TRIANGLES, 0.01)
+                                         synth.REFERENCE_TRIANGLES)
 
     def _opts(self, **kw):
         base = dict(fine_triangles=3000, coarse_triangles=600, tol=0.10,
@@ -496,6 +518,25 @@ class TestSegmentLoop:
         assert seg.counters.as_tuple() == (1, 2, 2, 1)
         assert seg.counters.total == 6
         assert seg.warned
+
+    def test_no_progress_stops_the_inner_loop(self, small_fine, small_coarse,
+                                              small_transfer, monkeypatch,
+                                              caplog):
+        """With every update rejected and one estimate at every iteration,
+        the inner loop stops at its second iteration, warned."""
+        scn, mset = self._mset(small_fine, horizon=0.1)
+        monkeypatch.setattr(recon, "update_bfg", lambda *args: False)
+        monkeypatch.setattr(recon, "project",
+                            lambda eta, bounds: np.zeros(eta.shape))
+        with caplog.at_level(logging.WARNING, logger="heatprobe.reconstruction"):
+            res = recon.run(scn, mset, self._opts(horizon=0.1, tol=1e-9),
+                            fine=small_fine, coarse=small_coarse,
+                            transfer=small_transfer)
+        seg = res.segments[0]
+        assert (seg.iterations, seg.warned) == (2, True)
+        # the segment's adjoint solve and one auxiliary one per iteration
+        assert seg.counters.as_tuple() == (1, 3, 2, 1)
+        assert any("no kernel progress" in r.message for r in caplog.records)
 
     def test_segment_samples_each_source_node_once(
             self, small_fine, small_coarse, small_transfer, monkeypatch):

@@ -155,8 +155,7 @@ class TestEvalTruth:
                         sc.Inclusion(lambda t: (0.25, 0.0), lambda t: 0.2,
                                      lambda t: 7.0)),
             ops=(fem.InhomogeneityOp(fem.POTENTIAL, 0),),
-            bounds=np.array([[0.0, 30.0]]), horizon=10.0,
-            sources=sc.standard_sources())
+            bounds=np.array([[0.0, 30.0]]), horizon=10.0)
         with pytest.raises(sc.ScenarioError):
             sc.eval_truth(scn, 1.0, coarse)
 
@@ -185,10 +184,9 @@ class TestSources:
             coarse.centroids[origin])
 
     def test_flux_formula_at_east_point(self):
-        src = sc.standard_sources()
         pts = np.array([[1.0, 0.0]])
         normals = np.array([[1.0, 0.0]])
-        value = src.g(pts, normals, 0.0)[0]
+        value = sc._standard_g(pts, normals, 0.0)[0]
         assert value == pytest.approx(3 * math.cos(3.0), abs=1e-12)
         assert value == pytest.approx(-2.96997, abs=1e-4)
 

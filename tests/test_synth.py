@@ -54,8 +54,7 @@ class TestSampling:
     def _mset(self):
         times = np.arange(0.0, 1.0001, 0.01)
         values = np.outer(np.sin(times), np.ones(7))
-        return synth.MeasurementSet(times, values, values, 0.0, 0,
-                                    13870, 0.01)
+        return synth.MeasurementSet(times, values, values, 0.0, 0, 13870)
 
     def test_exact_instants(self):
         m = self._mset()
@@ -79,8 +78,7 @@ class TestSampling:
         def build(spacing):
             times = np.arange(0.0, 1.0 + spacing / 2, spacing)
             vals = np.cos(3 * times)[:, None]
-            return synth.MeasurementSet(times, vals, vals, 0.0, 0, 13870,
-                                        spacing)
+            return synth.MeasurementSet(times, vals, vals, 0.0, 0, 13870)
 
         probe = np.linspace(0.0, 1.0, 1117)
         errs = []
@@ -109,7 +107,7 @@ class TestReference:
                                fem.source_load(small_fine, grid, f_fn, g_fn),
                                h)
         mset = synth.MeasurementSet(trace.times, trace.values, trace.values,
-                                    0.0, 0, synth.REFERENCE_TRIANGLES, 0.01)
+                                    0.0, 0, synth.REFERENCE_TRIANGLES)
         sampled = synth.sample_measurement(mset, grid.times(), noisy=False)
         gap = fem.boundary_rel_error(
             small_fine, grid, sampled,
@@ -132,7 +130,7 @@ class TestReference:
         def gap(trace):
             mset = synth.MeasurementSet(trace.times, trace.values,
                                         trace.values, 0.0, 0,
-                                        synth.REFERENCE_TRIANGLES, 0.01)
+                                        synth.REFERENCE_TRIANGLES)
             sampled = synth.sample_measurement(mset, grid.times(),
                                                noisy=False)
             return fem.boundary_rel_error(small_fine, grid, sampled, bg_vals)
@@ -153,7 +151,7 @@ class TestPersistence:
         trace = synth.generate_reference(scn, small_fine, horizon=0.1)
         noisy = synth.add_noise(trace.values, 0.03, seed=5)
         return synth.MeasurementSet(trace.times, trace.values, noisy, 0.03,
-                                    5, synth.REFERENCE_TRIANGLES, 0.01)
+                                    5, synth.REFERENCE_TRIANGLES)
 
     def test_text_round_trip_exact(self, tmp_path, small_fine):
         m = self._mset(small_fine)

@@ -22,11 +22,14 @@ writes to WORKDIR:
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5];
-- every field of the disk meshes in ``MESH_SIZES``: those of the runs
-  above (3000, 600 and the 13870-triangle reference), of the tests and of
-  the acceptance scale.
+- every field and the cell adjacency (``mesh.cell_adjacency``) of the
+  disk meshes in ``MESH_SIZES``: those of the runs above (3000, 600 and
+  the 13870-triangle reference), of the tests and of the acceptance scale.
 
-The script then compares meshes, measurement sets and reports bit for bit and
+The script then compares meshes on the fields both trees hold (a parent's
+``boundary_edges`` must be the change's loop ``boundary_vertices[i] ->
+boundary_vertices[i + 1]``, row for row), measurement sets and reports bit
+for bit and
 files byte for byte (``summary.txt`` but its wall-time line;
 ``config.txt`` and the manifest are listed, as they record the output
 directory), and resumes the parent's checkpoints with the change's code to
@@ -201,9 +204,14 @@ def dump(src, out):
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
+    meshes = {}
+    for n in MESH_SIZES:
+        m = mesh.build_disk_mesh(n)
+        adjacency = mesh.cell_adjacency(m)
+        meshes[n] = {**vars(m), "cell_adjacency": [
+            adjacency.indptr, adjacency.indices, adjacency.data]}
     with open(os.path.join(out, "meshes.pkl"), "wb") as fh:
-        pickle.dump({n: vars(mesh.build_disk_mesh(n)) for n in MESH_SIZES},
-                    fh)
+        pickle.dump(meshes, fh)
     with open(os.path.join(out, "measurements.pkl"), "wb") as fh:
         pickle.dump({k: [getattr(m, name) for name in MEASURED]
                      for k, m in data.items()}, fh)
@@ -262,10 +270,19 @@ def _load(path):
 
 
 def compare(parent, change):
+    import numpy as np
     meshes_a, meshes_b = (_load(os.path.join(side, "meshes.pkl"))
                           for side in (parent, change))
     differ = [f"{n} {name}" for n in meshes_a for name in meshes_a[n]
-              if not _same(meshes_a[n][name], meshes_b[n][name])]
+              if name in meshes_b[n]
+              and not _same(meshes_a[n][name], meshes_b[n][name])]
+    for n in meshes_a:
+        # a field one tree stores and the other derives from its loop
+        edges = meshes_a[n].get("boundary_edges")
+        if edges is not None and "boundary_edges" not in meshes_b[n]:
+            loop = meshes_b[n]["boundary_vertices"]
+            if not _same(edges, np.column_stack([loop, np.roll(loop, -1)])):
+                differ.append(f"{n} boundary_edges against the loop")
     ok = not differ
     print(f"meshes: {'; '.join(differ) or 'bit-identical'}")
     ma, mb = (_load(os.path.join(side, "measurements.pkl"))
