@@ -186,6 +186,7 @@ class _Operators:
         self.labels = {}
         self.unperturbed_data = (None, None, None)  # see _unperturbed_data
         self.mass = None                            # see _mass
+        _trim_after(self)
 
     def matrix(self, data: np.ndarray) -> sparse.csr_array:
         """A matrix on the shared pattern."""
@@ -239,13 +240,28 @@ def trim_heap() -> None:
 
     SuperLU allocates several times a factor's size, and a held unperturbed
     factor stays alive while other marches factorize and free, so the heap
-    around it keeps their pages resident.  A reconstruction trims after
-    each segment: without that, peak RSS of a two-component reconstruction
-    rises by about 10%, and a trim after every march costs more time than
-    the pages it returns save.
+    around it keeps their pages resident.  So the heap is trimmed when
+    large factors die: when a mesh's operator cache dies or drops its held
+    systems, when a condensation window dies (``_trim_after``), and after
+    each segment of a reconstruction.  Without the last, peak RSS of a
+    two-component reconstruction rises by about 10%; a trim after every
+    march costs more time than the pages it returns save.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
+
+
+def _trim_after(owner) -> None:
+    """Trim the heap when ``owner`` dies, once its attributes are freed.
+
+    A finalizer runs before the attributes of its object are released, so
+    this one releases them itself before it trims."""
+    weakref.finalize(owner, _release, vars(owner))
+
+
+def _release(attributes: dict) -> None:
+    attributes.clear()
+    trim_heap()
 
 
 _OPERATORS: dict[int, _Operators] = {}
@@ -261,9 +277,7 @@ def _operators(mesh: Mesh) -> _Operators:
 
 
 def _drop_operators(key: int) -> None:
-    cache = _OPERATORS.pop(key, None)
-    if cache is not None:
-        cache.drop_unperturbed()
+    _OPERATORS.pop(key, None)       # the cache trims the heap as it dies
 
 
 def cell_gradient(mesh: Mesh) -> sparse.csr_array:
@@ -372,8 +386,9 @@ def _perturbation(u, ops, mesh: Mesh):
     """``(cells, coeff, react, powers)`` of the inhomogeneity ``u`` (a cell
     field of ``mesh``, None for zero): its perturbed cells, where the
     coefficient is not 1, the reaction weight not 0 or a power component
-    not 0, and their coefficients, weights and power terms.  A power
-    component that is 0 on every cell adds no power term."""
+    not 0, and their coefficients (None when no op is a conductivity),
+    weights and power terms.  A power component that is 0 on every cell
+    adds no power term."""
     u_fine = np.zeros((len(ops), mesh.num_cells)) if u is None \
         else _to_fine(np.asarray(u, dtype=float), len(ops), mesh)
     coeff, react, powers = _split_ops(u_fine, ops)
@@ -381,7 +396,8 @@ def _perturbation(u, ops, mesh: Mesh):
     for comp, _ in powers:
         perturbed |= comp != 0.0
     cells = np.flatnonzero(perturbed)
-    return cells, coeff[cells], react[cells], [
+    conductivity = any(op.kind == CONDUCTIVITY for op in ops)
+    return cells, coeff[cells] if conductivity else None, react[cells], [
         (comp[cells], power) for comp, power in powers if np.any(comp)]
 
 
@@ -492,17 +508,25 @@ PCG_RTOL = 1e-14
 
 
 class _Pcg:
-    """Conjugate gradients on the step matrix ``a``, preconditioned by the
-    factorization ``precond`` of the unperturbed M/dt + K(1)/2 (Saad,
-    "Iterative Methods for Sparse Linear Systems", alg. 9.1).
+    """Conjugate gradients on the matrix ``a`` of a step with no
+    conductivity, preconditioned by the factorization ``precond`` of the
+    same matrix with no perturbation (Saad, "Iterative Methods for Sparse
+    Linear Systems", alg. 9.1).  ``a`` is a whole step matrix (or its
+    interior block) and ``precond`` that of M/dt + K(1)/2, or ``a`` is a
+    window's Schur complement of the step (``_Window.schur``) and
+    ``precond`` that of the window's unperturbed one.
 
     With the diffusion coefficient 1, a reaction weight w changes only the
     mass-like part of S+, so the preconditioned spectrum lies in
     [1, 1 + dt*max(w)/2] and a few steps reach the relative residual
-    ``PCG_RTOL``.  Each solve starts from ``precond``'s solution.  Past
-    ``PCG_MAX_ITERATIONS`` steps, or on a breakdown (p.Ap <= 0: a negative
-    potential made ``a`` indefinite), ``a`` is factorized and solved
-    directly from then on; ``_Pcg.fallbacks`` counts those fallbacks.
+    ``PCG_RTOL``.  A window's step changes only its unknowns R, and the
+    inverse of a Schur complement is the R block of the whole inverse, so
+    on the Schur complement the preconditioned spectrum is the whole
+    matrix's less eigenvalues 1.  Each solve starts from ``precond``'s
+    solution.  Past ``PCG_MAX_ITERATIONS`` steps, or on a breakdown
+    (p.Ap <= 0: a negative potential made ``a`` indefinite), ``a`` is
+    factorized and solved directly from then on; ``_Pcg.fallbacks`` counts
+    those fallbacks.
     """
 
     fallbacks = 0
@@ -559,7 +583,10 @@ class _Window:
     ``plus`` on the mesh's pattern) at every step.  S_OO is factorized
     once, and X = S_RO S_OO^-1 S_OR once (``_ring_block``), so the window
     holds S_RR - X of the unperturbed S+; a step adds to it what its
-    perturbed cells change (``schur``).
+    perturbed cells change (``schur``).  A step with no conductivity solves
+    it by ``_Pcg``, preconditioned by the factorization of the unperturbed
+    one (``precond``, made on first use).  The heap is trimmed when the
+    window dies.
     """
 
     def __init__(self, labels, plus: np.ndarray, changed: np.ndarray):
@@ -586,6 +613,7 @@ class _Window:
         self.schur_data[np.searchsorted(keys, x_keys)] -= x.ravel()
         cols, self.schur_rows = np.divmod(keys, n)
         self.schur_starts = np.searchsorted(cols, np.arange(n + 1))
+        _trim_after(self)
 
     def _ring_block(self, s_jo) -> np.ndarray:
         """X = S_JO S_OO^-1 S_OJ on the ring J of R unknowns next to O,
@@ -597,19 +625,25 @@ class _Window:
             x[:, cols] = s_jo @ self.lu.solve(s_oj[:, cols].toarray())
         return 0.5 * (x + x.T)      # X is symmetric; the solves round apart
 
-    def schur(self, change: np.ndarray):
+    def schur(self, change: np.ndarray | None = None):
         """S_RR - X of a step whose S+ is the unperturbed one plus
-        ``change`` (data on the mesh's pattern)."""
+        ``change`` (data on the mesh's pattern; None for no change)."""
         data = self.schur_data.copy()
-        data[self.rr_slots] += change[self.rr_positions]
+        if change is not None:
+            data[self.rr_slots] += change[self.rr_positions]
         return sparse.csc_array((data, self.schur_rows, self.schur_starts),
                                 shape=(self.inner.size,) * 2)
+
+    @cached_property
+    def precond(self):
+        """The factorization of the unperturbed S_RR - X."""
+        return _factorize(self.schur())
 
 
 class _Condensed:
     """A step's solver by static condensation on its ``window``, from the
-    factorization ``lu`` of its Schur complement S_RR - X: each solve is
-    two S_OO solves and one Schur solve."""
+    solver ``lu`` of its Schur complement S_RR - X (a factorization or
+    ``_Pcg``): each solve is two S_OO solves and one Schur solve."""
 
     def __init__(self, lu, window: _Window):
         self.window, self.lu = window, lu
@@ -668,14 +702,17 @@ def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
 
 def _change(mesh: Mesh, cells, coeff, react, powers, y_lag) -> np.ndarray:
     """Half the change of K + R on a step's perturbed cells (data on the
-    mesh's pattern), their power weight lagged at ``y_lag``."""
+    mesh's pattern), their power weight lagged at ``y_lag``; with no
+    coefficient (``coeff`` None) K is unchanged."""
     cache = _operators(mesh)
     if powers:
         ybar = y_lag[mesh.triangles[cells]].mean(axis=1)
         react = react + sum(comp * np.abs(ybar) ** (power - 2.0)
                             for comp, power in powers)
-    blocks = (_elliptic(coeff) - 1.0)[:, None] * cache.stiffness_blocks[cells] \
-        + _finite(react)[:, None] * cache.mass_blocks[cells]
+    blocks = _finite(react)[:, None] * cache.mass_blocks[cells]
+    if coeff is not None:
+        blocks += (_elliptic(coeff) - 1.0)[:, None] \
+            * cache.stiffness_blocks[cells]
     return np.bincount(cache.scatter.reshape(-1, 9)[cells].ravel(),
                        0.5 * blocks.ravel(), minlength=cache.indices.size)
 
@@ -692,15 +729,19 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
     unperturbed system.  Any other step is solved by the march's kind:
 
     - static (no sampler, no nonzero power weight): one factorization;
-    - reaction-only (no conductivity): ``_Pcg`` on the held factorization
-      of the same block;
-    - conductivity, time only: condensed on windows of ``CONDENSE_STEPS``
-      steps (``_Window``), at most one alive.  A window's perturbed cells
-      are those of all its steps, also of steps past the grid's end, so a
-      shorter reference march is bitwise the prefix of a longer one, as
-      resuming a run to a longer horizon requires; one whose cells reach
-      every unknown factorizes each step's whole matrix;
-    - conductivity with a lagged power weight: factorized at every call.
+    - a sampler, but not a conductivity with a power weight: condensed on
+      windows of ``CONDENSE_STEPS`` steps (``_Window``), at most one
+      alive.  A window's perturbed cells are those of all its steps, also
+      of steps past the grid's end, so a shorter reference march is
+      bitwise the prefix of a longer one, as resuming a run to a longer
+      horizon requires.  Each step factorizes its Schur complement, or,
+      with no conductivity, solves it by ``_Pcg`` on the window's
+      unperturbed one (its power weight, lagged, changes only perturbed
+      cells);
+    - otherwise, and in a window whose cells reach every unknown: with no
+      conductivity ``_Pcg`` on the whole step matrix and the held
+      unperturbed factorization of the same block, else a factorization
+      at every call.
     """
     dt = grid.dt
     labels, _ = _labels(mesh, block)
@@ -708,9 +749,8 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
     static = fixed is not None and not fixed[3]
     lagged = not static and any(op.kind == POWER_POTENTIAL for op in ops)
     conductivity = any(op.kind == CONDUCTIVITY for op in ops)
-    precond = window = steps = None
-    if not (static or conductivity):
-        (precond, _), _ = _unperturbed_system(mesh, dt, block)
+    windowed = fixed is None and not (conductivity and lagged)
+    window = steps = None
 
     def perturbation(k):
         # the midpoint of step k, also of a step past the grid's end
@@ -720,11 +760,14 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
     def solver(s_plus, change):
         # the window is read when the system is built, so a step's
         # function does not keep its window alive into the next one
-        if precond is not None:
-            return _Pcg(_take(labels, s_plus), precond)
         if window is not None:
-            return _Condensed(_factorize(window.schur(change)), window)
-        return _factorize(_take(labels, s_plus))
+            schur = window.schur(change)
+            return _Condensed(_factorize(schur) if conductivity
+                              else _Pcg(schur, window.precond), window)
+        if static or conductivity:
+            return _factorize(_take(labels, s_plus))
+        (held, _), _ = _unperturbed_system(mesh, dt, block)
+        return _Pcg(_take(labels, s_plus), held)
 
     def system(perturbed, y_lag):
         if not perturbed[0].size:
@@ -734,7 +777,7 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
 
     def systems(k):
         nonlocal window, steps
-        if lagged or not conductivity:
+        if not windowed:
             return partial(system, perturbation(k))
         if k % CONDENSE_STEPS == 0:
             window = None
@@ -818,9 +861,10 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     """Crank-Nicolson march of the Neumann problem over one segment.
 
     ``u`` may be None, a cell field of ``mesh`` constant in time, or a
-    sampler ``t -> field`` of such fields evaluated at step midpoints (with
-    a conductivity component, up to ``CONDENSE_STEPS`` - 1 steps past
-    ``grid.t_end``; see ``_step_systems``).
+    sampler ``t -> field`` of such fields evaluated at step midpoints (up
+    to ``CONDENSE_STEPS`` - 1 steps past ``grid.t_end`` unless the
+    operator is a conductivity with a power weight; see
+    ``_step_systems``).
     ``load(j)`` is the source and flux load at the half-step node j (see
     ``source_load``).  The first step is always two backward-Euler half
     steps, which keep second-order accuracy for rough starting data.
@@ -830,9 +874,11 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
 
     Each step adds its perturbed cells' change to the unperturbed operator
     and is solved as ``_step_systems`` sets out: a static operator by one
-    factorization, one without conductivity by preconditioned CG, a
-    time-dependent conductivity by condensation on windows, and one with a
-    lagged power weight by a factorization per step and sweep.
+    factorization; a sampler by condensation on windows, whose Schur
+    complements are solved by preconditioned CG when there is no
+    conductivity; a fixed estimate without conductivity by preconditioned
+    CG on the whole matrix; and a conductivity with a lagged power weight
+    by a factorization per step and sweep.
     """
     return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)

@@ -529,7 +529,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     steps = round(opts.segment_length / opts.dt)
     coarse = coarse or build_disk_mesh(opts.coarse_triangles)
     transfer = transfer or build_transfer(fine, coarse)
-    f_fn, g_fn, h = samplers(scn, fine)
+    f_fn, g_fn, h = samplers(fine)
 
     kernel = make_kernel(coarse, scn.num_components, opts.nu, opts.eps_cut,
                          opts.rank_cap)
@@ -554,28 +554,52 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     return RunResult(reports, coarse)
 
 
+def _write_whole(path: str, write) -> None:
+    """``write(part)`` a file under the temporary name ``part``, in the
+    same directory, then rename it to ``path``: a crash leaves ``path``
+    as it was or whole, never cut.  Nothing reads a stale ``part-`` file,
+    and the next write of ``path`` replaces it."""
+    head, name = os.path.split(path)
+    part = os.path.join(head, "part-" + name)
+    write(part)
+    os.replace(part, path)
+
+
+def _write_rows(path: str, lines: list[str], rows=()) -> None:
+    """Write ``segments.csv`` whole: its ``lines`` (read with
+    ``newline=""``), then ``rows``."""
+    def write(part):
+        with open(part, "w", newline="") as fh:
+            fh.writelines(lines)
+            csv.writer(fh).writerows(rows)
+    _write_whole(path, write)
+
+
 def _save_checkpoint(run_dir: str, report: SegmentReport,
                      terminal: np.ndarray, kernel: ResolverKernel) -> None:
+    """Write a finished segment's files, each whole (``_write_whole``),
+    then its ``segments.csv`` row."""
     n = report.index
-    np.savetxt(os.path.join(run_dir, f"u_{n:04d}.csv"), report.u.T,
-               delimiter=",",
-               header=",".join(f"component_{c}" for c in range(len(report.u))),
-               comments="")
-    np.savetxt(os.path.join(run_dir, f"terminal_{n:04d}.txt"), terminal)
-    np.savez(os.path.join(run_dir, f"kernel_{n:04d}.npz"),
-             **{f.name: getattr(kernel, f.name) for f in fields(kernel)})
+    header = ",".join(f"component_{c}" for c in range(len(report.u)))
+    arrays = {f.name: getattr(kernel, f.name) for f in fields(kernel)}
+    _write_whole(os.path.join(run_dir, f"u_{n:04d}.csv"),
+                 lambda part: np.savetxt(part, report.u.T, delimiter=",",
+                                         header=header, comments=""))
+    _write_whole(os.path.join(run_dir, f"terminal_{n:04d}.txt"),
+                 lambda part: np.savetxt(part, terminal))
+    _write_whole(os.path.join(run_dir, f"kernel_{n:04d}.npz"),
+                 lambda part: np.savez(part, **arrays))
     row = [n, f"{report.t_mid:.17g}", f"{report.residual:.17g}",
            *report.counters.as_tuple(), report.iterations,
            int(report.warned), report.kernel_rank]
     path = os.path.join(run_dir, "segments.csv")
-    fresh = not os.path.exists(path) or n == 0
-    with open(path, "w" if fresh else "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(["segment", "t_mid", "residual", "background",
-                             "adjoint", "forward", "dirichlet", "iterations",
-                             "warned", "kernel_rank"])
-        writer.writerow(row)
+    lines, rows = [], [["segment", "t_mid", "residual", "background",
+                        "adjoint", "forward", "dirichlet", "iterations",
+                        "warned", "kernel_rank"], row]
+    if n and os.path.exists(path):
+        with open(path, newline="") as fh:
+            lines, rows = fh.readlines(), [row]
+    _write_rows(path, lines, rows)
 
 
 def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
@@ -653,9 +677,7 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
             zipfile.BadZipFile) as exc:
         raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc
     if len(lines) > last + 2:           # the header plus one row a segment
-        with open(os.path.join(run_dir, "segments.csv"), "w",
-                  newline="") as fh:
-            fh.writelines(lines[:last + 2])
+        _write_rows(os.path.join(run_dir, "segments.csv"), lines[:last + 2])
     logger.info("resuming after segment %d (%d reports restored)",
                 last, len(reports))
     return last + 1, terminal, kernel, reports

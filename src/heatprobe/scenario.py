@@ -245,7 +245,7 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
     return out
 
 
-def samplers(scn: Scenario, mesh: Mesh):
+def samplers(mesh: Mesh):
     """Mesh-bound samplers of the source triple that every scenario shares:
     ``f(t)`` over cells, ``g(t)`` over the boundary vertices, and the nodal
     initial field ``h``."""

@@ -71,7 +71,7 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
     horizon = scn.horizon if horizon is None else float(horizon)
     ref_mesh = build_disk_mesh(reference_triangles)
     grid = fem.segment_grid(0.0, horizon, sample_dt)
-    f_fn, g_fn, h = samplers(scn, ref_mesh)
+    f_fn, g_fn, h = samplers(ref_mesh)
 
     def truth(t: float) -> np.ndarray:
         return eval_truth(scn, min(t, scn.horizon), ref_mesh)
@@ -89,7 +89,7 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
     for k in range(grid.num_times):
         values[k] = np.interp(dst, src[order], ref_values[k][order],
                               period=2.0 * np.pi)
-    _, _, h_inv = samplers(scn, inversion_mesh)
+    _, _, h_inv = samplers(inversion_mesh)
     values[0] = h_inv[inversion_mesh.boundary_vertices]
     return fem.BoundaryTrace(grid.times(), values)
 

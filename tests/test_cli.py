@@ -12,6 +12,7 @@ import pytest
 
 from heatprobe import cli, fem, synth
 from heatprobe import mesh as hm
+from heatprobe import reconstruction as recon
 from heatprobe import scenario as sc
 
 MICRO = dict(fine_triangles=1000, coarse_triangles=300, horizon=0.5,
@@ -43,6 +44,76 @@ def retoken(text, row, col, token):
 def file_bytes(directory):
     return {path.relative_to(directory): path.read_bytes()
             for path in pathlib.Path(directory).rglob("*") if path.is_file()}
+
+
+class Crash(Exception):
+    """A crash injected into a file write."""
+
+
+class _CutOnClose:
+    """A file whose ``on_close`` runs once its writes are done."""
+
+    def __init__(self, fh, on_close):
+        self.fh, self.on_close = fh, on_close
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        self.fh.close()
+        if kind is None:
+            self.on_close()
+
+
+def crash_in_write(monkeypatch, name, skip=0):
+    """Crash in the middle of the write after the ``skip`` first of a file
+    whose name ends with ``name`` (its own, or a temporary one): the file
+    keeps the first half of the bytes that write added, and nothing after
+    it runs.  Checkpoints are written through ``np.savetxt``, ``np.savez``
+    and the reconstruction module's ``open``."""
+    left = [skip]
+
+    def cut(path, start):
+        if not os.fspath(path).endswith(name):
+            return
+        if left[0]:
+            left[0] -= 1
+            return
+        os.truncate(path, start + (os.path.getsize(path) - start) // 2)
+        raise Crash(path)
+
+    def saving(save):
+        def wrapped(file, *args, **kwargs):
+            save(file, *args, **kwargs)
+            cut(file, 0)
+        return wrapped
+
+    def opening(path, mode="r", **kwargs):
+        if "w" not in mode and "a" not in mode:
+            return open(path, mode, **kwargs)
+        start = os.path.getsize(path) if "a" in mode \
+            and os.path.exists(path) else 0
+        return _CutOnClose(open(path, mode, **kwargs),
+                           lambda: cut(path, start))
+
+    monkeypatch.setattr(np, "savetxt", saving(np.savetxt))
+    monkeypatch.setattr(np, "savez", saving(np.savez))
+    monkeypatch.setattr(recon, "open", opening, raising=False)
+
+
+def assert_none_cut(files, before, finished):
+    """Each of ``files`` (``file_bytes``) that has a name of the finished
+    run's is as it was ``before``, as the finished run has it, or, for
+    ``segments.csv``, that file's first whole lines: no crash leaves a cut
+    file under a name that a reader trusts."""
+    for path, data in files.items():
+        if path in finished:
+            rows = path.name == "segments.csv" and data.endswith(b"\n") \
+                and finished[path].startswith(data)
+            assert rows or data in (before.get(path), finished[path]), path
 
 
 # every run flag at a value other than its default
@@ -433,6 +504,51 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
             == cli.EXIT_OK
         assert file_bytes(segments) == fresh
+
+    @pytest.mark.parametrize("name, skip", [
+        ("u_0001.csv", 0), ("terminal_0001.txt", 0), ("kernel_0001.npz", 0),
+        ("segments.csv", 1)], ids=["estimate", "terminal", "kernel", "row"])
+    def test_crash_in_a_checkpoint_write_resumes_to_the_finished_run(
+            self, name, skip, short_run, tmp_path, monkeypatch):
+        """A crash cuts one of segment 1's four checkpoint writes in its
+        middle: no file is left cut under its name, and resume writes the
+        finished run's files."""
+        (run_dir,) = os.listdir(short_run)
+        finished = file_bytes(short_run / run_dir / "segments")
+        crash_in_write(monkeypatch, name, skip)
+        with pytest.raises(Crash):
+            cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2))
+        monkeypatch.undo()
+        out = tmp_path / "runs"
+        segments = out / run_dir / "segments"
+        assert_none_cut(file_bytes(segments), {}, finished)
+        assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
+            == cli.EXIT_OK
+        assert file_bytes(segments) == finished
+
+    def test_crash_in_the_resume_rewrite_resumes_to_the_finished_run(
+            self, short_run, tmp_path, monkeypatch):
+        """Resume rewrites ``segments.csv`` without the rows after the
+        finished segments, here a row cut short; a crash cuts that rewrite
+        in its middle.  The file is left as it was, and the next resume
+        writes the finished run's files."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        segments = out / run_dir / "segments"
+        finished = file_bytes(segments)
+        table = segments / "segments.csv"
+        table.write_bytes(table.read_bytes()[:-5])
+        before = file_bytes(segments)
+        crash_in_write(monkeypatch, "segments.csv")
+        with pytest.raises(Crash):
+            cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2),
+                                resume=True)
+        monkeypatch.undo()
+        assert_none_cut(file_bytes(segments), before, finished)
+        assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
+            == cli.EXIT_OK
+        assert file_bytes(segments) == finished
 
     def test_metrics_refuses_a_cut_estimate(self, short_run, tmp_path,
                                             capsys):

@@ -287,7 +287,7 @@ class TestForwardSolve:
 class TestDirichletSolve:
     def test_reproduces_forward_solution(self, disk1800, mass1800):
         scn = scenario.builtin("ex1")
-        f_fn, g_fn, h = scenario.samplers(scn, disk1800)
+        f_fn, g_fn, h = scenario.samplers(disk1800)
         grid = fem.segment_grid(0.0, 0.1, 0.0125)
         u = scenario.eval_truth(scn, 0.05, disk1800)
         fw = fem.forward_solve(disk1800, grid, u, scn.ops, fem.source_load(
@@ -318,7 +318,7 @@ class TestDirichletSolve:
         noisy = synth.add_noise(trace.values, 0.05, seed=3)
         mset = synth.MeasurementSet(trace.times, trace.values, noisy,
                                     0.05, 3, synth.REFERENCE_TRIANGLES)
-        f_fn, g_fn, h = scenario.samplers(scn, small_fine)
+        f_fn, g_fn, h = scenario.samplers(small_fine)
 
         def u_est(t):
             return 0.3 * scenario.eval_truth(scn, min(t, scn.horizon),

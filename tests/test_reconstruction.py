@@ -543,7 +543,7 @@ class TestSegmentLoop:
         """The background, forward and Dirichlet marches of a segment read
         one set of loads: f and g are sampled once per half-step node."""
         scn, mset = self._mset(small_fine, name="ex1", horizon=0.1)
-        f_fn, g_fn, h = sc.samplers(scn, small_fine)
+        f_fn, g_fn, h = sc.samplers(small_fine)
         times = {"f": [], "g": []}
 
         def counted(name, fn):
@@ -552,7 +552,7 @@ class TestSegmentLoop:
                 return fn(t)
             return sample
 
-        monkeypatch.setattr(recon, "samplers", lambda scn, mesh: (
+        monkeypatch.setattr(recon, "samplers", lambda mesh: (
             counted("f", f_fn), counted("g", g_fn), h))
         res = recon.run(scn, mset, self._opts(horizon=0.1), fine=small_fine,
                         coarse=small_coarse, transfer=small_transfer)

@@ -173,12 +173,12 @@ class TestEvalTruth:
 
 class TestSources:
     def test_initial_value_at_origin(self, coarse):
-        _, _, h = sc.samplers(sc.builtin("ex1"), coarse)
+        _, _, h = sc.samplers(coarse)
         origin = np.argmin(np.linalg.norm(coarse.vertices, axis=1))
         assert h[origin] == pytest.approx(3.0)
 
     def test_interior_source_vanishes_at_origin(self, coarse):
-        f_fn, _, _ = sc.samplers(sc.builtin("ex1"), coarse)
+        f_fn, _, _ = sc.samplers(coarse)
         origin = np.argmin(np.linalg.norm(coarse.centroids, axis=1))
         assert abs(f_fn(1.37)[origin]) < 1e-10 + 25 * 3 * np.linalg.norm(
             coarse.centroids[origin])
@@ -192,7 +192,7 @@ class TestSources:
 
     def test_flux_is_compatible_with_initial_value_at_t0(self, coarse):
         # g(x, 0) equals the normal derivative of h on the circle
-        f_fn, g_fn, h = sc.samplers(sc.builtin("ex2"), coarse)
+        f_fn, g_fn, h = sc.samplers(coarse)
         bpts = coarse.vertices[coarse.boundary_vertices]
         gx = 3 * np.cos(3 * bpts[:, 0]) * np.cos(4 * bpts[:, 1])
         gy = -4 * np.sin(3 * bpts[:, 0]) * np.sin(4 * bpts[:, 1])

@@ -94,7 +94,7 @@ class TestReference:
     def test_initial_row_is_exact_initial_trace(self, small_fine):
         scn = sc.null_scenario()
         trace = synth.generate_reference(scn, small_fine, horizon=0.2)
-        _, _, h = sc.samplers(scn, small_fine)
+        _, _, h = sc.samplers(small_fine)
         assert np.array_equal(trace.values[0],
                               h[small_fine.boundary_vertices])
 
@@ -102,7 +102,7 @@ class TestReference:
         scn = sc.null_scenario()
         trace = synth.generate_reference(scn, small_fine, horizon=1.0)
         grid = fem.segment_grid(0.0, 1.0, 0.0125)
-        f_fn, g_fn, h = sc.samplers(scn, small_fine)
+        f_fn, g_fn, h = sc.samplers(small_fine)
         bg = fem.forward_solve(small_fine, grid, None, scn.ops,
                                fem.source_load(small_fine, grid, f_fn, g_fn),
                                h)
@@ -121,7 +121,7 @@ class TestReference:
                                              horizon=1.0)
         grid = fem.segment_grid(0.0, 1.0, 0.0125)
         scn = sc.null_scenario()
-        f_fn, g_fn, h = sc.samplers(scn, small_fine)
+        f_fn, g_fn, h = sc.samplers(small_fine)
         bg = fem.forward_solve(small_fine, grid, None, scn.ops,
                                fem.source_load(small_fine, grid, f_fn, g_fn),
                                h)
