@@ -231,14 +231,31 @@ def render_heatmap(raster: _Raster, u_comp: np.ndarray,
     return img
 
 
+def _write_heatmaps(map_dir: str, raster: _Raster,
+                    seg: reconstruction.SegmentReport,
+                    truth: np.ndarray | None = None) -> None:
+    """One image per component of the segment's estimate, each outlining
+    that component's support in ``truth`` (components x cells) if given."""
+    for comp, u_comp in enumerate(seg.u):
+        img = render_heatmap(raster, u_comp, truth_mask=None if truth is None
+                             else truth[comp])
+        write_pgm(os.path.join(map_dir, f"seg{seg.index:04d}_c{comp}.pgm"),
+                  img)
+
+
 def _config_items(cfg: RunConfig) -> dict[str, str]:
     return {f.name: str(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _write_manifest(path, cfg: RunConfig, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        for key, value in {**_config_items(cfg), **(extra or {})}.items():
-            fh.write(f"{key} = {value}\n")
+    """Write the ``key = value`` entries of ``cfg`` and ``extra`` whole
+    (``reconstruction._write_whole``), so that a crash never leaves a cut
+    manifest or ``config.txt`` for a resume to refuse."""
+    def write(part):
+        with open(part, "w") as fh:
+            for key, value in {**_config_items(cfg), **(extra or {})}.items():
+                fh.write(f"{key} = {value}\n")
+    reconstruction._write_whole(path, write)
 
 
 # parameters a resumed run may change: extending the horizon appends segments
@@ -356,10 +373,7 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
 
     raster = _Raster(result.coarse)
     for seg in result.segments:
-        for comp in range(scn.num_components):
-            img = render_heatmap(raster, seg.u[comp])
-            write_pgm(os.path.join(map_dir,
-                                   f"seg{seg.index:04d}_c{comp}.pgm"), img)
+        _write_heatmaps(map_dir, raster, seg)
 
     rows = compute_metrics(result, scn)
     write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows,
@@ -433,11 +447,7 @@ def cmd_metrics(run_dir: str, scenario_name: str) -> str:
     map_dir = os.path.join(run_dir, "heatmaps_truth")
     os.makedirs(map_dir, exist_ok=True)
     for row in rows:
-        for comp in range(scn.num_components):
-            img = render_heatmap(raster, row.u[comp],
-                                 truth_mask=row.truth[comp])
-            write_pgm(os.path.join(map_dir,
-                                   f"seg{row.index:04d}_c{comp}.pgm"), img)
+        _write_heatmaps(map_dir, raster, row, row.truth)
     for comp in range(scn.num_components):
         print(f"component {comp}: median jaccard "
               f"{np.median([r.jaccard[comp] for r in rows]):.3f} "

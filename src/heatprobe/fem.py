@@ -180,12 +180,9 @@ class _Operators:
         self.interior.flags.writeable = False
         self.triangles = tri
         self.basis_gradients = g
-        # {(dt, block): system}, all of one dt; see _unperturbed_system
-        self.unperturbed = {}
-        # {block: (labels, coupling)}; see _labels
-        self.labels = {}
-        self.unperturbed_data = (None, None, None)  # see _unperturbed_data
-        self.mass = None                            # see _mass
+        self.labels = {}            # {pinned: (labels, coupling)}; see _labels
+        self.unperturbed = None     # see _unperturbed
+        self.mass = None            # see _mass
         _trim_after(self)
 
     def matrix(self, data: np.ndarray) -> sparse.csr_array:
@@ -219,12 +216,6 @@ class _Operators:
              (np.repeat(np.arange(len(tri)), 3), tri.ravel())),
             shape=(len(tri), self.shape[0]))
 
-    def drop_unperturbed(self) -> None:
-        """Drop the held systems and trim the heap."""
-        if self.unperturbed:
-            self.unperturbed.clear()
-            trim_heap()
-
 
 _LOCAL_MASS = ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
 
@@ -242,7 +233,8 @@ def trim_heap() -> None:
     factor stays alive while other marches factorize and free, so the heap
     around it keeps their pages resident.  So the heap is trimmed when
     large factors die: when a mesh's operator cache dies or drops its held
-    systems, when a condensation window dies (``_trim_after``), and after
+    unperturbed state (``_unperturbed``), when a condensation window dies
+    (``_trim_after``), and after
     each segment of a reconstruction.  Without the last, peak RSS of a
     two-component reconstruction rises by about 10%; a trim after every
     march costs more time than the pages it returns save.
@@ -366,22 +358,6 @@ def _to_fine(arr: np.ndarray, n_comp: int, mesh: Mesh) -> np.ndarray:
     return arr
 
 
-def _split_ops(u_fine: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray, list]:
-    """Diffusion coefficient, linear reaction weight, and lagged power terms."""
-    coeff = np.ones(u_fine.shape[1])
-    react = np.zeros(u_fine.shape[1])
-    lagged = []
-    for op in ops:
-        comp = u_fine[op.component]
-        if op.kind == CONDUCTIVITY:
-            coeff = coeff + comp
-        elif op.kind == POTENTIAL:
-            react = react + comp
-        else:
-            lagged.append((comp, op.power))
-    return coeff, react, lagged
-
-
 def _perturbation(u, ops, mesh: Mesh):
     """``(cells, coeff, react, powers)`` of the inhomogeneity ``u`` (a cell
     field of ``mesh``, None for zero): its perturbed cells, where the
@@ -391,7 +367,17 @@ def _perturbation(u, ops, mesh: Mesh):
     adds no power term."""
     u_fine = np.zeros((len(ops), mesh.num_cells)) if u is None \
         else _to_fine(np.asarray(u, dtype=float), len(ops), mesh)
-    coeff, react, powers = _split_ops(u_fine, ops)
+    coeff = np.ones(mesh.num_cells)
+    react = np.zeros(mesh.num_cells)
+    powers = []
+    for op in ops:
+        comp = u_fine[op.component]
+        if op.kind == CONDUCTIVITY:
+            coeff = coeff + comp
+        elif op.kind == POTENTIAL:
+            react = react + comp
+        else:
+            powers.append((comp, op.power))
     perturbed = (coeff != 1.0) | (react != 0.0)
     for comp, _ in powers:
         perturbed |= comp != 0.0
@@ -415,31 +401,26 @@ def _factorize(matrix):
         raise FemError(f"sparse factorization failed: {exc}") from exc
 
 
-def _whole(mesh: Mesh, data: np.ndarray):
-    """All of the matrix of ``data``; no row is pinned."""
-    return _operators(mesh).matrix(data), None
-
-
-def _interior_block(mesh: Mesh, data: np.ndarray):
-    """The interior block of the matrix of ``data`` and the block coupling
-    it to the boundary rows, which a Dirichlet march pins.  Boundary rows
-    and columns are eliminated symmetrically, so the interior block of a
-    symmetric matrix stays symmetric."""
+def _labels(mesh: Mesh, pinned: bool):
+    """``(labels, coupling)``: the block of the mesh's pattern that a step
+    solves and its coupling to the pinned rows, each entry holding its
+    position in the pattern plus one (so that none is an explicit zero):
+    slices of them label the entries of theirs.  A march that pins the
+    boundary rows solves the interior block; their rows and columns are
+    eliminated symmetrically, so the block of a symmetric matrix stays
+    symmetric.  Any other march solves the whole matrix, with no coupling
+    (None).  Built once per mesh and pinned flag."""
     cache = _operators(mesh)
-    rows = cache.matrix(data)[cache.interior]
-    return rows[:, cache.interior], rows[:, mesh.boundary_vertices]
-
-
-def _labels(mesh: Mesh, block):
-    """``block`` of the mesh's pattern and its coupling to the pinned rows,
-    each entry holding its position in the pattern plus one (so that none
-    is an explicit zero): slices of them label the entries of theirs.
-    Built once per mesh and block."""
-    cache = _operators(mesh)
-    if block not in cache.labels:
-        cache.labels[block] = block(mesh, np.arange(
-            1, cache.indices.size + 1, dtype=np.int32))
-    return cache.labels[block]
+    if pinned not in cache.labels:
+        labels = cache.matrix(np.arange(1, cache.indices.size + 1,
+                                        dtype=np.int32))
+        if pinned:
+            rows = labels[cache.interior]
+            cache.labels[pinned] = (rows[:, cache.interior],
+                                    rows[:, mesh.boundary_vertices])
+        else:
+            cache.labels[pinned] = labels, None
+    return cache.labels[pinned]
 
 
 def _positions(labels) -> np.ndarray:
@@ -453,54 +434,29 @@ def _take(labels, data: np.ndarray):
                          labels.indptr), shape=labels.shape)
 
 
-def _unperturbed_data(mesh: Mesh, dt: float):
-    """The data of S+ = M/dt + K(1)/2 and S- = M/dt - K(1)/2 of a
-    Crank-Nicolson step, on the mesh's pattern.  The mesh's cache holds
-    those of the last ``dt`` asked for, read-only."""
-    cache = _operators(mesh)
-    if cache.unperturbed_data[0] != dt:
-        scaled = _mass(mesh).data / dt
-        half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
-        cache.unperturbed_data = dt, scaled + half, scaled - half
-        for data in cache.unperturbed_data[1:]:
-            data.flags.writeable = False
-    return cache.unperturbed_data[1:]
+def _unperturbed(mesh: Mesh, dt: float):
+    """``(plus, minus, held)``: the data of S+ = M/dt + K(1)/2 and S- =
+    M/dt - K(1)/2 of a Crank-Nicolson step on the mesh's pattern
+    (read-only), and ``held``, the systems of that step by pinned flag,
+    which ``_step_systems`` fills for steps with no perturbed cell.
 
-
-def _step_system(mesh: Mesh, dt: float, block, change, make):
-    """``((solver, coupling), S-)`` of a Crank-Nicolson step whose S+ and
-    S- are the unperturbed ones (``_unperturbed_data``) plus and minus
-    ``change``: ``make(s_plus, change)`` solves the matrix that ``block``
-    takes from S+, and ``coupling`` is the block's coupling to the pinned
-    rows (None when no row is pinned)."""
-    plus, minus = _unperturbed_data(mesh, dt)
-    s_plus = plus + change
-    _, coupling = _labels(mesh, block)
-    pinned = None if coupling is None else _take(coupling, s_plus)
-    return ((make(s_plus, change), pinned),
-            _operators(mesh).matrix(minus - change))
-
-
-def _unperturbed_system(mesh: Mesh, dt: float, block=_whole):
-    """The system of M/dt + K(1)/2, or of its ``block``.
-
-    A march takes it for each step with no perturbed cell, and ``_Pcg``
-    preconditions with its factorization.  The mesh's cache holds it,
-    keyed by what defines the matrix (the mesh, ``dt`` and the block),
-    until a march of another ``dt`` asks or the mesh dies.  Every segment
-    of a run lies on one time lattice, so a run factorizes each of them
-    once; a held factorization is the one a fresh build would give.
+    The mesh's cache holds them for the last ``dt`` asked for, until the
+    mesh dies.  Asking for another ``dt`` drops all of them and trims the
+    heap once.  Every segment of a run lies on one time lattice, so a run
+    factorizes each held system once; a held factorization is the one a
+    fresh build would give.
     """
     cache = _operators(mesh)
-    held = cache.unperturbed
-    if (dt, block) not in held:
-        if any(key_dt != dt for key_dt, _ in held):
-            cache.drop_unperturbed()
-        labels, _ = _labels(mesh, block)
-        held[dt, block] = _step_system(
-            mesh, dt, block, 0.0,
-            lambda s_plus, change: _factorize(_take(labels, s_plus)))
-    return held[dt, block]
+    if cache.unperturbed is None or cache.unperturbed[0] != dt:
+        if cache.unperturbed is not None:
+            cache.unperturbed = None
+            trim_heap()
+        scaled = _mass(mesh).data / dt
+        half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
+        plus, minus = scaled + half, scaled - half
+        plus.flags.writeable = minus.flags.writeable = False
+        cache.unperturbed = dt, plus, minus, {}
+    return cache.unperturbed[1:]
 
 
 PCG_MAX_ITERATIONS = 40
@@ -696,10 +652,6 @@ def source_load(mesh: Mesh, grid: SegmentGrid, f, g):
     return load
 
 
-def _solve_all(solver, rhs: np.ndarray, j: int) -> np.ndarray:
-    return _check_solution(solver[0].solve(rhs))
-
-
 def _change(mesh: Mesh, cells, coeff, react, powers, y_lag) -> np.ndarray:
     """Half the change of K + R on a step's perturbed cells (data on the
     mesh's pattern), their power weight lagged at ``y_lag``; with no
@@ -717,45 +669,59 @@ def _change(mesh: Mesh, cells, coeff, react, powers, y_lag) -> np.ndarray:
                        0.5 * blocks.ravel(), minlength=cache.indices.size)
 
 
-def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
+def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
     """``(systems, lagged)`` of a march: ``systems(k)`` is the function
-    ``y_lag -> (solver, S-)`` of step k (see ``_step_system``), and
-    ``lagged`` tells whether the operator has a power weight, which that
-    function lags at ``y_lag``.  ``systems(k)`` samples step k's
-    coefficients, once, and must be called for k = 0, 1, ... in turn; no
-    function keeps a factorization that it built.
+    ``y_lag -> (solver, coupling, S-)`` of step k, and ``lagged`` tells
+    whether the operator has a power weight, which that function lags at
+    ``y_lag``.  A step's S+ and S- are the unperturbed ones
+    (``_unperturbed``) plus and minus the change on its perturbed cells
+    (``_change``); ``solver`` solves the block of S+ that the march solves
+    and ``coupling`` is that block's coupling to the pinned rows (see
+    ``_labels``).  ``systems(k)`` samples step k's coefficients, once, and
+    must be called for k = 0, 1, ... in turn; no function keeps a
+    factorization that it built.
 
-    A step with no perturbed cell (``_perturbation``) takes the held
-    unperturbed system.  Any other step is solved by the march's kind:
+    These are the march's solver kinds.  A step with no perturbed cell
+    (``_perturbation``) takes the held unperturbed system.  Any other step
+    is solved by the march's kind:
 
-    - static (no sampler, no nonzero power weight): one factorization;
-    - a sampler, but not a conductivity with a power weight: condensed on
-      windows of ``CONDENSE_STEPS`` steps (``_Window``), at most one
-      alive.  A window's perturbed cells are those of all its steps, also
-      of steps past the grid's end, so a shorter reference march is
-      bitwise the prefix of a longer one, as resuming a run to a longer
-      horizon requires.  Each step factorizes its Schur complement, or,
-      with no conductivity, solves it by ``_Pcg`` on the window's
-      unperturbed one (its power weight, lagged, changes only perturbed
-      cells);
-    - otherwise, and in a window whose cells reach every unknown: with no
-      conductivity ``_Pcg`` on the whole step matrix and the held
-      unperturbed factorization of the same block, else a factorization
-      at every call.
+    - static (a constant ``u`` and no nonzero power weight): one
+      factorization;
+    - a sampler: condensed on windows of ``CONDENSE_STEPS`` steps
+      (``_Window``), at most one alive.  A window's perturbed cells are
+      those of all its steps, also of steps past the grid's end, so a
+      shorter march is bitwise the prefix of a longer one, as resuming a
+      run to a longer horizon requires.  A step's change, its lagged power
+      weight included, lies on its perturbed cells, so it changes only the
+      window's Schur complement.  With a conductivity each step and sweep
+      factorizes it; without, ``_Pcg`` solves it on the window's
+      unperturbed one;
+    - a constant ``u`` with a nonzero power weight, and a window whose
+      cells reach every unknown: with a conductivity a factorization at
+      every call, else ``_Pcg`` on the whole step matrix and the held
+      unperturbed factorization.
     """
     dt = grid.dt
-    labels, _ = _labels(mesh, block)
+    labels, coupling = _labels(mesh, pinned)
+    plus, minus, held = _unperturbed(mesh, dt)
     fixed = None if callable(u) else _perturbation(u, ops, mesh)
     static = fixed is not None and not fixed[3]
     lagged = not static and any(op.kind == POWER_POTENTIAL for op in ops)
     conductivity = any(op.kind == CONDUCTIVITY for op in ops)
-    windowed = fixed is None and not (conductivity and lagged)
     window = steps = None
 
-    def perturbation(k):
-        # the midpoint of step k, also of a step past the grid's end
-        return fixed if fixed is not None else _perturbation(
-            u((grid.first + k) * dt + 0.5 * dt), ops, mesh)
+    def build(change, make):
+        # make(s_plus, change) solves the block of S+
+        s_plus = plus + change
+        return (make(s_plus, change),
+                None if coupling is None else _take(coupling, s_plus),
+                _operators(mesh).matrix(minus - change))
+
+    def unperturbed():
+        if pinned not in held:
+            held[pinned] = build(0.0, lambda s_plus, change: _factorize(
+                _take(labels, s_plus)))
+        return held[pinned]
 
     def solver(s_plus, change):
         # the window is read when the system is built, so a step's
@@ -766,50 +732,52 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, block):
                               else _Pcg(schur, window.precond), window)
         if static or conductivity:
             return _factorize(_take(labels, s_plus))
-        (held, _), _ = _unperturbed_system(mesh, dt, block)
-        return _Pcg(_take(labels, s_plus), held)
+        return _Pcg(_take(labels, s_plus), unperturbed()[0])
 
     def system(perturbed, y_lag):
         if not perturbed[0].size:
-            return _unperturbed_system(mesh, dt, block)
-        return _step_system(mesh, dt, block, _change(mesh, *perturbed, y_lag),
-                            solver)
+            return unperturbed()
+        return build(_change(mesh, *perturbed, y_lag), solver)
 
     def systems(k):
         nonlocal window, steps
-        if not windowed:
-            return partial(system, perturbation(k))
+        if fixed is not None:
+            return partial(system, fixed)
         if k % CONDENSE_STEPS == 0:
             window = None
-            steps = [perturbation(i) for i in range(k, k + CONDENSE_STEPS)]
+            # the midpoint of each step, also of a step past the grid's end
+            steps = [_perturbation(u((grid.first + i) * dt + 0.5 * dt),
+                                   ops, mesh)
+                     for i in range(k, k + CONDENSE_STEPS)]
             touched = np.zeros(mesh.num_vertices, dtype=bool)
             for cells, *_ in steps:
                 touched[mesh.triangles[cells]] = True
             # an unknown's vertex is the column of its diagonal entry
             changed = touched[_operators(mesh).indices[labels.diagonal() - 1]]
             if changed.any() and not changed.all():
-                window = _Window(labels, _unperturbed_data(mesh, dt)[0],
-                                 changed)
+                window = _Window(labels, plus, changed)
         return partial(system, steps[k % CONDENSE_STEPS])
 
     if static:
-        step = system(fixed, None)
-        return (lambda k: lambda y_lag: step), False
+        held_step = system(fixed, None)
+        return (lambda k: lambda y_lag: held_step), False
     return systems, lagged
 
 
 def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
-           block=_whole, solve=_solve_all, picard_sweeps: int = 0,
-           rows: np.ndarray | None = None) -> Trajectory:
+           picard_sweeps: int = 0, rows: np.ndarray | None = None,
+           trace: np.ndarray | None = None) -> Trajectory:
     """The Crank-Nicolson march behind every solve of this module.
 
     ``u`` is None, a cell field of ``mesh`` constant in time, or a sampler
     ``t -> field`` of such fields.  ``load(j)`` is the load at the half-step
     node j (time t_start + j*dt/2); the march only reads the vectors it
-    returns.
-    ``block`` takes the matrix a step solves from S+ (see
-    ``_step_system``), and ``solve(solver, rhs, j)`` returns the solution
-    at node j.
+    returns.  ``rows`` selects the vertices whose values the trajectory
+    keeps (all of them by default).  Given a ``trace`` (one row per grid
+    time node over the boundary vertices), the march pins the boundary rows
+    to it: at each half-step node they take the trace's value there, and
+    each step solves the interior block of S+ with the pinned values moved
+    to the right-hand side (see ``_labels``).
 
     The march is one loop over the steps.  Step k runs the Crank-Nicolson
     update on the system that ``_step_systems`` gives it: once, or 1 +
@@ -823,10 +791,23 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     mass = _mass(mesh)
     dt = grid.dt
     y = _check_init(init, mesh)
-    systems, lagged = _step_systems(mesh, grid, u, ops, block)
+    systems, lagged = _step_systems(mesh, grid, u, ops, trace is not None)
+    bnd, interior = mesh.boundary_vertices, _operators(mesh).interior
     keep = slice(None) if rows is None else np.asarray(rows)
     values = np.empty((grid.num_times, y[keep].size))
     values[0] = y[keep]
+
+    def solve(solver, coupling, rhs, j):
+        # the solution at half-step node j
+        if trace is None:
+            return _check_solution(solver.solve(rhs))
+        pin = _half_node(trace, j)
+        out = np.empty(mesh.num_vertices)
+        out[bnd] = pin
+        out[interior] = _check_solution(solver.solve(rhs[interior]
+                                                     - coupling @ pin))
+        return out
+
     for k in range(grid.steps):
         system = systems(k)
         # the step's loads, read once for all its sweeps
@@ -834,17 +815,17 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
         y_new = None
         for _ in range(1 + picard_sweeps if lagged else 1):
             y_lag = y if y_new is None else 0.5 * (y + y_new)
-            solver, s_minus = system(y_lag)
+            solver, coupling, s_minus = system(y_lag)
             if k > 0:
-                y_next = solve(solver, s_minus @ y + loads[2 * k + 1],
-                               2 * k + 2)
+                y_next = solve(solver, coupling,
+                               s_minus @ y + loads[2 * k + 1], 2 * k + 2)
             else:
                 y_next = y
                 for j in (1, 2):
-                    y_next = solve(solver, 0.5 * ((2.0 / dt) * (mass @ y_next)
-                                                  + loads[j]), j)
+                    y_next = solve(solver, coupling, 0.5 * (
+                        (2.0 / dt) * (mass @ y_next) + loads[j]), j)
             # free this system before the next one is built
-            del solver, s_minus
+            del solver, coupling, s_minus
             done = y_new is not None and np.linalg.norm(
                 y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
             y_new = y_next
@@ -862,23 +843,14 @@ def forward_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
 
     ``u`` may be None, a cell field of ``mesh`` constant in time, or a
     sampler ``t -> field`` of such fields evaluated at step midpoints (up
-    to ``CONDENSE_STEPS`` - 1 steps past ``grid.t_end`` unless the
-    operator is a conductivity with a power weight; see
-    ``_step_systems``).
+    to ``CONDENSE_STEPS`` - 1 steps past ``grid.t_end``).
     ``load(j)`` is the source and flux load at the half-step node j (see
     ``source_load``).  The first step is always two backward-Euler half
     steps, which keep second-order accuracy for rough starting data.
     ``picard_sweeps`` refines a lagged power weight within each step.
     ``rows`` selects the vertices whose values the returned trajectory keeps
-    (all of them by default).
-
-    Each step adds its perturbed cells' change to the unperturbed operator
-    and is solved as ``_step_systems`` sets out: a static operator by one
-    factorization; a sampler by condensation on windows, whose Schur
-    complements are solved by preconditioned CG when there is no
-    conductivity; a fixed estimate without conductivity by preconditioned
-    CG on the whole matrix; and a conductivity with a lagged power weight
-    by a factorization per step and sweep.
+    (all of them by default).  ``_step_systems`` sets out how each step is
+    solved.
     """
     return _march(mesh, grid, u, ops, init, load,
                   picard_sweeps=picard_sweeps, rows=rows)
@@ -891,23 +863,13 @@ def dirichlet_solve(mesh: Mesh, grid: SegmentGrid, u, ops, load,
     ``u`` and ``load(j)`` are as for ``forward_solve``.  The pinned rows
     drop the load's flux part, whose interior entries are exact zeros.
     ``trace_values`` holds one row per grid time node over the boundary
-    vertices (callers interpolate measurements onto the grid).  Each step
-    solves the interior block of S+ (see ``_interior_block``).
+    vertices (callers interpolate measurements onto the grid); ``_march``
+    pins the boundary rows to them.
     """
     trace_values = np.asarray(trace_values, dtype=float)
     if trace_values.shape != (grid.num_times, mesh.num_boundary_vertices):
         raise FemError("trace does not cover the segment's time nodes")
-    bnd, interior = mesh.boundary_vertices, _operators(mesh).interior
-
-    def pinned(solver, rhs, j):
-        lu, s_ib = solver
-        y = np.empty(mesh.num_vertices)
-        trace = _half_node(trace_values, j)
-        y[bnd] = trace
-        y[interior] = _check_solution(lu.solve(rhs[interior] - s_ib @ trace))
-        return y
-
-    return _march(mesh, grid, u, ops, init, load, _interior_block, pinned)
+    return _march(mesh, grid, u, ops, init, load, trace=trace_values)
 
 
 def backward_adjoint_solve(mesh: Mesh, grid: SegmentGrid,

@@ -73,7 +73,8 @@ def crash_in_write(monkeypatch, name, skip=0):
     whose name ends with ``name`` (its own, or a temporary one): the file
     keeps the first half of the bytes that write added, and nothing after
     it runs.  Checkpoints are written through ``np.savetxt``, ``np.savez``
-    and the reconstruction module's ``open``."""
+    and the reconstruction module's ``open``, ``config.txt`` through the
+    cli module's."""
     left = [skip]
 
     def cut(path, start):
@@ -102,6 +103,7 @@ def crash_in_write(monkeypatch, name, skip=0):
     monkeypatch.setattr(np, "savetxt", saving(np.savetxt))
     monkeypatch.setattr(np, "savez", saving(np.savez))
     monkeypatch.setattr(recon, "open", opening, raising=False)
+    monkeypatch.setattr(cli, "open", opening, raising=False)
 
 
 def assert_none_cut(files, before, finished):
@@ -549,6 +551,34 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out) + ["--horizon", "0.2"]) \
             == cli.EXIT_OK
         assert file_bytes(segments) == finished
+
+    def test_crash_in_the_config_write_resumes_to_the_finished_run(
+            self, short_run, tmp_path, monkeypatch):
+        """Every run, resumes included, rewrites ``config.txt``; a crash
+        cuts that write of a finished run in its middle.  The file is left
+        whole, and the next resume writes the finished run's files."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        argv = resume_argv(out) + ["--horizon", "0.2"]
+
+        def run_files():
+            # all but the wall time, which summary.txt records
+            files = file_bytes(out / run_dir)
+            files[pathlib.Path("summary.txt")] = [
+                line for line in files[pathlib.Path("summary.txt")]
+                .splitlines() if not line.startswith(b"wall time")]
+            return files
+
+        assert cli.main(argv) == cli.EXIT_OK    # config.txt names this out
+        finished = run_files()
+        crash_in_write(monkeypatch, "config.txt")
+        with pytest.raises(Crash):
+            cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2),
+                                resume=True)
+        monkeypatch.undo()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert run_files() == finished
 
     def test_metrics_refuses_a_cut_estimate(self, short_run, tmp_path,
                                             capsys):

@@ -242,7 +242,8 @@ def test_generate_reference_matches_plain_march(name, no_threads,
     calls = counted_splu(monkeypatch)
     fast = synth.generate_reference(scn, small_coarse,
                                     reference_triangles=3000, horizon=0.2)
-    assert len(calls) <= 20 * 2             # steps x (1 + picard_sweeps)
+    # steps x (1 + picard_sweeps), and one S_OO for the window
+    assert len(calls) <= 20 * 2 + 1
     monkeypatch.setattr(fem, "forward_solve", plain_forward)
     monkeypatch.setattr(fem, "source_load", plain_source_load)
     plain = synth.generate_reference(scn, small_coarse,
@@ -269,7 +270,10 @@ def test_marches_match_plain_march(name, no_threads, small_fine,
         calls.clear()
         fast = fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
             mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
-        assert len(calls) <= grid.steps * (1 + picard)
+        # a sampler's march also factorizes each window's S_OO
+        windows = math.ceil(grid.steps / fem.CONDENSE_STEPS) if callable(u) \
+            else 0
+        assert len(calls) <= grid.steps * (1 + picard) + windows
         plain = plain_forward(mesh, grid, u, scn.ops, plain_source_load(
             mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
         assert rel(fast, plain) <= RTOL
@@ -326,7 +330,8 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
 def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     """Background and adjoint marches share one factorization across
     segments of equal dt, a new dt gets a new one, and none is left once
-    the mesh is gone; each drop trims the heap."""
+    the mesh is gone.  The mesh's cache holds the state of one dt; each
+    drop of it trims the heap once."""
     mesh = hm.build_disk_mesh(1000)
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(mesh)
@@ -352,7 +357,8 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     segment(0.5, 0.01)
     assert (len(calls), len(trims)) == (2, 1)
     cache = fem._operators(mesh)
-    assert list(cache.unperturbed) == [(0.01, fem._whole)]
+    dt, _, _, held = cache.unperturbed
+    assert (dt, list(held)) == (0.01, [False])
     cache = weakref.ref(cache)
     del mesh
     gc.collect()
@@ -394,17 +400,17 @@ def test_static_march_factorizes_once(name, small_fine, small_transfer,
         calls.clear()
 
 
-@pytest.mark.parametrize("block", [fem._whole, fem._interior_block],
-                         ids=["whole", "interior"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["whole", "interior"])
 @pytest.mark.parametrize("name, kind", [("ex3", "reaction"),
                                         ("mixed", "mixed"),
                                         ("ex1", "static")])
-def test_step_is_the_matrix_of_every_cell(name, kind, block, small_fine,
+def test_step_is_the_matrix_of_every_cell(name, kind, pinned, small_fine,
                                           small_transfer, monkeypatch):
     """A reaction-only step lagged at y, a mixed lagged step and a static
     step add their perturbed cells' change to the unperturbed operator: the
-    matrix each solves, S- y and the pinned coupling are those assembled
-    from every cell."""
+    matrix each solves (the mixed step, a sampler's, its Schur complement
+    on its window), S- y and the pinned coupling are those assembled from
+    every cell."""
     mesh, dt = small_fine, 0.0125
     scn = make_scenario(name)
     grid = fem.SegmentGrid(dt, 20, 4)
@@ -415,12 +421,13 @@ def test_step_is_the_matrix_of_every_cell(name, kind, block, small_fine,
     original = fem._factorize
     monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
                         or original(a))
-    systems, lagged = fem._step_systems(mesh, grid, u, scn.ops, block)
+    systems, lagged = fem._step_systems(mesh, grid, u, scn.ops, pinned)
     assert lagged == (kind != "static")
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
-    (solver, pinned), s_minus = systems(0)(y)
+    solver, coupling, s_minus = systems(0)(y)
     a = solver.a if kind == "reaction" else factorized[-1]
     assert isinstance(solver, fem._Pcg) == (kind == "reaction")
+    assert isinstance(solver, fem._Condensed) == (kind == "mixed")
 
     coeff, react, powers = plain_split(plain_fine(u(t) if callable(u) else u),
                                        scn.ops)
@@ -428,14 +435,19 @@ def test_step_is_the_matrix_of_every_cell(name, kind, block, small_fine,
     s_plus, s_minus_whole = step_matrices(
         mesh, coeff, react + plain_lagged(mesh, powers, y), dt)
     assert rel(s_minus @ y, s_minus_whole @ y) <= 1e-13
-    if block is fem._whole:
-        assert pinned is None
-        assert rel(a.toarray(), s_plus) <= 1e-13
-        return
     bnd = mesh.boundary_vertices
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), bnd)
-    assert rel(a.toarray(), s_plus[np.ix_(interior, interior)]) <= 1e-13
-    assert rel(pinned.toarray(), s_plus[np.ix_(interior, bnd)]) <= 1e-13
+    free = np.setdiff1d(np.arange(mesh.num_vertices), bnd) if pinned \
+        else np.arange(mesh.num_vertices)
+    solved = s_plus[np.ix_(free, free)]
+    if kind == "mixed":
+        window = solver.window
+        solved = solved[np.ix_(window.inner, window.inner)] \
+            - dense_ring_block(solved, window)
+    assert rel(a.toarray(), solved) <= 1e-13
+    if pinned:
+        assert rel(coupling.toarray(), s_plus[np.ix_(free, bnd)]) <= 1e-13
+    else:
+        assert coupling is None
 
 
 # -- preconditioned CG on the unperturbed factorization ----------------------
@@ -578,15 +590,16 @@ def test_conductivity_reference_factorizes_every_step(small_fine,
 
 # -- static condensation of time-dependent conductivity marches --------------
 
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex5", "ex3", "ex4"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex5", "ex3", "ex4", "mixed"])
 def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
     """Neumann and Dirichlet marches over three windows, the last one short,
     each condensed on the unknowns its inclusions reach.  With a
-    conductivity (ex1, ex2, ex5) each step factorizes its Schur complement;
-    without (ex3, with a Picard sweep, and ex4) CG solves it on the
-    window's unperturbed one, so a window factorizes two matrices and CG
-    never falls back."""
-    scn = scenario.builtin(name)
+    conductivity (ex1, ex2, ex5, and mixed, whose power weight is lagged
+    with a Picard sweep) each step and sweep factorizes its Schur
+    complement; without (ex3, with a Picard sweep, and ex4) CG solves it on
+    the window's unperturbed one, so a window factorizes two matrices and
+    CG never falls back.  Each window also factorizes its S_OO."""
+    scn = make_scenario(name)
     mesh = small_fine
     grid = fem.SegmentGrid(0.01, 20, 2 * fem.CONDENSE_STEPS + 10)
     f_fn, g_fn, h = scenario.samplers(mesh)
@@ -599,7 +612,8 @@ def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
     fast = fem.forward_solve(mesh, grid, truth, scn.ops, fem.source_load(
         mesh, grid, f_fn, g_fn), h, picard_sweeps=1).values
     reaction = name in ("ex3", "ex4")
-    assert len(calls) == (2 * 3 if reaction else grid.steps + 3)
+    sweeps = 2 if name == "mixed" else 1
+    assert len(calls) == (2 * 3 if reaction else sweeps * grid.steps + 3)
     plain = plain_forward(mesh, grid, truth, scn.ops, plain_source_load(
         mesh, grid, f_fn, g_fn), h, picard_sweeps=1).values
     assert rel(fast, plain) <= RTOL
@@ -613,13 +627,14 @@ def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
     assert fem._Pcg.fallbacks == fallbacks
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4", "mixed"])
 def test_condensed_march_is_a_prefix_of_a_longer_one(name, small_fine):
     """A march ending inside a window condenses on the whole window, so its
     steps are bitwise those of a longer march (resuming a run to a longer
     horizon extends its reference march), with a conductivity or without
-    (ex3 with a Picard sweep, ex4)."""
-    scn = scenario.builtin(name)
+    (ex3 with a Picard sweep, ex4), and with both (mixed, with a Picard
+    sweep)."""
+    scn = make_scenario(name)
     f_fn, g_fn, h = scenario.samplers(small_fine)
 
     def march(steps):
@@ -648,8 +663,8 @@ def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
         return np.full(mesh.num_cells, 2.0 + t)
 
     calls = counted_splu(monkeypatch)
-    systems, _ = fem._step_systems(mesh, grid, everywhere, ops, fem._whole)
-    (solver, _), _ = systems(0)(init)
+    systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
+    solver, _, _ = systems(0)(init)
     assert isinstance(solver, fem._Pcg)
     assert solver.a.shape == (mesh.num_vertices,) * 2
     del systems, solver
@@ -755,6 +770,7 @@ def test_window_death_trims_the_heap_once(small_fine, monkeypatch):
     _, window = ex1_window(small_fine, 20)
     window.precond
     data = weakref.ref(window.schur_data)
+    gc.collect()            # what earlier tests left dies before counting
     trims = []
     monkeypatch.setattr(fem, "trim_heap",
                         lambda: trims.append(data() is None))
@@ -768,6 +784,7 @@ def test_operator_cache_death_trims_the_heap(monkeypatch):
     never held an unperturbed factorization."""
     mesh = hm.build_disk_mesh(100)
     fem.assemble_mass(mesh)
+    gc.collect()            # what earlier tests left dies before counting
     trims = []
     monkeypatch.setattr(fem, "trim_heap", lambda: trims.append(1))
     del mesh
@@ -783,8 +800,8 @@ def ex1_window(mesh, first, dt=0.01):
     scn = scenario.builtin("ex1")
 
     def split(k):
-        return fem._split_ops(
-            scenario.eval_truth(scn, (first + k + 0.5) * dt, mesh), scn.ops)
+        return plain_split(plain_fine(
+            scenario.eval_truth(scn, (first + k + 0.5) * dt, mesh)), scn.ops)
 
     touched = np.zeros(mesh.num_cells)
     for k in range(fem.CONDENSE_STEPS):
@@ -793,7 +810,7 @@ def ex1_window(mesh, first, dt=0.01):
     changed = fem.assemble_reaction(mesh, touched).diagonal() != 0.0
     plus = fem.assemble_mass(mesh).data / dt + 0.5 * fem.assemble_stiffness(
         mesh, np.ones(mesh.num_cells)).data
-    labels, _ = fem._labels(mesh, fem._whole)
+    labels, _ = fem._labels(mesh, False)
     return split, fem._Window(labels.tocsr(), plus, changed)
 
 
@@ -840,11 +857,11 @@ def test_condensed_step_is_the_whole_matrix_condensed(small_fine,
     scn = scenario.builtin("ex1")
     systems, lagged = fem._step_systems(
         mesh, fem.SegmentGrid(dt, 20, 1),
-        lambda t: scenario.eval_truth(scn, t, mesh), scn.ops, fem._whole)
+        lambda t: scenario.eval_truth(scn, t, mesh), scn.ops, False)
     assert not lagged
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     for k in range(fem.CONDENSE_STEPS):
-        (solver, coupling), s_minus = systems(k)(y)
+        solver, coupling, s_minus = systems(k)(y)
         assert coupling is None
         coeff, react, _ = split(k)
         s_plus, s_minus_whole = step_matrices(mesh, coeff, react)

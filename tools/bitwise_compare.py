@@ -17,8 +17,9 @@ writes to WORKDIR:
   config loader run end to end) with DFP at tol 0.03, and ex2's
   trajectories restated as a mixed-type config file (``ops =
   conductivity, power_potential:3``, also written to WORKDIR) with DFP at
-  tol 0.03, whose reference and forward marches factorize a conductivity
-  with a lagged power weight;
+  tol 0.03, whose forward marches factorize a conductivity with a lagged
+  power weight at every step and sweep (its reference march condenses
+  that operator on windows, as every sampler march does);
 - the CLI profile run directory (ex1, horizon 2, 3000/600, seed 1, through
   ``cmd_generate`` and ``cmd_reconstruct --measurement``);
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5];
