@@ -189,7 +189,11 @@ def write_metrics_csv(path, rows: list[MetricsRow], n_components: int) -> None:
 
 
 class _Raster:
-    """Pixel-to-cell map for the fixed [-1, 1]^2 grid (built once per mesh)."""
+    """Pixel-to-cell map for the fixed [-1, 1]^2 grid (built once per mesh).
+
+    Each pixel center in the unit disk takes the cell that ``locate_cells``
+    gives it; those between the mesh polygon and the circle take the
+    nearest boundary cell."""
 
     def __init__(self, mesh: Mesh, size: int = RASTER_SIZE):
         self.size = size
@@ -265,11 +269,11 @@ RESUMABLE_CHANGES = ("horizon", "outdir")
 def _measurement_digest(mset: synth.MeasurementSet, end: float) -> str:
     """Digest of the samples on [0, end], times bit for bit: sample times
     are lattice nodes, so data made for a longer horizon has the same ones.
-    The tag keeps runs begun before the kernel's inner products were summed
-    in a fixed order, whose results differ in their last bits, from
-    resuming."""
+    The tag keeps runs begun before ``locate_cells`` gave a tie to the
+    lowest cell index and CG summed its inner products in a fixed order,
+    whose results differ in their last bits, from resuming."""
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"fixed-order inner products\n"
+    return hashlib.sha256(b"lowest-index ties, fixed-order CG\n"
                           + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 

@@ -502,25 +502,36 @@ class _Pcg:
     def _cg(self, b: np.ndarray) -> np.ndarray | None:
         """The CG solution, or None when CG breaks down or hits the cap."""
         a, precond = self.a, self.precond
-        tol = PCG_RTOL * np.linalg.norm(b)
+        tol = PCG_RTOL * _norm(b)
         x = precond.solve(b)
         r = b - a @ x
         p = rz_prev = None
         for _ in range(PCG_MAX_ITERATIONS):
-            if np.linalg.norm(r) <= tol:
+            if _norm(r) <= tol:
                 return x
             z = precond.solve(r)
-            rz = r @ z
+            rz = _dot(r, z)
             p = z if p is None else z + (rz / rz_prev) * p
             ap = a @ p
-            pap = p @ ap
+            pap = _dot(p, ap)
             if not pap > 0.0:
                 return None
             alpha = rz / pap
             x = x + alpha * p
             r = r - alpha * ap
             rz_prev = rz
-        return x if np.linalg.norm(r) <= tol else None
+        return x if _norm(r) <= tol else None
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, summed in numpy's fixed pairwise order.  A BLAS dot product
+    (``@``, ``np.linalg.norm``) splits a long vector over the BLAS threads,
+    so its last bits would depend on their number."""
+    return np.sum(a * b)
+
+
+def _norm(a: np.ndarray) -> float:
+    return np.sqrt(_dot(a, a))
 
 
 CONDENSE_STEPS = 25
@@ -826,8 +837,8 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
                         (2.0 / dt) * (mass @ y_next) + loads[j]), j)
             # free this system before the next one is built
             del solver, coupling, s_minus
-            done = y_new is not None and np.linalg.norm(
-                y_next - y_new) <= 1e-8 * max(np.linalg.norm(y_new), 1e-30)
+            done = y_new is not None and _norm(
+                y_next - y_new) <= 1e-8 * max(_norm(y_new), 1e-30)
             y_new = y_next
             if done:
                 break

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 BOUNDARY_TOL = 1e-8
-LOCATE_CHUNK = 4096     # points per pass of locate_cells
+LOCATE_CHUNK = 8192     # (cell, point) pairs per pass of locate_cells
 
 
 class MeshError(ValueError):
@@ -181,55 +180,121 @@ def boundary_vertex_weights(mesh: Mesh) -> np.ndarray:
     return 0.5 * (lens + np.roll(lens, 1))
 
 
-def locate_cells(mesh: Mesh, points: np.ndarray, k: int = 16) -> np.ndarray:
+def locate_cells(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Index of the cell containing each point (nearest cell if outside).
 
-    Candidates come from the k nearest cell centroids; a point contained in
-    none of them (possible just outside the mesh polygon) is assigned to the
-    candidate at the smallest true point-to-triangle distance.  Ties break
-    toward the nearer centroid, deterministically.  Points are taken
-    ``LOCATE_CHUNK`` at a time, which bounds the temporaries.
+    The points are bucketed on a uniform grid of square bins over their
+    bounding box, about one point per bin (Bentley, Weide & Yao 1980), and
+    each cell tests the points of the bins that its bounding box overlaps.
+    A point lies in a cell when the cell's three edge cross products at the
+    point are at least ``-(1e-12 + 1e-10 * area)``.  Of the cells that
+    contain a point, the one with the least squared centroid distance
+    ``dx*dx + dy*dy`` takes it, and an exact tie goes to the lowest cell
+    index.  A point that no cell contains (just outside the mesh polygon)
+    goes to the nearest cell by true point-to-triangle distance, searched
+    over the cells with a boundary vertex; a tie goes to the nearer
+    centroid.  The (cell, point) pairs are tested ``LOCATE_CHUNK`` at a
+    time, which bounds the temporaries.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    k = min(k, mesh.num_cells)
-    tree = cKDTree(mesh.centroids)
-    out = np.empty(len(points), dtype=np.intp)
-    for start in range(0, len(points), LOCATE_CHUNK):
-        part = slice(start, start + LOCATE_CHUNK)
-        out[part] = _locate_chunk(mesh, tree, points[part], k)
+    out = np.full(len(points), -1, dtype=np.intp)
+    if not len(points):
+        return out
+    corners = mesh.vertices[mesh.triangles]              # (T, 3, 2)
+    tol = 1e-12 + 1e-10 * mesh.cell_areas
+    # a point that passes the tolerant test has barycentric coordinates of
+    # at least -tol / (2 area), so it lies within tol * longest edge / area
+    # of the cell: the bounding boxes are padded by twice that
+    edges = corners - np.roll(corners, 1, axis=1)
+    longest = np.sqrt((edges * edges).sum(axis=2)).max(axis=1)
+    pad = (2.0 * tol * longest / mesh.cell_areas)[:, None]
+    low = points.min(axis=0)
+    extent = points.max(axis=0) - low
+    width = max(np.sqrt(extent[0] * extent[1] / len(points)),
+                extent.max() / len(points)) or 1.0
+    shape = (extent // width).astype(np.intp) + 1       # bins along x, y
+
+    def bins(x):
+        return np.floor((x - low) / width).clip(-1, shape).astype(np.intp)
+
+    # the points sorted by bin, row after row of bins
+    ix, iy = np.minimum(bins(points), shape - 1).T
+    key = iy * shape[0] + ix
+    order = np.argsort(key, kind="stable")
+    starts = np.concatenate(
+        [[0], np.cumsum(np.bincount(key, minlength=shape.prod()))])
+    # each cell's bins, one slice of the sorted points per row of them,
+    # cell after cell
+    first = np.maximum(bins(corners.min(axis=1) - pad), 0)
+    last = np.minimum(bins(corners.max(axis=1) + pad), shape - 1)
+    rows = np.maximum(last[:, 1] - first[:, 1] + 1, 0)
+    cell = np.repeat(np.arange(mesh.num_cells), rows)
+    row = first[cell, 1] + np.arange(len(cell)) \
+        - np.repeat(np.cumsum(rows) - rows, rows)
+    begin = starts[row * shape[0] + first[cell, 0]]
+    size = starts[row * shape[0] + last[cell, 0] + 1] - begin
+    cell, begin, size = cell[size > 0], begin[size > 0], size[size > 0]
+    end = np.cumsum(size)
+    best = np.full(len(points), np.inf)
+    for pair in range(0, int(end[-1]) if len(end) else 0, LOCATE_CHUNK):
+        g = np.arange(pair, min(pair + LOCATE_CHUNK, end[-1]))
+        r = np.searchsorted(end, g, side="right")
+        p, c = order[begin[r] + size[r] - end[r] + g], cell[r]
+        inside = _contains(corners[c], tol[c], points[p])
+        p, c = p[inside], c[inside]
+        d = mesh.centroids[c] - points[p]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        # each point's least distance in this pass, of a tie the lowest
+        # cell (the pairs run cell after cell and both sorts are stable)
+        k = np.lexsort((d2, p))
+        k = k[np.unique(p[k], return_index=True)[1]]
+        p, c, d2 = p[k], c[k], d2[k]
+        nearer = d2 < best[p]           # an earlier pass had lower cells
+        best[p[nearer]] = d2[nearer]
+        out[p[nearer]] = c[nearer]
+    missed = np.flatnonzero(out < 0)
+    if missed.size:
+        border = np.flatnonzero(
+            np.isin(mesh.triangles, mesh.boundary_vertices).any(axis=1))
+        step = max(1, LOCATE_CHUNK // len(border))
+        for s in range(0, len(missed), step):
+            part = missed[s:s + step]
+            out[part] = border[_nearest(corners[border],
+                                        mesh.centroids[border], points[part])]
     return out
 
 
-def _locate_chunk(mesh: Mesh, tree: cKDTree, points: np.ndarray,
-                  k: int) -> np.ndarray:
-    _, cand = tree.query(points, k=k)
-    cand = cand.reshape(len(points), k)
-    corners = mesh.vertices[mesh.triangles][cand]       # (N, k, 3, 2)
+def _contains(corners: np.ndarray, tol: np.ndarray,
+              points: np.ndarray) -> np.ndarray:
+    """Whether each point lies in its triangle, up to ``tol``."""
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+
+    def cross_to(u, v):
+        return ((v[:, 0] - u[:, 0]) * (points[:, 1] - u[:, 1])
+                - (v[:, 1] - u[:, 1]) * (points[:, 0] - u[:, 0]))
+
+    return ((cross_to(a, b) >= -tol) & (cross_to(b, c) >= -tol)
+            & (cross_to(c, a) >= -tol))
+
+
+def _nearest(corners: np.ndarray, centroids: np.ndarray,
+             points: np.ndarray) -> np.ndarray:
+    """Per point, the index of the nearest of the triangles ``corners`` by
+    true point-to-triangle distance; a tie goes to the nearer centroid,
+    then to the lower index."""
     p = points[:, None, :]
-
-    def cross_to(a, b):
-        return ((b[..., 0] - a[..., 0]) * (p[..., 1] - a[..., 1])
-                - (b[..., 1] - a[..., 1]) * (p[..., 0] - a[..., 0]))
-
-    a, b, c = corners[:, :, 0], corners[:, :, 1], corners[:, :, 2]
-    tol = 1e-12 + 1e-10 * mesh.cell_areas[cand]
-    inside = ((cross_to(a, b) >= -tol) & (cross_to(b, c) >= -tol)
-              & (cross_to(c, a) >= -tol))
-    first = np.argmax(inside, axis=1)
-    out = cand[np.arange(len(points)), first]
-    misses = ~inside.any(axis=1)
-    if np.any(misses):
-        dist = np.full((int(misses.sum()), k), np.inf)
-        pm = points[misses][:, None, :]
-        for u, v in ((a, b), (b, c), (c, a)):
-            um, vm = u[misses], v[misses]
-            uv = vm - um
-            denom = np.einsum("nkd,nkd->nk", uv, uv)
-            t = np.clip(np.einsum("nkd,nkd->nk", pm - um, uv) / denom, 0.0, 1.0)
-            closest = um + t[..., None] * uv
-            dist = np.minimum(dist, np.linalg.norm(pm - closest, axis=2))
-        out[misses] = cand[misses][np.arange(len(dist)), np.argmin(dist, axis=1)]
-    return out
+    dist = np.full((len(points), len(corners)), np.inf)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        u = corners[None, :, i]
+        uv = corners[None, :, j] - u
+        t = np.clip(np.einsum("...d,...d->...", p - u, uv)
+                    / np.einsum("...d,...d->...", uv, uv), 0.0, 1.0)
+        dist = np.minimum(dist, np.linalg.norm(p - (u + t[..., None] * uv),
+                                               axis=2))
+    d = centroids - p
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    tied = dist == dist.min(axis=1, keepdims=True)
+    return np.argmin(np.where(tied, d2, np.inf), axis=1)
 
 
 @dataclass(frozen=True)
@@ -250,7 +315,10 @@ class TransferOps:
 
 
 def build_transfer(fine: Mesh, coarse: Mesh) -> TransferOps:
-    """Build :class:`TransferOps` for two meshes of the same domain."""
+    """Build :class:`TransferOps` for two meshes of the same domain: each
+    fine centroid goes to its coarse cell by ``locate_cells``, so a centroid
+    on a coarse edge goes to the cell with the nearer centroid, or, at equal
+    distance, to the lower index."""
     cmap = locate_cells(coarse, fine.centroids)
     tf, tc = fine.num_cells, coarse.num_cells
     w = fine.cell_areas

@@ -566,8 +566,8 @@ def _write_whole(path: str, write) -> None:
 
 
 def _write_rows(path: str, lines: list[str], rows=()) -> None:
-    """Write ``segments.csv`` whole: its ``lines`` (read with
-    ``newline=""``), then ``rows``."""
+    """Write a text file whole: its ``lines``, each with its line end
+    (``segments.csv``'s read with ``newline=""``), then the CSV ``rows``."""
     def write(part):
         with open(part, "w", newline="") as fh:
             fh.writelines(lines)
@@ -582,11 +582,12 @@ def _save_checkpoint(run_dir: str, report: SegmentReport,
     n = report.index
     header = ",".join(f"component_{c}" for c in range(len(report.u)))
     arrays = {f.name: getattr(kernel, f.name) for f in fields(kernel)}
-    _write_whole(os.path.join(run_dir, f"u_{n:04d}.csv"),
-                 lambda part: np.savetxt(part, report.u.T, delimiter=",",
-                                         header=header, comments=""))
-    _write_whole(os.path.join(run_dir, f"terminal_{n:04d}.txt"),
-                 lambda part: np.savetxt(part, terminal))
+    # "%.18e": 19 significant digits read back every double exactly
+    line = ",".join(["%.18e"] * len(report.u)) + "\n"
+    _write_rows(os.path.join(run_dir, f"u_{n:04d}.csv"), [header + "\n"]
+                + [line % tuple(r) for r in report.u.T.tolist()])
+    _write_rows(os.path.join(run_dir, f"terminal_{n:04d}.txt"),
+                ["%.18e\n" % v for v in terminal.tolist()])
     _write_whole(os.path.join(run_dir, f"kernel_{n:04d}.npz"),
                  lambda part: np.savez(part, **arrays))
     row = [n, f"{report.t_mid:.17g}", f"{report.residual:.17g}",

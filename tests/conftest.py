@@ -4,11 +4,31 @@ The full-scale fixtures (7002/1120 meshes, horizon-10 references) are
 session-scoped and built lazily, so unit-test-only runs never pay for them.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from heatprobe import mesh as hpmesh
 from heatprobe import scenario, synth
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    heatprobe, with the variables ``env`` set; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(hpmesh.__file__))
+
+    def run(code, **env):
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -72,9 +72,9 @@ def crash_in_write(monkeypatch, name, skip=0):
     """Crash in the middle of the write after the ``skip`` first of a file
     whose name ends with ``name`` (its own, or a temporary one): the file
     keeps the first half of the bytes that write added, and nothing after
-    it runs.  Checkpoints are written through ``np.savetxt``, ``np.savez``
-    and the reconstruction module's ``open``, ``config.txt`` through the
-    cli module's."""
+    it runs.  Checkpoints are written through ``np.savez`` and the
+    reconstruction module's ``open``, ``config.txt`` through the cli
+    module's."""
     left = [skip]
 
     def cut(path, start):
@@ -100,7 +100,6 @@ def crash_in_write(monkeypatch, name, skip=0):
         return _CutOnClose(open(path, mode, **kwargs),
                            lambda: cut(path, start))
 
-    monkeypatch.setattr(np, "savetxt", saving(np.savetxt))
     monkeypatch.setattr(np, "savez", saving(np.savez))
     monkeypatch.setattr(recon, "open", opening, raising=False)
     monkeypatch.setattr(cli, "open", opening, raising=False)
@@ -691,18 +690,24 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out) + ["--measurement", first]) \
             == cli.EXIT_OK
 
+    @pytest.mark.parametrize("tag", [
+        # before every march added its perturbed cells' change to the
+        # unperturbed operator
+        pytest.param(b"snapped samples\n", id="snapped"),
+        # before the lowest-index locator ties and the fixed-order CG
+        pytest.param(b"fixed-order inner products\n", id="inner-products"),
+    ])
     def test_resume_refuses_a_run_of_the_earlier_steps(self, tmp_path,
-                                                       capsys):
-        """A run whose measurement digest has the tag of the code before
-        every march added its perturbed cells' change to the unperturbed
-        operator does not resume: its results differ in their last bits."""
+                                                       capsys, tag):
+        """A run whose measurement digest has the tag of earlier code does
+        not resume: its results differ in their last bits."""
         base = cli.cmd_generate(micro_config(tmp_path / "data",
                                              reference_triangles=960))
         run_dir = cli.cmd_reconstruct(micro_config(tmp_path, horizon=0.2),
                                       measurement_base=base)
         mset = synth.load_measurement_set(base, 960)
         kept = mset.sample_times <= 0.2 + 1e-9
-        earlier = hashlib.sha256(b"snapped samples\n"
+        earlier = hashlib.sha256(tag
                                  + mset.sample_times[kept].tobytes()
                                  + mset.noisy[kept].tobytes()).hexdigest()
         config = pathlib.Path(run_dir) / "config.txt"

@@ -676,6 +676,36 @@ def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
     assert rel(fast, plain) <= RTOL
 
 
+# a potential on every cell of a 20000-triangle mesh (10173 vertices): the
+# whole-matrix CG's vectors are long enough for BLAS to split a dot product
+# over two threads
+WHOLE_MATRIX_CG = """
+import hashlib
+import numpy as np
+from heatprobe import fem, mesh as hm
+mesh = hm.build_disk_mesh(20000)
+grid = fem.segment_grid(0.0, 0.03, 0.01)
+ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
+init = np.ones(mesh.num_vertices) + mesh.vertices[:, 0]
+def everywhere(t):
+    return np.full(mesh.num_cells, 2.0 + t)
+systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
+assert isinstance(systems(0)(init)[0], fem._Pcg)
+del systems
+y = fem.forward_solve(mesh, grid, everywhere, ops,
+                      fem.source_load(mesh, grid, None, None), init)
+print(hashlib.sha256(y.values.tobytes()).hexdigest())
+"""
+
+
+def test_whole_matrix_cg_does_not_depend_on_the_blas_threads(run_python):
+    """A march that runs CG on the whole matrix gives the same bits under
+    one and two BLAS threads."""
+    one, two = (run_python(WHOLE_MATRIX_CG, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads) for threads in "12")
+    assert one == two
+
+
 def conductivity_march(mesh, grid, u):
     ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
     return fem.forward_solve(mesh, grid, u, ops,

@@ -199,16 +199,80 @@ class TestLocateCells:
 
     def test_chunks_change_no_cell(self, monkeypatch):
         """Points inside, on and just outside the disk get the same cells
-        in chunks of 7 as in one pass; the outside ones take the miss
-        path."""
+        when 7 or 1 (cell, point) pairs are tested per pass as in the
+        default passes; the outside ones take the miss path."""
         mesh = hm.build_disk_mesh(600)
-        angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-        ring = np.column_stack([np.cos(angles), np.sin(angles)])
-        points = np.concatenate([
-            np.random.default_rng(4).uniform(-0.7, 0.7, size=(50, 2)),
-            ring, 1.001 * ring, 1.05 * ring])
+        points = disk_points(40)
         whole = hm.locate_cells(mesh, points)
-        monkeypatch.setattr(hm, "LOCATE_CHUNK", 7)
-        assert np.array_equal(hm.locate_cells(mesh, points), whole)
         assert len(whole) == len(points)
+        for chunk in (7, 1):
+            monkeypatch.setattr(hm, "LOCATE_CHUNK", chunk)
+            assert np.array_equal(hm.locate_cells(mesh, points), whole)
 
+    @pytest.mark.parametrize("target", [300, 600])
+    def test_matches_a_scan_over_all_cells(self, target):
+        """Random points, every vertex and edge midpoint (which several
+        cells contain), and points on and just outside the circle get the
+        cell that a scan over all cells gives under the stated rule."""
+        mesh = hm.build_disk_mesh(target)
+        corners = mesh.vertices[mesh.triangles]
+        points = np.concatenate([disk_points(97), mesh.vertices,
+                                 0.5 * (corners + np.roll(corners, 1, axis=1))
+                                 .reshape(-1, 2)])
+        found = hm.locate_cells(mesh, points)
+        assert np.array_equal(found, scan_cells(mesh, points))
+
+    def test_an_exact_tie_goes_to_the_lower_cell(self, fine, coarse,
+                                                 transfer):
+        """Fine centroid 33 of 7002/1120 lies in coarse cells 1 and 2, at
+        equal squared distance from their centroids: cell 1 takes it."""
+        d = coarse.centroids[[1, 2]] - fine.centroids[33]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        assert d2[0] == d2[1]
+        assert transfer.cell_map[33] == 1
+
+
+def disk_points(n):
+    """Random points in [-0.7, 0.7]^2 and ``n`` points each on, 0.1% and
+    5% outside the unit circle."""
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.concatenate([
+        np.random.default_rng(4).uniform(-0.7, 0.7, size=(50, 2)),
+        ring, 1.001 * ring, 1.05 * ring])
+
+
+def scan_cells(mesh, points):
+    """The cell of each point by a scan over all cells: of the cells that
+    contain it up to the tolerance, the least squared centroid distance;
+    for a point in none, the least point-to-triangle distance (the
+    formula of ``mesh._nearest``), then the least centroid distance; an
+    exact tie at the end goes to the lowest index."""
+    corners = mesh.vertices[mesh.triangles]
+    tol = 1e-12 + 1e-10 * mesh.cell_areas
+    out = []
+    for point in points:
+        d = mesh.centroids - point
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        inside = np.ones(mesh.num_cells, dtype=bool)
+        dist = np.full(mesh.num_cells, np.inf)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            u, uv = corners[:, i], corners[:, j] - corners[:, i]
+            pu = point - u
+            inside &= uv[:, 0] * pu[:, 1] - uv[:, 1] * pu[:, 0] >= -tol
+            t = np.clip(np.einsum("kd,kd->k", pu, uv)
+                        / np.einsum("kd,kd->k", uv, uv), 0.0, 1.0)
+            dist = np.minimum(dist, np.linalg.norm(
+                point - (u + t[:, None] * uv), axis=1))
+        pick = inside if inside.any() else dist == dist.min()
+        out.append(np.flatnonzero(pick)[np.argmin(d2[pick])])
+    return np.array(out)
+
+
+def test_no_module_imports_scipy_spatial(run_python):
+    """Importing the package and its command line loads no module of
+    scipy.spatial (several MB and tens of ms a process)."""
+    loaded = run_python("import sys, heatprobe, heatprobe.cli; "
+                        "print([m for m in sys.modules "
+                        "if m.startswith('scipy.spatial')])")
+    assert loaded.strip() == "[]"

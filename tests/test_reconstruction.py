@@ -1,9 +1,6 @@
 """Resolver kernel algebra, quasi-Newton updates, and the segment loop."""
 
 import logging
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -170,20 +167,12 @@ print(recon.segment_inner(mesh, grid, a, b).hex(),
 """
 
 
-def test_inner_products_do_not_depend_on_the_blas_threads():
+def test_inner_products_do_not_depend_on_the_blas_threads(run_python):
     """segment_inner and apply_kernel give the same bits under one and two
     BLAS threads."""
-    src = os.path.dirname(os.path.dirname(recon.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")])}
-        outputs.append(subprocess.run(
-            [sys.executable, "-c", INNER_PRODUCTS], env=env, check=True,
-            capture_output=True, text=True).stdout)
-    assert outputs[0] == outputs[1]
+    one, two = (run_python(INNER_PRODUCTS, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads) for threads in "12")
+    assert one == two
 
 
 class TestEtaHat:

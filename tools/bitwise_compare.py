@@ -25,13 +25,17 @@ writes to WORKDIR:
 - the checkpoints of an ex2 DFP run at tol 0.03 over [0, 0.5];
 - every field and the cell adjacency (``mesh.cell_adjacency``) of the
   disk meshes in ``MESH_SIZES``: those of the runs above (3000, 600 and
-  the 13870-triangle reference), of the tests and of the acceptance scale.
+  the 13870-triangle reference), of the tests and of the acceptance scale;
+- the coarse cell of each fine centroid (``mesh.locate_cells``, the
+  ``cell_map`` of a transfer) for the pairs in ``TRANSFERS``, and the
+  heatmap raster's pixel cells (``cli._Raster``) of the meshes in
+  ``RASTERS``.
 
 The script then compares meshes on the fields both trees hold (a parent's
 ``boundary_edges`` must be the change's loop ``boundary_vertices[i] ->
-boundary_vertices[i + 1]``, row for row), measurement sets and reports bit
-for bit and
-files byte for byte (``summary.txt`` but its wall-time line;
+boundary_vertices[i + 1]``, row for row), located cells index for index
+(each one that moved is printed), measurement sets and reports bit for bit
+and files byte for byte (``summary.txt`` but its wall-time line;
 ``config.txt`` and the manifest are listed, as they record the output
 directory), and resumes the parent's checkpoints with the change's code to
 [0, 1], which must equal the change's fresh run.  Exit status 0 when
@@ -123,6 +127,9 @@ def _diff(name, a, b):
 
 MEASURED = ("sample_times", "clean", "noisy")
 MESH_SIZES = (300, 600, 1000, 1120, 1200, 3000, 7002, 13870)
+# (fine, coarse) pairs whose fine centroids are located on the coarse mesh
+TRANSFERS = ((1000, 300), (3000, 600), (7002, 1120), (13870, 7002))
+RASTERS = (300, 600, 1120)      # meshes whose heatmap raster is compared
 REPORT_FIELDS = ("index", "t_mid", "u", "residual", "counters", "iterations",
                  "warned", "kernel_rank")
 
@@ -205,14 +212,21 @@ def dump(src, out):
     }
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
-    meshes = {}
+    meshes, built = {}, {}
     for n in MESH_SIZES:
-        m = mesh.build_disk_mesh(n)
+        m = built[n] = mesh.build_disk_mesh(n)
         adjacency = mesh.cell_adjacency(m)
         meshes[n] = {**vars(m), "cell_adjacency": [
             adjacency.indptr, adjacency.indices, adjacency.data]}
     with open(os.path.join(out, "meshes.pkl"), "wb") as fh:
         pickle.dump(meshes, fh)
+    located = {f"{f}/{c} cell_map": mesh.locate_cells(built[c],
+                                                      built[f].centroids)
+               for f, c in TRANSFERS}
+    located.update({f"raster {c} cells": cli._Raster(built[c]).cells
+                    for c in RASTERS})
+    with open(os.path.join(out, "located.pkl"), "wb") as fh:
+        pickle.dump(located, fh)
     with open(os.path.join(out, "measurements.pkl"), "wb") as fh:
         pickle.dump({k: [getattr(m, name) for name in MEASURED]
                      for k, m in data.items()}, fh)
@@ -286,6 +300,14 @@ def compare(parent, change):
                 differ.append(f"{n} boundary_edges against the loop")
     ok = not differ
     print(f"meshes: {'; '.join(differ) or 'bit-identical'}")
+    la, lb = (_load(os.path.join(side, "located.pkl"))
+              for side in (parent, change))
+    for key in la:
+        moved = np.flatnonzero(la[key] != lb[key])
+        ok &= not moved.size
+        print(f"{key}: " + ("; ".join(
+            f"{i}: {la[key][i]} -> {lb[key][i]}" for i in moved)
+            or "bit-identical"))
     ma, mb = (_load(os.path.join(side, "measurements.pkl"))
               for side in (parent, change))
     for key in ma:
