@@ -174,8 +174,8 @@ def compute_metrics(result: reconstruction.RunResult, scn: Scenario) -> list[Met
 
 def write_metrics_csv(path, rows: list[MetricsRow], n_components: int) -> None:
     with open(path, "w") as fh:
-        head = ["segment", "t_mid", "residual", "background", "adjoint",
-                "forward", "dirichlet", "iterations", "warned"]
+        head = ["segment", "t_mid", "residual", *reconstruction.SOLVE_KINDS,
+                "iterations", "warned"]
         head += [f"jaccard_{c}" for c in range(n_components)]
         head += [f"centroid_error_{c}" for c in range(n_components)]
         fh.write(",".join(head) + "\n")

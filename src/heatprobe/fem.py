@@ -183,7 +183,6 @@ class _Operators:
         self.labels = {}            # {pinned: (labels, coupling)}; see _labels
         self.unperturbed = None     # see _unperturbed
         self.mass = None            # see _mass
-        _trim_after(self)
 
     def matrix(self, data: np.ndarray) -> sparse.csr_array:
         """A matrix on the shared pattern."""
@@ -219,41 +218,19 @@ class _Operators:
 
 _LOCAL_MASS = ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
 
+# The heap policy (glibc only): every block of 1 MiB or more gets its own
+# mapping, which free hands back to the system at once.  SuperLU reserves
+# several times a factor's size; a fixed threshold (glibc's dynamic one rises
+# to the largest block freed) keeps those reservations out of the heap, where
+# a live factor would keep their pages resident.
+_MMAP_THRESHOLD = 1 << 20
 try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.gnu_get_libc_version                  # only glibc has it
 except (OSError, AttributeError, TypeError):    # not glibc
-    _MALLOC_TRIM = None
-
-
-def trim_heap() -> None:
-    """Hand the C heap's free pages back to the system (glibc only).
-
-    SuperLU allocates several times a factor's size, and a held unperturbed
-    factor stays alive while other marches factorize and free, so the heap
-    around it keeps their pages resident.  So the heap is trimmed when
-    large factors die: when a mesh's operator cache dies or drops its held
-    unperturbed state (``_unperturbed``), when a condensation window dies
-    (``_trim_after``), and after
-    each segment of a reconstruction.  Without the last, peak RSS of a
-    two-component reconstruction rises by about 10%; a trim after every
-    march costs more time than the pages it returns save.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
-def _trim_after(owner) -> None:
-    """Trim the heap when ``owner`` dies, once its attributes are freed.
-
-    A finalizer runs before the attributes of its object are released, so
-    this one releases them itself before it trims."""
-    weakref.finalize(owner, _release, vars(owner))
-
-
-def _release(attributes: dict) -> None:
-    attributes.clear()
-    trim_heap()
+    pass
+else:
+    _LIBC.mallopt(-3, _MMAP_THRESHOLD)          # M_MMAP_THRESHOLD
 
 
 _OPERATORS: dict[int, _Operators] = {}
@@ -269,7 +246,7 @@ def _operators(mesh: Mesh) -> _Operators:
 
 
 def _drop_operators(key: int) -> None:
-    _OPERATORS.pop(key, None)       # the cache trims the heap as it dies
+    _OPERATORS.pop(key, None)
 
 
 def cell_gradient(mesh: Mesh) -> sparse.csr_array:
@@ -441,16 +418,15 @@ def _unperturbed(mesh: Mesh, dt: float):
     which ``_step_systems`` fills for steps with no perturbed cell.
 
     The mesh's cache holds them for the last ``dt`` asked for, until the
-    mesh dies.  Asking for another ``dt`` drops all of them and trims the
-    heap once.  Every segment of a run lies on one time lattice, so a run
-    factorizes each held system once; a held factorization is the one a
-    fresh build would give.
+    mesh dies.  Asking for another ``dt`` drops all of them before the new
+    state is built, so the old factorizations are freed first.  Every
+    segment of a run lies on one time lattice, so a run factorizes each
+    held system once; a held factorization is the one a fresh build would
+    give.
     """
     cache = _operators(mesh)
     if cache.unperturbed is None or cache.unperturbed[0] != dt:
-        if cache.unperturbed is not None:
-            cache.unperturbed = None
-            trim_heap()
+        cache.unperturbed = None
         scaled = _mass(mesh).data / dt
         half = 0.5 * assemble_stiffness(mesh, np.ones(mesh.num_cells)).data
         plus, minus = scaled + half, scaled - half
@@ -552,8 +528,7 @@ class _Window:
     holds S_RR - X of the unperturbed S+; a step adds to it what its
     perturbed cells change (``schur``).  A step with no conductivity solves
     it by ``_Pcg``, preconditioned by the factorization of the unperturbed
-    one (``precond``, made on first use).  The heap is trimmed when the
-    window dies.
+    one (``precond``, made on first use).
     """
 
     def __init__(self, labels, plus: np.ndarray, changed: np.ndarray):
@@ -580,7 +555,6 @@ class _Window:
         self.schur_data[np.searchsorted(keys, x_keys)] -= x.ravel()
         cols, self.schur_rows = np.divmod(keys, n)
         self.schur_starts = np.searchsorted(cols, np.arange(n + 1))
-        _trim_after(self)
 
     def _ring_block(self, s_jo) -> np.ndarray:
         """X = S_JO S_OO^-1 S_OJ on the ring J of R unknowns next to O,

@@ -359,10 +359,14 @@ class Counters:
 
     @property
     def total(self) -> int:
-        return self.background + self.adjoint + self.forward + self.dirichlet
+        return sum(self.as_tuple())
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.background, self.adjoint, self.forward, self.dirichlet)
+        return tuple(getattr(self, k) for k in SOLVE_KINDS)
+
+
+# the solver categories, in the order of every file that lists them
+SOLVE_KINDS = tuple(f.name for f in fields(Counters))
 
 
 @dataclass
@@ -384,9 +388,8 @@ class RunResult:
 
     def mean_counters(self) -> dict[str, float]:
         n = max(len(self.segments), 1)
-        keys = ("background", "adjoint", "forward", "dirichlet")
         out = {k: sum(getattr(s.counters, k) for s in self.segments) / n
-               for k in keys}
+               for k in SOLVE_KINDS}
         out["total"] = sum(out.values())
         return out
 
@@ -547,7 +550,6 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
         grid = SegmentGrid(opts.dt, n * steps, steps)
         report, init = run_segment(n, grid, init, kernel, mset, scn, opts,
                                    fine, coarse, transfer, f_fn, g_fn)
-        fem.trim_heap()
         reports.append(report)
         if checkpoint_dir:
             _save_checkpoint(checkpoint_dir, report, init, kernel)
@@ -594,9 +596,8 @@ def _save_checkpoint(run_dir: str, report: SegmentReport,
            *report.counters.as_tuple(), report.iterations,
            int(report.warned), report.kernel_rank]
     path = os.path.join(run_dir, "segments.csv")
-    lines, rows = [], [["segment", "t_mid", "residual", "background",
-                        "adjoint", "forward", "dirichlet", "iterations",
-                        "warned", "kernel_rank"], row]
+    lines, rows = [], [["segment", "t_mid", "residual", *SOLVE_KINDS,
+                        "iterations", "warned", "kernel_rank"], row]
     if n and os.path.exists(path):
         with open(path, newline="") as fh:
             lines, rows = fh.readlines(), [row]
@@ -640,8 +641,7 @@ def read_reports(run_dir: str,
             reports.append(SegmentReport(
                 index=n, t_mid=float(row["t_mid"]), u=u,
                 residual=float(row["residual"]),
-                counters=Counters(int(row["background"]), int(row["adjoint"]),
-                                  int(row["forward"]), int(row["dirichlet"])),
+                counters=Counters(*(int(row[k]) for k in SOLVE_KINDS)),
                 iterations=int(row["iterations"]),
                 warned=bool(int(row["warned"])),
                 kernel_rank=int(row["kernel_rank"])))

@@ -10,6 +10,7 @@ CG; none of that may move a result by more than ``RTOL`` (relative L2 over
 all time nodes).
 """
 
+import ctypes
 import dataclasses
 import gc
 import math
@@ -330,14 +331,11 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
 def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     """Background and adjoint marches share one factorization across
     segments of equal dt, a new dt gets a new one, and none is left once
-    the mesh is gone.  The mesh's cache holds the state of one dt; each
-    drop of it trims the heap once."""
+    the mesh is gone.  The mesh's cache holds the state of one dt."""
     mesh = hm.build_disk_mesh(1000)
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(mesh)
     calls = counted_splu(monkeypatch)
-    trims = []
-    monkeypatch.setattr(fem, "trim_heap", lambda: trims.append(1))
 
     def segment(t_start, dt):
         grid = fem.segment_grid(t_start, t_start + 0.25, dt)
@@ -353,9 +351,9 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
 
     segment(0.0, 0.0125)
     segment(0.25, 0.0125)                       # same dt, a new segment
-    assert (len(calls), len(trims)) == (1, 0)
+    assert len(calls) == 1
     segment(0.5, 0.01)
-    assert (len(calls), len(trims)) == (2, 1)
+    assert len(calls) == 2
     cache = fem._operators(mesh)
     dt, _, _, held = cache.unperturbed
     assert (dt, list(held)) == (0.01, [False])
@@ -363,7 +361,6 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     del mesh
     gc.collect()
     assert cache() is None
-    assert len(trims) == 2
 
 
 # -- one way to build a step --------------------------------------------------
@@ -786,40 +783,54 @@ def test_condensed_march_memory_is_flat():
                           rows=mesh.boundary_vertices)
 
     march(4)                # the operator cache and a first window
-    fem.trim_heap()         # read resident pages, not the heap's free ones
     before = _rss_mb()
     march(4 * fem.CONDENSE_STEPS)
-    fem.trim_heap()
     assert _rss_mb() - before < 8.0
 
 
 
-def test_window_death_trims_the_heap_once(small_fine, monkeypatch):
-    """A window trims the heap once as it dies, after its factorizations
-    (its preconditioner included) are freed."""
+def test_window_death_frees_its_arrays(small_fine):
+    """A window's arrays are freed as it dies, its preconditioner made."""
     _, window = ex1_window(small_fine, 20)
     window.precond
     data = weakref.ref(window.schur_data)
-    gc.collect()            # what earlier tests left dies before counting
-    trims = []
-    monkeypatch.setattr(fem, "trim_heap",
-                        lambda: trims.append(data() is None))
     del window
     gc.collect()
-    assert trims == [True]
+    assert data() is None
 
 
-def test_operator_cache_death_trims_the_heap(monkeypatch):
-    """A mesh's operator cache trims the heap as it dies, also one that
-    never held an unperturbed factorization."""
-    mesh = hm.build_disk_mesh(100)
-    fem.assemble_mass(mesh)
-    gc.collect()            # what earlier tests left dies before counting
-    trims = []
-    monkeypatch.setattr(fem, "trim_heap", lambda: trims.append(1))
-    del mesh
-    gc.collect()
-    assert trims == [1]
+# Prints how many bytes of blocks in their own mapping (glibc's mallinfo2
+# hblkhd) a 2 MiB array adds once an 8 MiB one was freed.
+MAPPED_AFTER_A_FREE = """
+import ctypes
+import numpy as np
+import heatprobe.fem
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+big = np.ones(8 << 17)
+del big
+before = libc.mallinfo2().hblkhd
+block = np.ones(2 << 17)
+print(libc.mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="glibc's mallinfo2 reads the heap")
+def test_large_blocks_are_mapped_after_a_larger_one_is_freed(run_python):
+    """Once ``fem`` is imported, a block of 2 MiB gets its own mapping also
+    after one of 8 MiB was freed; glibc's dynamic threshold would have
+    risen to 8 MiB and taken it from the heap.  It runs in a fresh
+    interpreter: glibc serves a block of any size from a free heap chunk
+    that fits before it maps one, and earlier tests leave such chunks."""
+    assert int(run_python(MAPPED_AFTER_A_FREE)) >= 2 << 20
 
 
 # -- what a condensed step assembles -----------------------------------------
