@@ -269,11 +269,11 @@ RESUMABLE_CHANGES = ("horizon", "outdir")
 def _measurement_digest(mset: synth.MeasurementSet, end: float) -> str:
     """Digest of the samples on [0, end], times bit for bit: sample times
     are lattice nodes, so data made for a longer horizon has the same ones.
-    The tag keeps runs begun before ``locate_cells`` gave a tie to the
-    lowest cell index and CG summed its inner products in a fixed order,
-    whose results differ in their last bits, from resuming."""
+    The tag keeps runs begun before the step systems on the mesh's pattern
+    were factorized by band Cholesky, whose results differ in their last
+    bits, from resuming."""
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"lowest-index ties, fixed-order CG\n"
+    return hashlib.sha256(b"band Cholesky steps\n"
                           + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 

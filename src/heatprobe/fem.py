@@ -16,6 +16,8 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .mesh import Mesh, boundary_vertex_weights
@@ -181,6 +183,7 @@ class _Operators:
         self.triangles = tri
         self.basis_gradients = g
         self.labels = {}            # {pinned: (labels, coupling)}; see _labels
+        self.bands = {}             # {pinned: _BandLayout}; see _band
         self.unperturbed = None     # see _unperturbed
         self.mass = None            # see _mass
 
@@ -364,18 +367,80 @@ def _perturbation(u, ops, mesh: Mesh):
         (comp[cells], power) for comp, power in powers if np.any(comp)]
 
 
-def _factorize(matrix):
-    """SuperLU in its symmetric mode (Li 2005, "An overview of SuperLU").
+def _factorize(matrix, layout: _BandLayout | None = None):
+    """The factorization of a symmetric step block: every solver here
+    factorizes through this function.
 
-    Minimum degree on A^T + A with diagonal pivots suits the symmetric
-    positive definite systems here: at 13870 triangles it fills 30% less
-    than the default column ordering and factors in two thirds the time.
+    Given the ``layout`` of a block of the mesh's pattern (``_band``),
+    LAPACK's band Cholesky (``dpbtrf``) on the block's reverse
+    Cuthill-McKee ordering (George & Liu, "Computer Solution of Large
+    Sparse Positive Definite Systems", 1981), filled into one band array
+    that it factors in place: at 7002 triangles (3605 unknowns, half
+    bandwidth 74) it factors in 3.8 ms against SuperLU's 9.3, and solves
+    in 0.20 ms against 0.24 (one BLAS thread).
+
+    Without a layout, or when ``dpbtrf`` finds the block not positive
+    definite (a negative potential), SuperLU in its symmetric mode (Li
+    2005, "An overview of SuperLU"): minimum degree on A^T + A with
+    diagonal pivots fills 30% less than the default column ordering at
+    13870 triangles and factors in two thirds the time.  A window's blocks
+    take SuperLU: there the ring block's 16-column S_OO solves took 8.9
+    ms against 14.5 ms on a band factor (13870 triangles).
     """
+    if layout is not None:
+        band = layout.fill(matrix.data)
+        factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+        if info == 0:
+            return _BandCholesky(factor, layout.perm)
     try:
         return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FemError(f"sparse factorization failed: {exc}") from exc
+
+
+class _BandLayout:
+    """Where the entries of a block of the mesh's pattern (``_labels``) go
+    in LAPACK's upper band storage on the block's reverse Cuthill-McKee
+    ordering: ``perm`` lists the unknowns in that order, ``width`` is the
+    band's half width, and entry ``entries[i]`` of the block's data, one
+    on or above the diagonal of the ordered block, goes to ``slots[i]`` of
+    the Fortran-ordered (width + 1) x n band array.  Upper storage: at
+    7002 triangles ``dpbtrs`` solves on it in 0.15 ms against 0.26 ms on
+    lower storage, which repays a factorization about 1 ms slower within a
+    march's steps."""
+
+    def __init__(self, labels):
+        n = labels.shape[0]
+        self.perm = csgraph.reverse_cuthill_mckee(labels.tocsr(),
+                                                  symmetric_mode=True)
+        order = np.argsort(self.perm)       # each unknown's place in it
+        row = order[np.repeat(np.arange(n), np.diff(labels.indptr))]
+        col = order[labels.indices]
+        self.width = int(np.max(col - row))
+        self.entries = np.flatnonzero(row <= col)
+        self.slots = (col * (self.width + 1) + self.width + row
+                      - col)[self.entries]
+
+    def fill(self, data: np.ndarray) -> np.ndarray:
+        """The band array of the block whose data is ``data``."""
+        band = np.zeros(self.perm.size * (self.width + 1))
+        band[self.slots] = data[self.entries]
+        return band.reshape((self.width + 1, self.perm.size), order="F")
+
+
+class _BandCholesky:
+    """A band Cholesky factor (``dpbtrf``'s upper U, U^T U = A) of a block
+    ordered by ``perm``."""
+
+    def __init__(self, factor: np.ndarray, perm: np.ndarray):
+        self.factor, self.perm = factor, perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, _ = lapack.dpbtrs(self.factor, b[self.perm], overwrite_b=1)
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
 
 
 def _labels(mesh: Mesh, pinned: bool):
@@ -400,6 +465,15 @@ def _labels(mesh: Mesh, pinned: bool):
     return cache.labels[pinned]
 
 
+def _band(mesh: Mesh, pinned: bool) -> _BandLayout:
+    """The band layout of the block ``_labels(mesh, pinned)`` solves,
+    built once per mesh and pinned flag: it does not depend on ``dt``."""
+    cache = _operators(mesh)
+    if pinned not in cache.bands:
+        cache.bands[pinned] = _BandLayout(_labels(mesh, pinned)[0])
+    return cache.bands[pinned]
+
+
 def _positions(labels) -> np.ndarray:
     return labels.data - 1
 
@@ -415,14 +489,15 @@ def _unperturbed(mesh: Mesh, dt: float):
     """``(plus, minus, held)``: the data of S+ = M/dt + K(1)/2 and S- =
     M/dt - K(1)/2 of a Crank-Nicolson step on the mesh's pattern
     (read-only), and ``held``, the systems of that step by pinned flag,
-    which ``_step_systems`` fills for steps with no perturbed cell.
+    which ``_step_systems`` fills for steps with no perturbed cell; each
+    holds a band Cholesky factor on the block's layout (``_band``).
 
     The mesh's cache holds them for the last ``dt`` asked for, until the
     mesh dies.  Asking for another ``dt`` drops all of them before the new
-    state is built, so the old factorizations are freed first.  Every
-    segment of a run lies on one time lattice, so a run factorizes each
-    held system once; a held factorization is the one a fresh build would
-    give.
+    state is built, so the old factorizations are freed first; the band
+    layouts do not depend on ``dt`` and stay.  Every segment of a run lies
+    on one time lattice, so a run factorizes each held system once; a held
+    factorization is the one a fresh build would give.
     """
     cache = _operators(mesh)
     if cache.unperturbed is None or cache.unperturbed[0] != dt:
@@ -444,9 +519,10 @@ class _Pcg:
     conductivity, preconditioned by the factorization ``precond`` of the
     same matrix with no perturbation (Saad, "Iterative Methods for Sparse
     Linear Systems", alg. 9.1).  ``a`` is a whole step matrix (or its
-    interior block) and ``precond`` that of M/dt + K(1)/2, or ``a`` is a
-    window's Schur complement of the step (``_Window.schur``) and
-    ``precond`` that of the window's unperturbed one.
+    interior block) and ``precond`` the held band Cholesky factor of M/dt +
+    K(1)/2, or ``a`` is a window's Schur complement of the step
+    (``_Window.schur``) and ``precond`` SuperLU's factorization of the
+    window's unperturbed one.
 
     With the diffusion coefficient 1, a reaction weight w changes only the
     mass-like part of S+, so the preconditioned spectrum lies in
@@ -456,8 +532,8 @@ class _Pcg:
     on the Schur complement the preconditioned spectrum is the whole
     matrix's less eigenvalues 1.  Each solve starts from ``precond``'s
     solution.  Past ``PCG_MAX_ITERATIONS`` steps, or on a breakdown
-    (p.Ap <= 0: a negative potential made ``a`` indefinite), ``a`` is
-    factorized and solved directly from then on; ``_Pcg.fallbacks`` counts
+    (p.Ap <= 0: a negative potential made ``a`` indefinite), SuperLU
+    factorizes ``a``, which then solves directly; ``_Pcg.fallbacks`` counts
     those fallbacks.
     """
 
@@ -685,6 +761,12 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
       cells reach every unknown: with a conductivity a factorization at
       every call, else ``_Pcg`` on the whole step matrix and the held
       unperturbed factorization.
+
+    Every factorization of a block on the mesh's pattern (the held ones,
+    a static step's, a step whose window reaches every unknown) is band
+    Cholesky on the block's layout (``_band``), or SuperLU's when the
+    block is not positive definite; a window's blocks are SuperLU's (see
+    ``_factorize``).
     """
     dt = grid.dt
     labels, coupling = _labels(mesh, pinned)
@@ -702,10 +784,14 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
                 None if coupling is None else _take(coupling, s_plus),
                 _operators(mesh).matrix(minus - change))
 
+    def factorize(s_plus):
+        # the block on the mesh's pattern, on its band layout
+        return _factorize(_take(labels, s_plus), _band(mesh, pinned))
+
     def unperturbed():
         if pinned not in held:
-            held[pinned] = build(0.0, lambda s_plus, change: _factorize(
-                _take(labels, s_plus)))
+            held[pinned] = build(0.0, lambda s_plus, change: factorize(
+                s_plus))
         return held[pinned]
 
     def solver(s_plus, change):
@@ -716,7 +802,7 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
             return _Condensed(_factorize(schur) if conductivity
                               else _Pcg(schur, window.precond), window)
         if static or conductivity:
-            return _factorize(_take(labels, s_plus))
+            return factorize(s_plus)
         return _Pcg(_take(labels, s_plus), unperturbed()[0])
 
     def system(perturbed, y_lag):

@@ -696,6 +696,9 @@ class TestCheckpoints:
         pytest.param(b"snapped samples\n", id="snapped"),
         # before the lowest-index locator ties and the fixed-order CG
         pytest.param(b"fixed-order inner products\n", id="inner-products"),
+        # before band Cholesky factorized the steps on the mesh's pattern
+        pytest.param(b"lowest-index ties, fixed-order CG\n",
+                     id="superlu-steps"),
     ])
     def test_resume_refuses_a_run_of_the_earlier_steps(self, tmp_path,
                                                        capsys, tag):

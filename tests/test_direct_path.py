@@ -2,12 +2,15 @@
 
 The plain march below is the straightforward scheme: at every step it
 assembles the operators from COO triplets, factorizes with SuperLU's
-default options and solves.  The library caches operator patterns and
-factorizations, factorizes in SuperLU's symmetric mode, condenses marches
+default options and solves.  The library caches operator patterns,
+factorizations and band layouts, factorizes the blocks on the mesh's
+pattern by band Cholesky on a reverse Cuthill-McKee ordering (SuperLU's
+symmetric mode when a block is not positive definite), condenses marches
 with a time-dependent inhomogeneity onto the unknowns their inclusions
-reach, and solves steps with no conductivity component by preconditioned
-CG; none of that may move a result by more than ``RTOL`` (relative L2 over
-all time nodes).
+reach, factorizing a window's blocks in SuperLU's symmetric mode, and
+solves steps with no conductivity component by preconditioned CG; none of
+that may move a result by more than ``RTOL`` (relative L2 over all time
+nodes).
 """
 
 import ctypes
@@ -295,15 +298,16 @@ def test_marches_match_plain_march(name, no_threads, small_fine,
 # -- what the fast paths promise beyond the tolerance ------------------------
 
 def counted_splu(monkeypatch):
-    """Record every factorization made through ``fem.splu``."""
+    """Record every factorization made through ``fem._factorize``, band
+    Cholesky or SuperLU."""
     calls = []
-    original = fem.splu
+    original = fem._factorize
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting)
+    monkeypatch.setattr(fem, "_factorize", counting)
     return calls
 
 
@@ -331,11 +335,16 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
 def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     """Background and adjoint marches share one factorization across
     segments of equal dt, a new dt gets a new one, and none is left once
-    the mesh is gone.  The mesh's cache holds the state of one dt."""
+    the mesh is gone.  The mesh's cache holds the state of one dt, and the
+    band layout of the block they factorize, built once for every dt."""
     mesh = hm.build_disk_mesh(1000)
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(mesh)
     calls = counted_splu(monkeypatch)
+    layouts = []
+    original = fem._BandLayout
+    monkeypatch.setattr(fem, "_BandLayout", lambda labels: layouts.append(
+        original(labels)) or layouts[-1])
 
     def segment(t_start, dt):
         grid = fem.segment_grid(t_start, t_start + 0.25, dt)
@@ -357,10 +366,12 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     cache = fem._operators(mesh)
     dt, _, _, held = cache.unperturbed
     assert (dt, list(held)) == (0.01, [False])
-    cache = weakref.ref(cache)
+    assert isinstance(held[False][0], fem._BandCholesky)
+    assert len(layouts) == 1 and cache.bands == {False: layouts[0]}
+    cache, layout = weakref.ref(cache), weakref.ref(layouts.pop())
     del mesh
     gc.collect()
-    assert cache() is None
+    assert cache() is None and layout() is None
 
 
 # -- one way to build a step --------------------------------------------------
@@ -416,8 +427,8 @@ def test_step_is_the_matrix_of_every_cell(name, kind, pinned, small_fine,
         else estimate(name, mesh, small_transfer)
     factorized = []
     original = fem._factorize
-    monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
-                        or original(a))
+    monkeypatch.setattr(fem, "_factorize", lambda a, layout=None:
+                        factorized.append(a) or original(a, layout))
     systems, lagged = fem._step_systems(mesh, grid, u, scn.ops, pinned)
     assert lagged == (kind != "static")
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
@@ -518,6 +529,38 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
         fallbacks = fem._Pcg.fallbacks
         assert rel(march(), plain()) <= RTOL, label
         assert fem._Pcg.fallbacks > fallbacks, label
+
+
+def test_indefinite_static_step_falls_back_to_superlu(small_fine,
+                                                       monkeypatch):
+    """A strong negative potential makes a static step's S+ indefinite:
+    band Cholesky rejects it, so its one factorization is SuperLU's, and
+    the Neumann and Dirichlet marches match the plain march."""
+    mesh = small_fine
+    inside = np.linalg.norm(mesh.centroids - (0.3, 0.2), axis=1) <= 0.2
+    potential = np.where(inside, -1000.0, 0.0)[None, :]
+    ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
+    grid = fem.segment_grid(0.0, 0.05, 0.0125)
+    f_fn, g_fn, h = scenario.samplers(mesh)
+    calls = counted_splu(monkeypatch)
+    superlu = []
+    original = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs:
+                        superlu.append(1) or original(*args, **kwargs))
+    fast = fem.forward_solve(mesh, grid, potential, ops,
+                             fem.source_load(mesh, grid, f_fn, g_fn), h)
+    assert len(calls) == len(superlu) == 1
+    plain = plain_forward(mesh, grid, potential, ops,
+                          plain_source_load(mesh, grid, f_fn, g_fn), h)
+    assert rel(fast.values, plain.values) <= RTOL
+
+    trace = plain.values[:, mesh.boundary_vertices]
+    fast = fem.dirichlet_solve(mesh, grid, potential, ops, fem.source_load(
+        mesh, grid, f_fn, None), trace, h).values
+    assert len(calls) == len(superlu) == 2
+    plain = plain_dirichlet(mesh, grid, potential, ops, plain_source_load(
+        mesh, grid, f_fn, None), trace, h)
+    assert rel(fast, plain) <= RTOL
 
 
 def test_pcg_breakdown_solves_directly(small_fine):
@@ -675,7 +718,8 @@ def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
 
 # a potential on every cell of a 20000-triangle mesh (10173 vertices): the
 # whole-matrix CG's vectors are long enough for BLAS to split a dot product
-# over two threads
+# over two threads; then a static conductivity march, whose band factor and
+# solves are BLAS work on that mesh
 WHOLE_MATRIX_CG = """
 import hashlib
 import numpy as np
@@ -692,12 +736,21 @@ del systems
 y = fem.forward_solve(mesh, grid, everywhere, ops,
                       fem.source_load(mesh, grid, None, None), init)
 print(hashlib.sha256(y.values.tobytes()).hexdigest())
+ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
+u = 0.5 * (np.linalg.norm(mesh.centroids - (0.3, 0.2), axis=1) <= 0.4)
+systems, _ = fem._step_systems(mesh, grid, u, ops, False)
+assert isinstance(systems(0)(init)[0], fem._BandCholesky)
+del systems
+y = fem.forward_solve(mesh, grid, u, ops,
+                      fem.source_load(mesh, grid, None, None), init)
+print(hashlib.sha256(y.values.tobytes()).hexdigest())
 """
 
 
 def test_whole_matrix_cg_does_not_depend_on_the_blas_threads(run_python):
-    """A march that runs CG on the whole matrix gives the same bits under
-    one and two BLAS threads."""
+    """A march that runs CG on the whole matrix, and a static march on a
+    band Cholesky factor, give the same bits under one and two BLAS
+    threads."""
     one, two = (run_python(WHOLE_MATRIX_CG, OPENBLAS_NUM_THREADS=threads,
                            OMP_NUM_THREADS=threads) for threads in "12")
     assert one == two
@@ -893,8 +946,8 @@ def test_condensed_step_is_the_whole_matrix_condensed(small_fine,
     split, _ = ex1_window(mesh, 20)
     factorized = []
     original = fem._factorize
-    monkeypatch.setattr(fem, "_factorize", lambda a: factorized.append(a)
-                        or original(a))
+    monkeypatch.setattr(fem, "_factorize", lambda a, layout=None:
+                        factorized.append(a) or original(a, layout))
     scn = scenario.builtin("ex1")
     systems, lagged = fem._step_systems(
         mesh, fem.SegmentGrid(dt, 20, 1),
