@@ -10,6 +10,7 @@ the previous time level so every step is one symmetric sparse solve.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -182,8 +183,7 @@ class _Operators:
         self.interior.flags.writeable = False
         self.triangles = tri
         self.basis_gradients = g
-        self.labels = {}            # {pinned: (labels, coupling)}; see _labels
-        self.bands = {}             # {pinned: _BandLayout}; see _band
+        self.labels = {}            # {pinned: (labels, coupling, layout)}
         self.unperturbed = None     # see _unperturbed
         self.mass = None            # see _mass
 
@@ -338,40 +338,63 @@ def _to_fine(arr: np.ndarray, n_comp: int, mesh: Mesh) -> np.ndarray:
     return arr
 
 
-def _perturbation(u, ops, mesh: Mesh):
-    """``(cells, coeff, react, powers)`` of the inhomogeneity ``u`` (a cell
-    field of ``mesh``, None for zero): its perturbed cells, where the
-    coefficient is not 1, the reaction weight not 0 or a power component
-    not 0, and their coefficients (None when no op is a conductivity),
-    weights and power terms.  A power component that is 0 on every cell
-    adds no power term."""
-    u_fine = np.zeros((len(ops), mesh.num_cells)) if u is None \
-        else _to_fine(np.asarray(u, dtype=float), len(ops), mesh)
-    coeff = np.ones(mesh.num_cells)
-    react = np.zeros(mesh.num_cells)
-    powers = []
-    for op in ops:
-        comp = u_fine[op.component]
-        if op.kind == CONDUCTIVITY:
-            coeff = coeff + comp
-        elif op.kind == POTENTIAL:
-            react = react + comp
-        else:
-            powers.append((comp, op.power))
-    perturbed = (coeff != 1.0) | (react != 0.0)
-    for comp, _ in powers:
-        perturbed |= comp != 0.0
-    cells = np.flatnonzero(perturbed)
-    conductivity = any(op.kind == CONDUCTIVITY for op in ops)
-    return cells, coeff[cells] if conductivity else None, react[cells], [
-        (comp[cells], power) for comp, power in powers if np.any(comp)]
+class _Perturbation:
+    """What the inhomogeneity ``u`` (a cell field of ``mesh``, None for
+    zero) changes in a step: its perturbed ``cells``, where the coefficient
+    is not 1, the reaction weight not 0 or a power component not 0, and
+    their coefficients (None when no op is a conductivity), weights and
+    power terms.  A power component that is 0 on every cell adds no power
+    term; ``lagged`` tells whether any is left."""
+
+    def __init__(self, u, ops, mesh: Mesh):
+        u_fine = np.zeros((len(ops), mesh.num_cells)) if u is None \
+            else _to_fine(np.asarray(u, dtype=float), len(ops), mesh)
+        coeff = np.ones(mesh.num_cells)
+        react = np.zeros(mesh.num_cells)
+        powers = []
+        for op in ops:
+            comp = u_fine[op.component]
+            if op.kind == CONDUCTIVITY:
+                coeff = coeff + comp
+            elif op.kind == POTENTIAL:
+                react = react + comp
+            else:
+                powers.append((comp, op.power))
+        perturbed = (coeff != 1.0) | (react != 0.0)
+        for comp, _ in powers:
+            perturbed |= comp != 0.0
+        cells = np.flatnonzero(perturbed)
+        conductivity = any(op.kind == CONDUCTIVITY for op in ops)
+        self.mesh, self.cells = mesh, cells
+        self.coeff = coeff[cells] if conductivity else None
+        self.react = react[cells]
+        self.powers = [(comp[cells], power) for comp, power in powers
+                       if np.any(comp)]
+        self.lagged = bool(self.powers)
+
+    def change(self, y_lag) -> np.ndarray:
+        """Half the change of K + R on the perturbed cells (data on the
+        mesh's pattern), their power weight lagged at ``y_lag``; with no
+        coefficient K is unchanged."""
+        mesh, cells, react = self.mesh, self.cells, self.react
+        cache = _operators(mesh)
+        if self.powers:
+            ybar = y_lag[mesh.triangles[cells]].mean(axis=1)
+            react = react + sum(comp * np.abs(ybar) ** (power - 2.0)
+                                for comp, power in self.powers)
+        blocks = _finite(react)[:, None] * cache.mass_blocks[cells]
+        if self.coeff is not None:
+            blocks += (_elliptic(self.coeff) - 1.0)[:, None] \
+                * cache.stiffness_blocks[cells]
+        return np.bincount(cache.scatter.reshape(-1, 9)[cells].ravel(),
+                           0.5 * blocks.ravel(), minlength=cache.indices.size)
 
 
 def _factorize(matrix, layout: _BandLayout | None = None):
     """The factorization of a symmetric step block: every solver here
     factorizes through this function.
 
-    Given the ``layout`` of a block of the mesh's pattern (``_band``),
+    Given the ``layout`` of a block of the mesh's pattern (``_labels``),
     LAPACK's band Cholesky (``dpbtrf``) on the block's reverse
     Cuthill-McKee ordering (George & Liu, "Computer Solution of Large
     Sparse Positive Definite Systems", 1981), filled into one band array
@@ -444,34 +467,26 @@ class _BandCholesky:
 
 
 def _labels(mesh: Mesh, pinned: bool):
-    """``(labels, coupling)``: the block of the mesh's pattern that a step
-    solves and its coupling to the pinned rows, each entry holding its
+    """``(labels, coupling, layout)``: the block of the mesh's pattern that
+    a step solves, its coupling to the pinned rows, each entry holding its
     position in the pattern plus one (so that none is an explicit zero):
-    slices of them label the entries of theirs.  A march that pins the
-    boundary rows solves the interior block; their rows and columns are
-    eliminated symmetrically, so the block of a symmetric matrix stays
-    symmetric.  Any other march solves the whole matrix, with no coupling
-    (None).  Built once per mesh and pinned flag."""
+    slices of them label the entries of theirs, and the block's band
+    ``layout``.  A march that pins the boundary rows solves the interior
+    block; their rows and columns are eliminated symmetrically, so the
+    block of a symmetric matrix stays symmetric.  Any other march solves
+    the whole matrix, with no coupling (None).  Built once per mesh and
+    pinned flag: none of them depends on ``dt``."""
     cache = _operators(mesh)
     if pinned not in cache.labels:
         labels = cache.matrix(np.arange(1, cache.indices.size + 1,
                                         dtype=np.int32))
+        coupling = None
         if pinned:
             rows = labels[cache.interior]
-            cache.labels[pinned] = (rows[:, cache.interior],
-                                    rows[:, mesh.boundary_vertices])
-        else:
-            cache.labels[pinned] = labels, None
+            labels = rows[:, cache.interior]
+            coupling = rows[:, mesh.boundary_vertices]
+        cache.labels[pinned] = labels, coupling, _BandLayout(labels)
     return cache.labels[pinned]
-
-
-def _band(mesh: Mesh, pinned: bool) -> _BandLayout:
-    """The band layout of the block ``_labels(mesh, pinned)`` solves,
-    built once per mesh and pinned flag: it does not depend on ``dt``."""
-    cache = _operators(mesh)
-    if pinned not in cache.bands:
-        cache.bands[pinned] = _BandLayout(_labels(mesh, pinned)[0])
-    return cache.bands[pinned]
 
 
 def _positions(labels) -> np.ndarray:
@@ -490,7 +505,7 @@ def _unperturbed(mesh: Mesh, dt: float):
     M/dt - K(1)/2 of a Crank-Nicolson step on the mesh's pattern
     (read-only), and ``held``, the systems of that step by pinned flag,
     which ``_step_systems`` fills for steps with no perturbed cell; each
-    holds a band Cholesky factor on the block's layout (``_band``).
+    holds a band Cholesky factor on the block's layout (``_labels``).
 
     The mesh's cache holds them for the last ``dt`` asked for, until the
     mesh dies.  Asking for another ``dt`` drops all of them before the new
@@ -713,47 +728,30 @@ def source_load(mesh: Mesh, grid: SegmentGrid, f, g):
     return load
 
 
-def _change(mesh: Mesh, cells, coeff, react, powers, y_lag) -> np.ndarray:
-    """Half the change of K + R on a step's perturbed cells (data on the
-    mesh's pattern), their power weight lagged at ``y_lag``; with no
-    coefficient (``coeff`` None) K is unchanged."""
-    cache = _operators(mesh)
-    if powers:
-        ybar = y_lag[mesh.triangles[cells]].mean(axis=1)
-        react = react + sum(comp * np.abs(ybar) ** (power - 2.0)
-                            for comp, power in powers)
-    blocks = _finite(react)[:, None] * cache.mass_blocks[cells]
-    if coeff is not None:
-        blocks += (_elliptic(coeff) - 1.0)[:, None] \
-            * cache.stiffness_blocks[cells]
-    return np.bincount(cache.scatter.reshape(-1, 9)[cells].ravel(),
-                       0.5 * blocks.ravel(), minlength=cache.indices.size)
-
-
 def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
-    """``(systems, lagged)`` of a march: ``systems(k)`` is the function
-    ``y_lag -> (solver, coupling, S-)`` of step k, and ``lagged`` tells
-    whether the operator has a power weight, which that function lags at
-    ``y_lag``.  A step's S+ and S- are the unperturbed ones
-    (``_unperturbed``) plus and minus the change on its perturbed cells
-    (``_change``); ``solver`` solves the block of S+ that the march solves
-    and ``coupling`` is that block's coupling to the pinned rows (see
-    ``_labels``).  ``systems(k)`` samples step k's coefficients, once, and
-    must be called for k = 0, 1, ... in turn; no function keeps a
-    factorization that it built.
+    """``(systems, lagged)`` of a march: ``systems`` yields each step's
+    function ``y_lag -> (solver, coupling, S-)`` in turn, sampling the
+    step's coefficients once, and ``lagged`` tells whether the operator
+    has a power weight, which that function lags at ``y_lag``.  A step's
+    S+ and S- are the unperturbed ones (``_unperturbed``) plus and minus
+    its ``_Perturbation.change``; ``solver`` solves the block of S+ that
+    the march solves and ``coupling`` is that block's coupling to the
+    pinned rows (see ``_labels``).  No function keeps a factorization that
+    it built.
 
     These are the march's solver kinds.  A step with no perturbed cell
-    (``_perturbation``) takes the held unperturbed system.  Any other step
-    is solved by the march's kind:
+    takes the held unperturbed system.  Any other step is solved by the
+    march's kind:
 
     - static (a constant ``u`` and no nonzero power weight): one
       factorization;
     - a sampler: condensed on windows of ``CONDENSE_STEPS`` steps
-      (``_Window``), at most one alive.  A window's perturbed cells are
-      those of all its steps, also of steps past the grid's end, so a
-      shorter march is bitwise the prefix of a longer one, as resuming a
-      run to a longer horizon requires.  A step's change, its lagged power
-      weight included, lies on its perturbed cells, so it changes only the
+      (``_Window``); a window is built once the march has let go of the
+      previous one.  A window's perturbed cells are those of all its
+      steps, also of steps past the grid's end, so a shorter march is
+      bitwise the prefix of a longer one, as resuming a run to a longer
+      horizon requires.  A step's change, its lagged power weight
+      included, lies on its perturbed cells, so it changes only the
       window's Schur complement.  With a conductivity each step and sweep
       factorizes it; without, ``_Pcg`` solves it on the window's
       unperturbed one;
@@ -764,18 +762,16 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
 
     Every factorization of a block on the mesh's pattern (the held ones,
     a static step's, a step whose window reaches every unknown) is band
-    Cholesky on the block's layout (``_band``), or SuperLU's when the
+    Cholesky on the block's layout (``_labels``), or SuperLU's when the
     block is not positive definite; a window's blocks are SuperLU's (see
     ``_factorize``).
     """
     dt = grid.dt
-    labels, coupling = _labels(mesh, pinned)
+    labels, coupling, layout = _labels(mesh, pinned)
     plus, minus, held = _unperturbed(mesh, dt)
-    fixed = None if callable(u) else _perturbation(u, ops, mesh)
-    static = fixed is not None and not fixed[3]
-    lagged = not static and any(op.kind == POWER_POTENTIAL for op in ops)
+    fixed = None if callable(u) else _Perturbation(u, ops, mesh)
+    static = fixed is not None and not fixed.lagged
     conductivity = any(op.kind == CONDUCTIVITY for op in ops)
-    window = steps = None
 
     def build(change, make):
         # make(s_plus, change) solves the block of S+
@@ -786,17 +782,14 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
 
     def factorize(s_plus):
         # the block on the mesh's pattern, on its band layout
-        return _factorize(_take(labels, s_plus), _band(mesh, pinned))
+        return _factorize(_take(labels, s_plus), layout)
 
     def unperturbed():
         if pinned not in held:
-            held[pinned] = build(0.0, lambda s_plus, change: factorize(
-                s_plus))
+            held[pinned] = build(0.0, lambda s_plus, _: factorize(s_plus))
         return held[pinned]
 
-    def solver(s_plus, change):
-        # the window is read when the system is built, so a step's
-        # function does not keep its window alive into the next one
+    def solver(window, s_plus, change):
         if window is not None:
             schur = window.schur(change)
             return _Condensed(_factorize(schur) if conductivity
@@ -805,34 +798,34 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
             return factorize(s_plus)
         return _Pcg(_take(labels, s_plus), unperturbed()[0])
 
-    def system(perturbed, y_lag):
-        if not perturbed[0].size:
+    def system(step, window, y_lag):
+        if not step.cells.size:
             return unperturbed()
-        return build(_change(mesh, *perturbed, y_lag), solver)
+        return build(step.change(y_lag), partial(solver, window))
 
-    def systems(k):
-        nonlocal window, steps
-        if fixed is not None:
-            return partial(system, fixed)
-        if k % CONDENSE_STEPS == 0:
-            window = None
+    def windows():
+        for k in itertools.count(0, CONDENSE_STEPS):
             # the midpoint of each step, also of a step past the grid's end
-            steps = [_perturbation(u((grid.first + i) * dt + 0.5 * dt),
+            steps = [_Perturbation(u((grid.first + i) * dt + 0.5 * dt),
                                    ops, mesh)
                      for i in range(k, k + CONDENSE_STEPS)]
             touched = np.zeros(mesh.num_vertices, dtype=bool)
-            for cells, *_ in steps:
-                touched[mesh.triangles[cells]] = True
+            for step in steps:
+                touched[mesh.triangles[step.cells]] = True
             # an unknown's vertex is the column of its diagonal entry
             changed = touched[_operators(mesh).indices[labels.diagonal() - 1]]
-            if changed.any() and not changed.all():
-                window = _Window(labels, plus, changed)
-        return partial(system, steps[k % CONDENSE_STEPS])
+            window = _Window(labels, plus, changed) \
+                if changed.any() and not changed.all() else None
+            for step in steps:
+                yield partial(system, step, window)
+            del window          # let go of it before building the next
 
+    if fixed is None:
+        return windows(), any(op.kind == POWER_POTENTIAL for op in ops)
     if static:
-        held_step = system(fixed, None)
-        return (lambda k: lambda y_lag: held_step), False
-    return systems, lagged
+        held_step = system(fixed, None, None)
+        return itertools.repeat(lambda y_lag: held_step), False
+    return itertools.repeat(partial(system, fixed, None)), True
 
 
 def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
@@ -880,7 +873,7 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
         return out
 
     for k in range(grid.steps):
-        system = systems(k)
+        system = next(systems)
         # the step's loads, read once for all its sweeps
         loads = {j: load(j) for j in ((2 * k + 1,) if k else (1, 2))}
         y_new = None
@@ -904,6 +897,9 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
                 break
         y = y_new
         values[k + 1] = y[keep]
+        # free this step's system, and with it its window, before the next
+        # one is built
+        del system
     return Trajectory(grid, values)
 
 

@@ -609,14 +609,20 @@ def _expect_shape(array: np.ndarray, shape: tuple, what: str) -> None:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
 
 
+def _expect_finite(array: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def read_reports(run_dir: str,
                  shape: tuple) -> tuple[list[SegmentReport], list[str]]:
     """The reports of a run's finished segments, and the lines of its
     ``segments.csv``.  A segment is finished if it and every one before it
     have their files and their ``segments.csv`` row; a last row without its
     line end was cut short and counts as not written.  An estimate that
-    does not parse raises OSError, and so does one whose (components,
-    coarse cells) are not ``shape``: the run does not fit the scenario."""
+    does not parse or holds a non-finite number raises OSError, and so
+    does one whose (components, coarse cells) are not ``shape``: the run
+    does not fit the scenario."""
     path = os.path.join(run_dir, "segments.csv")
     lines = []
     if os.path.exists(path):
@@ -633,6 +639,7 @@ def read_reports(run_dir: str,
                 break
             u = np.loadtxt(read_lines(os.path.join(run_dir, names[0])),
                            delimiter=",", skiprows=1, ndmin=2).T
+            _expect_finite(u, names[0])
             if u.shape != shape:
                 raise OSError(
                     f"the run in {run_dir} does not fit the scenario: "
@@ -654,8 +661,8 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
                      init: np.ndarray, kernel: ResolverKernel):
     """Restore the finished segments (see ``read_reports``).  Rows after
     them are dropped, so the first unfinished segment and every later one
-    run again.  A restored file that does not parse or does not fit this
-    run raises OSError."""
+    run again.  A restored file that does not parse, does not fit this run
+    or holds a non-finite number raises OSError."""
     shape = (scn.num_components, coarse.num_cells)
     reports, lines = read_reports(run_dir, shape)
     if not reports:
@@ -674,6 +681,9 @@ def _load_checkpoint(run_dir: str, scn: Scenario, coarse: Mesh, steps: int,
         _expect_shape(kernel.m, (kernel.rank,) + nodes + shape, "kernel m")
         _expect_shape(kernel.n, kernel.m.shape, "kernel n")
         _expect_shape(kernel.damp, kernel.weight.shape, "kernel damping")
+        _expect_finite(terminal, f"terminal_{last:04d}.txt")
+        for name in ("diag", "m", "n", "weight", "damp"):
+            _expect_finite(getattr(kernel, name), f"kernel {name}")
     except (ValueError, LookupError, TypeError, EOFError,
             zipfile.BadZipFile) as exc:
         raise OSError(f"corrupt checkpoint in {run_dir}: {exc}") from exc

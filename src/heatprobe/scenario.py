@@ -215,7 +215,8 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
     Cell membership is a centroid-in-disk test.  Overlapping inclusions of
     one component are only accepted when their contrasts agree (the union is
     then well defined); otherwise the disjointness assumption is violated and
-    the evaluation is rejected.
+    the evaluation is rejected.  So is a radius, center or contrast that is
+    not finite or whose arithmetic fails (a division by zero, an overflow).
     """
     if not 0.0 <= t <= scn.horizon:
         raise ScenarioError(f"t={t} outside the horizon [0, {scn.horizon}]")
@@ -223,10 +224,10 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
     claimed = np.zeros((scn.num_components, mesh.num_cells), dtype=bool)
     x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
     for inc in scn.inclusions:
-        r = inc.radius(t)
+        r = _inclusion_value(inc.radius, t, "radius")
         if r <= 0.0:
             continue
-        center = np.asarray(inc.center(t))
+        center = np.asarray(_inclusion_value(inc.center, t, "center"))
         # the cells of the disk's bounding box, widened past any rounding
         # of the disk test, then that test on them alone
         box = r + 1e-9
@@ -234,7 +235,7 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
                               & (np.abs(y - center[1]) <= box))
         cells = near[np.linalg.norm(mesh.centroids[near] - center, axis=1)
                      <= r]
-        value = inc.contrast(t)
+        value = _inclusion_value(inc.contrast, t, "contrast")
         clash = cells[claimed[inc.component][cells]]
         if np.any(np.abs(out[inc.component][clash] - value) > 1e-12):
             raise ScenarioError(
@@ -243,6 +244,19 @@ def eval_truth(scn: Scenario, t: float, mesh: Mesh) -> np.ndarray:
         out[inc.component][cells] = value
         claimed[inc.component][cells] = True
     return out
+
+
+def _inclusion_value(fn, t: float, what: str):
+    """``fn(t)``, an inclusion's ``what`` at time ``t``, checked to be
+    finite."""
+    try:
+        value = fn(t)
+    except ArithmeticError as exc:
+        raise ScenarioError(f"inclusion {what} cannot be evaluated at "
+                            f"t={t}: {exc}") from None
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(f"inclusion {what} is not finite at t={t}")
+    return value
 
 
 def samplers(mesh: Mesh):

@@ -174,8 +174,8 @@ def read_lines(path) -> list[str]:
 
 def load_trace_text(path):
     """A trace written by ``save_trace_text``: (times, values, noise level,
-    seed).  A file that is cut short, does not parse or does not fit its
-    header raises OSError."""
+    seed).  A file that is cut short, does not parse, does not fit its
+    header or holds a non-finite number raises OSError."""
     try:
         lines = read_lines(path)
         head = lines[0].split()
@@ -186,6 +186,8 @@ def load_trace_text(path):
         data = np.loadtxt(lines[1:], ndmin=2)
         if data.shape != (s, b + 1):
             raise ValueError(f"expected {s} rows of {b + 1} columns")
+        if not (np.all(np.isfinite(data)) and np.isfinite(noise_level)):
+            raise ValueError("non-finite entry")
     except ValueError as exc:
         raise OSError(f"corrupt trace file {path}: {exc}") from exc
     return data[:, 0].copy(), data[:, 1:].copy(), noise_level, seed

@@ -488,6 +488,27 @@ class TestCheckpoints:
         assert cli.main(resume_argv(out)) == cli.EXIT_IO
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["u_0001.csv", "terminal_0001.txt",
+                                      "kernel_0001.npz"],
+                             ids=["estimate", "terminal", "kernel"])
+    def test_non_finite_checkpoint_is_io_error(self, name, short_run,
+                                               tmp_path, capsys):
+        """A checkpoint that parses to a NaN is corrupt: resuming from it
+        would score or march on a number no segment wrote."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        path = out / run_dir / "segments" / name
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                arrays = dict(data)
+            arrays["diag"][0, 0] = np.nan
+            np.savez(path, **arrays)
+        else:
+            path.write_text(retoken(path.read_text(), 1, 0, "nan"))
+        assert cli.main(resume_argv(out)) == cli.EXIT_IO
+        assert "corrupt checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", ["line_end", "mid_row"])
     def test_resume_reruns_a_row_cut_short(self, cut, short_run, tmp_path):
         """A crash while appending segment 1's ``segments.csv`` row cuts
@@ -779,6 +800,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
 
+    @pytest.mark.parametrize("contrast", ["-0.5 + 0.0 / (t - 0.005)",
+                                          "1e999 - 1e999"],
+                             ids=["division-by-zero", "not-a-number"])
+    def test_unevaluable_scenario_is_config_error(self, contrast, tmp_path,
+                                                  capsys):
+        """A contrast that cannot be evaluated at a reference step's
+        midpoint (t = 0.005) is a configuration error, not a crash or a
+        solver failure."""
+        path = tmp_path / "bad.cfg"
+        path.write_text("[scenario]\nops = conductivity\n[inclusion.1]\n"
+                        "trajectory = (0.3, 0)\ncontrast = " + contrast
+                        + "\n[bounds]\n0 = -0.9, 0\n")
+        assert cli.main(["generate", "--scenario", str(path),
+                         "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(tmp_path / "data")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "contrast" in err
+
     def test_deeply_nested_expression_is_config_error(self, tmp_path,
                                                       capsys):
         path = tmp_path / "deep.cfg"
@@ -829,8 +869,9 @@ class TestMainExitCodes:
         lambda text: text[:text.rindex("\n", 0, -1) + 1],
         lambda text: retoken(text, 2, 3, "abc"),
         lambda text: retoken(text, 2, 0, "0.0105"),
+        lambda text: retoken(text, 2, 3, "nan"),
     ], ids=["cut-in-last-number", "malformed-header", "rows-missing",
-            "not-a-number", "times-disagree"])
+            "not-a-number", "times-disagree", "not-finite"])
     def test_corrupt_measurement_is_io_error(self, damage, null_data,
                                              tmp_path, capsys):
         base = str(tmp_path / "m")

@@ -367,7 +367,8 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
     dt, _, _, held = cache.unperturbed
     assert (dt, list(held)) == (0.01, [False])
     assert isinstance(held[False][0], fem._BandCholesky)
-    assert len(layouts) == 1 and cache.bands == {False: layouts[0]}
+    assert len(layouts) == 1 and list(cache.labels) == [False]
+    assert cache.labels[False][2] is layouts[0]
     cache, layout = weakref.ref(cache), weakref.ref(layouts.pop())
     del mesh
     gc.collect()
@@ -432,7 +433,7 @@ def test_step_is_the_matrix_of_every_cell(name, kind, pinned, small_fine,
     systems, lagged = fem._step_systems(mesh, grid, u, scn.ops, pinned)
     assert lagged == (kind != "static")
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
-    solver, coupling, s_minus = systems(0)(y)
+    solver, coupling, s_minus = next(systems)(y)
     a = solver.a if kind == "reaction" else factorized[-1]
     assert isinstance(solver, fem._Pcg) == (kind == "reaction")
     assert isinstance(solver, fem._Condensed) == (kind == "mixed")
@@ -704,7 +705,7 @@ def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
 
     calls = counted_splu(monkeypatch)
     systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
-    solver, _, _ = systems(0)(init)
+    solver, _, _ = next(systems)(init)
     assert isinstance(solver, fem._Pcg)
     assert solver.a.shape == (mesh.num_vertices,) * 2
     del systems, solver
@@ -731,7 +732,7 @@ init = np.ones(mesh.num_vertices) + mesh.vertices[:, 0]
 def everywhere(t):
     return np.full(mesh.num_cells, 2.0 + t)
 systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
-assert isinstance(systems(0)(init)[0], fem._Pcg)
+assert isinstance(next(systems)(init)[0], fem._Pcg)
 del systems
 y = fem.forward_solve(mesh, grid, everywhere, ops,
                       fem.source_load(mesh, grid, None, None), init)
@@ -739,7 +740,7 @@ print(hashlib.sha256(y.values.tobytes()).hexdigest())
 ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
 u = 0.5 * (np.linalg.norm(mesh.centroids - (0.3, 0.2), axis=1) <= 0.4)
 systems, _ = fem._step_systems(mesh, grid, u, ops, False)
-assert isinstance(systems(0)(init)[0], fem._BandCholesky)
+assert isinstance(next(systems)(init)[0], fem._BandCholesky)
 del systems
 y = fem.forward_solve(mesh, grid, u, ops,
                       fem.source_load(mesh, grid, None, None), init)
@@ -842,6 +843,29 @@ def test_condensed_march_memory_is_flat():
 
 
 
+def test_march_holds_one_window_at_a_time(small_fine, monkeypatch):
+    """No window is alive when the next is built: a march that held on to
+    its last step's system (or a loop's result tuple holding it) while it
+    asked for the next would keep two windows alive."""
+    scn = scenario.builtin("ex1")
+    f_fn, g_fn, h = scenario.samplers(small_fine)
+    grid = fem.SegmentGrid(0.01, 0, 3 * fem.CONDENSE_STEPS)
+    windows, alive = [], []
+    original = fem._Window.__init__
+
+    def init(self, *args):
+        alive.append(sum(window() is not None for window in windows))
+        windows.append(weakref.ref(self))
+        original(self, *args)
+
+    monkeypatch.setattr(fem._Window, "__init__", init)
+    fem.forward_solve(small_fine, grid,
+                      lambda t: scenario.eval_truth(scn, t, small_fine),
+                      scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
+                      h)
+    assert alive == [0, 0, 0]
+
+
 def test_window_death_frees_its_arrays(small_fine):
     """A window's arrays are freed as it dies, its preconditioner made."""
     _, window = ex1_window(small_fine, 20)
@@ -904,7 +928,7 @@ def ex1_window(mesh, first, dt=0.01):
     changed = fem.assemble_reaction(mesh, touched).diagonal() != 0.0
     plus = fem.assemble_mass(mesh).data / dt + 0.5 * fem.assemble_stiffness(
         mesh, np.ones(mesh.num_cells)).data
-    labels, _ = fem._labels(mesh, False)
+    labels, _, _ = fem._labels(mesh, False)
     return split, fem._Window(labels.tocsr(), plus, changed)
 
 
@@ -955,7 +979,7 @@ def test_condensed_step_is_the_whole_matrix_condensed(small_fine,
     assert not lagged
     y = 1.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
     for k in range(fem.CONDENSE_STEPS):
-        solver, coupling, s_minus = systems(k)(y)
+        solver, coupling, s_minus = next(systems)(y)
         assert coupling is None
         coeff, react, _ = split(k)
         s_plus, s_minus_whole = step_matrices(mesh, coeff, react)

@@ -159,6 +159,30 @@ class TestEvalTruth:
         with pytest.raises(sc.ScenarioError):
             sc.eval_truth(scn, 1.0, coarse)
 
+    @pytest.mark.parametrize("what, center, radius, contrast", [
+        ("contrast", lambda t: (0.2, 0.0), lambda t: 0.2,
+         lambda t: 0.0 / (t - 1.0)),
+        ("contrast", lambda t: (0.2, 0.0), lambda t: 0.2,
+         lambda t: math.exp(1000.0)),
+        ("contrast", lambda t: (0.2, 0.0), lambda t: 0.2,
+         lambda t: math.inf - math.inf),
+        ("radius", lambda t: (0.2, 0.0), lambda t: math.inf,
+         lambda t: 5.0),
+        ("radius", lambda t: (0.2, 0.0), lambda t: math.nan,
+         lambda t: 5.0),
+        ("center", lambda t: (math.nan, 0.0), lambda t: 0.2,
+         lambda t: 5.0),
+    ], ids=["division-by-zero", "overflow", "nan-contrast", "inf-radius",
+            "nan-radius", "nan-center"])
+    def test_unevaluable_inclusion_rejected(self, what, center, radius,
+                                            contrast, coarse):
+        scn = sc.Scenario(
+            name="bad", inclusions=(sc.Inclusion(center, radius, contrast),),
+            ops=(fem.InhomogeneityOp(fem.POTENTIAL, 0),),
+            bounds=np.array([[0.0, 30.0]]), horizon=10.0)
+        with pytest.raises(sc.ScenarioError, match=what):
+            sc.eval_truth(scn, 1.0, coarse)
+
     def test_time_outside_horizon_rejected(self, coarse):
         with pytest.raises(sc.ScenarioError):
             sc.eval_truth(sc.builtin("ex1"), 11.0, coarse)
