@@ -50,10 +50,12 @@ NEUTRAL_GRAY = 128
 
 
 def _per_scenario(name: str):
-    """Redeclare option ``name`` with a None default, which
-    ``RunConfig.__post_init__`` resolves from EXAMPLE_DEFAULTS."""
+    """Redeclare option ``name``, with its help and test, with a None
+    default, which ``RunConfig.__post_init__`` resolves from
+    EXAMPLE_DEFAULTS."""
     (spec,) = (f for f in fields(reconstruction.Options) if f.name == name)
-    return param(None, spec.metadata["help"] + " (default: per scenario)")
+    return param(None, spec.metadata["help"] + " (default: per scenario)",
+                 spec.metadata["valid"])
 
 
 @dataclass
@@ -63,19 +65,24 @@ class RunConfig(reconstruction.Options):
     ``tol`` and ``scheme`` left at None take the scenario's EXAMPLE_DEFAULTS
     entry when the config is made, and a reconstruction takes the data
     settings (noise, seed, reference mesh, sample step) from its data, so
-    ``config.txt`` records the values used.
+    ``config.txt`` records the values used.  ``Options.__post_init__``
+    checks every field.
     """
 
     tol: float | None = _per_scenario("tol")
     scheme: str | None = _per_scenario("scheme")
     scenario: str = param("ex1", "ex1..ex5, null, or a scenario config file")
-    noise: float = param(0.05, "multiplicative noise level of the data")
-    seed: int = param(1, "noise seed")
+    noise: float = param(0.05, "multiplicative noise level of the data; "
+                               "must be nonnegative", lambda v: v >= 0)
+    seed: int = param(1, "noise seed; from 0 to 2**128 - 1",
+                      lambda v: 0 <= v < 2**128)
     reference_triangles: int = param(synth.REFERENCE_TRIANGLES,
                                      "triangles of the reference mesh the "
-                                     "data is generated on")
+                                     "data is generated on; at least 16",
+                                     lambda v: v >= 16)
     sample_dt: float = param(synth.SAMPLE_DT, "time step of the reference "
-                                              "data")
+                                              "data; must be positive",
+                             lambda v: v > 0)
     outdir: str = param("runs", "output directory", flag="--out")
 
     def __post_init__(self):
@@ -84,8 +91,6 @@ class RunConfig(reconstruction.Options):
             self.tol = example.get("tol", reconstruction.Options.tol)
         if self.scheme is None:
             self.scheme = example.get("scheme", reconstruction.Options.scheme)
-        if self.noise < 0:
-            raise ScenarioError("noise level must be nonnegative")
         super().__post_init__()
 
 
@@ -266,15 +271,19 @@ def _write_manifest(path, cfg: RunConfig, extra: dict | None = None) -> None:
 RESUMABLE_CHANGES = ("horizon", "outdir")
 
 
+# The format tag of the measurement digest, changed whenever a
+# reconstruction from the same data moves in its last bits.  This one keeps
+# runs begun before the step systems on the mesh's pattern were factorized
+# by band Cholesky from resuming.
+DIGEST_TAG = b"band Cholesky steps\n"
+
+
 def _measurement_digest(mset: synth.MeasurementSet, end: float) -> str:
-    """Digest of the samples on [0, end], times bit for bit: sample times
-    are lattice nodes, so data made for a longer horizon has the same ones.
-    The tag keeps runs begun before the step systems on the mesh's pattern
-    were factorized by band Cholesky, whose results differ in their last
-    bits, from resuming."""
+    """Digest of DIGEST_TAG and the samples on [0, end], times bit for bit:
+    sample times are lattice nodes, so data made for a longer horizon has
+    the same ones."""
     kept = mset.sample_times <= end + 1e-9
-    return hashlib.sha256(b"band Cholesky steps\n"
-                          + mset.sample_times[kept].tobytes()
+    return hashlib.sha256(DIGEST_TAG + mset.sample_times[kept].tobytes()
                           + mset.noisy[kept].tobytes()).hexdigest()
 
 
@@ -331,14 +340,16 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
     generated from ``cfg``; their noise, seed, reference mesh and sample
     step replace ``cfg``'s.  A run that ``reconstruction.check_run``
     refuses creates nothing, and data are generated only for settings that
-    ``reconstruction.check_settings`` accepts; else ``config.txt`` is
-    written before the first segment.  With ``resume=True`` an interrupted
-    run restarts after its last fully checkpointed segment instead of from
-    scratch; its ``config.txt`` must match ``cfg`` and the measurement, see
+    ``reconstruction.check_settings`` accepts and for meshes that a
+    transfer joins; else ``config.txt`` is written before the first
+    segment.  With ``resume=True`` an interrupted run restarts after its
+    last fully checkpointed segment instead of from scratch; its
+    ``config.txt`` must match ``cfg`` and the measurement, see
     ``_check_resume_config``.
     """
     scn = resolve_scenario(cfg.scenario)
     fine = build_disk_mesh(cfg.fine_triangles)
+    coarse, transfer = reconstruction.coarse_mesh(cfg, fine)
     if measurement_base is not None:
         # the inverse-crime guard needs the mesh the data was made on
         reference = _read_config_int(measurement_base + "_manifest.txt",
@@ -371,7 +382,7 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
         mset, scn.horizon if cfg.horizon is None else cfg.horizon)})
 
     started = time.perf_counter()
-    result = reconstruction.run(scn, mset, cfg, fine=fine,
+    result = reconstruction.run(scn, mset, cfg, fine, coarse, transfer,
                                 checkpoint_dir=seg_dir, resume=resume)
     elapsed = time.perf_counter() - started
 
@@ -463,27 +474,30 @@ def cmd_sweep(cfg: RunConfig, noises: list[float], dampings: list[float],
               schemes: list[str]) -> list[str]:
     """Grid of reconstructions over noise level, damping and scheme.
 
-    The clean reference depends on none of them, so it is generated once,
-    for settings that ``reconstruction.check_settings`` accepts, and
-    perturbed per noise level.
+    The config of every run is made first, so a bad entry stops the sweep
+    before any work.  The clean reference depends on none of them, so it
+    is generated once, for settings that ``reconstruction.check_settings``
+    accepts and meshes that a transfer joins, and perturbed per noise
+    level.
     """
+    def combo(eps, lam, scheme):
+        sub = f"sweep_eps{eps:g}_lam{lam:g}_{scheme}"
+        return replace(cfg, noise=eps, damping=lam, scheme=scheme,
+                       outdir=os.path.join(cfg.outdir, sub))
+
+    grid = [(eps, [combo(eps, lam, scheme) for lam in dampings
+                   for scheme in schemes]) for eps in noises]
     scn = resolve_scenario(cfg.scenario)
     fine = build_disk_mesh(cfg.fine_triangles)
     reconstruction.check_settings(scn, cfg, fine, cfg.sample_dt,
                                   cfg.reference_triangles)
+    reconstruction.coarse_mesh(cfg, fine)   # refused if no transfer joins
     clean = synth.generate_reference(scn, fine, cfg.reference_triangles,
                                      cfg.sample_dt, cfg.horizon)
     out = []
-    base_out = cfg.outdir
-    for eps in noises:
+    for eps, combos in grid:
         mset = synth.measure(clean, eps, cfg.seed, cfg.reference_triangles)
-        for lam in dampings:
-            for scheme in schemes:
-                sub = os.path.join(base_out,
-                                   f"sweep_eps{eps:g}_lam{lam:g}_{scheme}")
-                combo = replace(cfg, noise=eps, damping=lam, scheme=scheme,
-                                outdir=sub)
-                out.append(cmd_reconstruct(combo, mset=mset))
+        out += [cmd_reconstruct(combo, mset=mset) for combo in combos]
     return out
 
 

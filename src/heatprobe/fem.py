@@ -844,13 +844,15 @@ def _march(mesh: Mesh, grid: SegmentGrid, u, ops, init: np.ndarray, load,
     to the right-hand side (see ``_labels``).
 
     The march is one loop over the steps.  Step k runs the Crank-Nicolson
-    update on the system that ``_step_systems`` gives it: once, or 1 +
-    ``picard_sweeps`` times when the operator has a lagged power weight,
-    which each sweep after the first lags at the step midpoint.  The first
-    step is two backward-Euler half steps (Rannacher startup), which damp
-    the weakly decaying high-frequency transients that plain
-    Crank-Nicolson would carry through the march; their operator
-    2M/dt + K is twice S+, so the step's system serves them as well.
+    update on the system that ``_step_systems`` gives it: once, or, when
+    the operator has a lagged power weight, which each sweep after the
+    first lags at the step midpoint, up to 1 + ``picard_sweeps`` times;
+    the sweeps stop early once one moves the state by at most 1e-8
+    relative.  The first step is two backward-Euler half steps (Rannacher
+    startup), which damp the weakly decaying high-frequency transients
+    that plain Crank-Nicolson would carry through the march; their
+    operator 2M/dt + K is twice S+, so the step's system serves them as
+    well.
     """
     mass = _mass(mesh)
     dt = grid.dt

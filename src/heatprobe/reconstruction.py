@@ -36,9 +36,11 @@ DAMP_DROP = 1e-8
 INSTALLED_TERMS = {"dfp": 2, "bfg": 3}     # terms one update installs
 
 
-def param(default, help: str, **metadata):
-    """A parameter field: its default and the one help string of its flag."""
-    return field(default=default, metadata={"help": help, **metadata})
+def param(default, help: str, valid=None, **metadata):
+    """A parameter field: its default, the one help string of its flag,
+    which states the values it may take, and their test ``valid``."""
+    return field(default=default,
+                 metadata={"help": help, "valid": valid, **metadata})
 
 
 @dataclass
@@ -46,46 +48,51 @@ class Options:
     """Algorithm parameters (defaults follow the benchmark setup).
 
     The only declaration of each parameter: the CLI's flags are derived from
-    these fields (see ``cli.RunConfig``).
+    these fields (see ``cli.RunConfig``).  A float must be finite, and a
+    field with a test ``valid`` must pass it.
     """
 
-    segment_length: float = param(0.1, "length of one reconstruction segment")
-    dt: float = param(0.0125, "inversion time step; must divide the "
-                              "segment length")
-    fine_triangles: int = param(7002, "triangles of the fine (state) mesh")
+    segment_length: float = param(0.1, "length of one reconstruction "
+                                       "segment; must be positive",
+                                  lambda v: v > 0)
+    dt: float = param(0.0125, "inversion time step; must be positive and "
+                              "divide the segment length", lambda v: v > 0)
+    fine_triangles: int = param(7002, "triangles of the fine (state) mesh; "
+                                      "at least 16", lambda v: v >= 16)
     coarse_triangles: int = param(1120, "triangles of the coarse "
-                                        "(inhomogeneity) mesh")
+                                        "(inhomogeneity) mesh; at least 16",
+                                  lambda v: v >= 16)
     nu: float = param(1.4, "exponent of the kernel's boundary-distance "
-                           "weight")
+                           "weight; any finite number")
     eps_cut: float = param(0.05, "boundary distance below which the kernel "
-                                 "weight is zero")
+                                 "weight is zero; any finite number")
     damping: float = param(0.6, "per-segment fading of the kernel's "
-                                "low-rank terms, in (0, 1)")
-    tol: float = param(0.08, "boundary residual that ends the inner loop")
-    scheme: str = param("dfp", "kernel correction scheme: dfp or bfg")
-    rank_cap: int = param(24, "most low-rank kernel terms kept")
-    max_inner: int = param(8, "inner-iteration cap per segment")
-    eta_hat_variant: str = param("zeta", "preimage at active bounds: zeta "
-                                         "or r_zeta")
-    horizon: float | None = param(None, "end time of the reconstruction "
-                                        "(default: the scenario's horizon)")
+                                "low-rank terms; must lie in (0, 1)",
+                           lambda v: 0 < v < 1)
+    tol: float = param(0.08, "boundary residual that ends the inner loop; "
+                             "must be positive", lambda v: v > 0)
+    scheme: str = param("dfp", "kernel correction scheme; dfp or bfg",
+                        lambda v: v in INSTALLED_TERMS)
+    rank_cap: int = param(24, "most low-rank kernel terms kept; at least "
+                              "the 2 (dfp) or 3 (bfg) terms one update "
+                              "installs")
+    max_inner: int = param(8, "inner-iteration cap per segment; at least 1",
+                           lambda v: v >= 1)
+    eta_hat_variant: str = param("zeta", "preimage at active bounds; zeta or "
+                                         "r_zeta",
+                                 lambda v: v in ("zeta", "r_zeta"))
+    horizon: float | None = param(None, "end time of the reconstruction; "
+                                        "must be positive (default: the "
+                                        "scenario's horizon)",
+                                  lambda v: v is None or v > 0)
 
     def __post_init__(self):
-        if self.scheme not in INSTALLED_TERMS:
-            raise ScenarioError(f"unknown correction scheme {self.scheme!r}")
-        if self.eta_hat_variant not in ("zeta", "r_zeta"):
-            raise ScenarioError(
-                f"unknown eta_hat variant {self.eta_hat_variant!r}")
-        if not 0.0 < self.damping < 1.0:
-            raise ScenarioError("damping factor must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ScenarioError("tolerance must be positive")
-        if not (self.dt > 0 and self.segment_length > 0):
-            raise ScenarioError("dt and the segment length must be positive")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ScenarioError("the horizon must be positive")
-        if self.max_inner < 1:
-            raise ScenarioError("the inner-iteration cap must be at least 1")
+        for f in fields(self):
+            value, valid = getattr(self, f.name), f.metadata["valid"]
+            if isinstance(value, float) and not np.isfinite(value) \
+                    or valid is not None and not valid(value):
+                raise ScenarioError(f"{f.name} = {value!r} refused: "
+                                    f"{f.metadata['help']}")
         if self.rank_cap < INSTALLED_TERMS[self.scheme]:
             raise ScenarioError(
                 f"rank cap {self.rank_cap} is below the "
@@ -516,6 +523,13 @@ def check_run(scn: Scenario, mset: MeasurementSet, opts: Options,
     return n_segments
 
 
+def coarse_mesh(opts: Options, fine: Mesh) -> tuple[Mesh, TransferOps]:
+    """The coarse mesh of ``opts`` and the transfer onto it from ``fine``;
+    MeshError (a ValueError) if a coarse cell holds no fine centroid."""
+    coarse = build_disk_mesh(opts.coarse_triangles)
+    return coarse, build_transfer(fine, coarse)
+
+
 def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
         fine: Mesh | None = None, coarse: Mesh | None = None,
         transfer: TransferOps | None = None,
@@ -530,7 +544,8 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     fine = fine or build_disk_mesh(opts.fine_triangles)
     n_segments = check_run(scn, mset, opts, fine)
     steps = round(opts.segment_length / opts.dt)
-    coarse = coarse or build_disk_mesh(opts.coarse_triangles)
+    if coarse is None:
+        coarse, transfer = coarse_mesh(opts, fine)
     transfer = transfer or build_transfer(fine, coarse)
     f_fn, g_fn, h = samplers(fine)
 

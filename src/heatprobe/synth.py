@@ -101,8 +101,8 @@ def add_noise(values: np.ndarray, noise_level: float, seed: int) -> np.ndarray:
     consumes the same counter position for a fixed array shape, so the noise
     field is a pure function of (seed, shape).
     """
-    if noise_level < 0:
-        raise SynthError("noise level must be nonnegative")
+    if not 0 <= noise_level < np.inf:
+        raise SynthError("noise level must be finite and nonnegative")
     values = np.asarray(values, dtype=float)
     if noise_level == 0:
         return values.copy()

@@ -6,6 +6,7 @@ import hashlib
 import os
 import pathlib
 import shutil
+import typing
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ class TestRunConfig:
 
     def test_invalid_flag_value_is_config_error(self, capsys):
         assert cli.main(["reconstruct", "--scheme", "xyz"]) == cli.EXIT_CONFIG
-        assert "unknown correction scheme" in capsys.readouterr().err
+        assert "scheme = 'xyz' refused" in capsys.readouterr().err
 
     def test_validation(self):
         with pytest.raises(sc.ScenarioError):
@@ -745,6 +746,12 @@ class TestCheckpoints:
         config.write_text(text)
         assert cli.main(argv) == cli.EXIT_OK
 
+    def test_readme_quotes_the_digest_tag(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        tag = cli.DIGEST_TAG.decode().strip()
+        assert f"tag (`cli.DIGEST_TAG`) is now `{tag}`" \
+            in " ".join(readme.read_text().split())
+
     def test_resume_refuses_a_shorter_horizon(self, tmp_path, capsys):
         """A run to 0.5 is not resumed to 0.3: a resume extends a run and
         never shortens it, and the refusal writes nothing."""
@@ -775,7 +782,47 @@ class TestCheckpoints:
         assert "config.txt" in capsys.readouterr().err
 
 
+def float_flags():
+    """The flag of every float field of RunConfig, read off the type hints
+    as ``cli._add_run_flags`` reads them."""
+    hints = typing.get_type_hints(cli.RunConfig)
+    return [f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+            for f in dataclasses.fields(cli.RunConfig)
+            if float in (typing.get_args(hints[f.name]) or (hints[f.name],))]
+
+
+# a run that the settings below spoil; each later flag overrides its own
+PROBE = ["--scenario", "ex1", "--fine-triangles", "1000",
+         "--coarse-triangles", "300", "--reference-triangles", "3000",
+         "--horizon", "0.2"]
+BAD_SETTINGS = [("reconstruct", f"{flag}={value}") for flag in float_flags()
+                for value in ("nan", "inf", "-inf")] + [
+    ("generate", "--noise=nan"), ("generate", "--noise=inf"),
+    ("sweep", "--noises=0.05,nan"), ("sweep", "--dampings=0.5,1.5"),
+    ("sweep", "--schemes=dfp,xyz"), ("sweep", "--coarse-triangles=3000"),
+    ("reconstruct", "--coarse-triangles=3000"),
+    ("reconstruct", "--coarse-triangles=10"), ("reconstruct", "--seed=-1")]
+
+
 class TestMainExitCodes:
+    @pytest.mark.parametrize("command, setting", BAD_SETTINGS,
+                             ids=[" ".join(case) for case in BAD_SETTINGS])
+    def test_bad_setting_is_refused_before_any_data_or_file(
+            self, command, setting, tmp_path, capsys, monkeypatch):
+        """Every float flag at nan, inf and -inf, a bad sweep entry and a
+        coarse mesh that the fine one cannot cover (or below the mesh
+        builder's minimum) exit 2 before the reference is generated and
+        with no file under --out."""
+        def never(*args, **kwargs):
+            raise AssertionError("generated data for refused settings")
+
+        monkeypatch.setattr(synth, "generate_reference", never)
+        out = tmp_path / "runs"
+        assert cli.main([command, *PROBE, setting, "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_is_config_error(self, capsys):
         assert cli.main(["reconstruct", "--scenario", "doesnotexist"]) \
             == cli.EXIT_CONFIG

@@ -38,8 +38,11 @@ class TestNoise:
         assert abs(rel.mean()) < 3.0 * target / np.sqrt(n)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(synth.SynthError):
-            synth.add_noise(np.ones((2, 2)), -0.1, seed=0)
+        """So is a non-finite level, which would make the data NaN or
+        infinite."""
+        for level in (-0.1, np.nan, np.inf):
+            with pytest.raises(synth.SynthError):
+                synth.add_noise(np.ones((2, 2)), level, seed=0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
