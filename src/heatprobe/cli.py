@@ -338,7 +338,8 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
 
     The data are read from ``measurement_base``, taken as ``mset``, or
     generated from ``cfg``; their noise, seed, reference mesh and sample
-    step replace ``cfg``'s.  A run that ``reconstruction.check_run``
+    step replace ``cfg``'s, and stored data whose setting its field
+    refuses are corrupt (OSError).  A run that ``reconstruction.check_run``
     refuses creates nothing, and data are generated only for settings that
     ``reconstruction.check_settings`` accepts and for meshes that a
     transfer joins; else ``config.txt`` is written before the first
@@ -364,9 +365,15 @@ def cmd_reconstruct(cfg: RunConfig, measurement_base: str | None = None,
             reference_triangles=cfg.reference_triangles,
             sample_dt=cfg.sample_dt, horizon=cfg.horizon)
     # the run is named and recorded by the data it inverts
-    cfg = replace(cfg, noise=mset.noise_level, seed=mset.seed,
-                  reference_triangles=mset.reference_triangles,
-                  sample_dt=mset.sample_dt)
+    try:
+        cfg = replace(cfg, noise=mset.noise_level, seed=mset.seed,
+                      reference_triangles=mset.reference_triangles,
+                      sample_dt=mset.sample_dt)
+    except ScenarioError as exc:
+        if measurement_base is None:
+            raise
+        raise OSError(f"corrupt measurement {measurement_base}: {exc}") \
+            from exc
     reconstruction.check_run(scn, mset, cfg, fine)
 
     run_dir = _measurement_base(cfg, cfg.outdir) + f"_{cfg.scheme}"

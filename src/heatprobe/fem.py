@@ -9,6 +9,7 @@ the previous time level so every step is one symmetric sparse solve.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import itertools
 import weakref
@@ -28,6 +29,18 @@ POTENTIAL = "potential"
 POWER_POTENTIAL = "power_potential"
 
 _KINDS = (CONDUCTIVITY, POTENTIAL, POWER_POTENTIAL)
+
+# The most steps of any time grid: the largest in use is a horizon-10
+# reference at 1000 steps.  A grid past it is refused before its arrays are
+# made.
+MAX_STEPS = 10**6
+
+# The solver work of this module, counted where it is done: "band" and
+# "superlu" factorizations (``_factorize``), "cg" solves and "cg_fallback"s
+# to a factorization (``_Pcg``), condensation "window"s (``_Window``) and
+# band "layout"s (``_BandLayout``).  A caller reads its difference across a
+# call; this module starts no thread, so that difference is the call's work.
+tally: collections.Counter[str] = collections.Counter()
 
 
 class FemError(RuntimeError):
@@ -72,6 +85,10 @@ class SegmentGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("a segment needs at least one step")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"a grid of {self.steps:.3g} steps of "
+                             f"dt={self.dt} is refused: at most MAX_STEPS "
+                             f"= {MAX_STEPS}")
         if not self.dt > 0:
             raise ValueError("the time step must be positive")
 
@@ -183,7 +200,8 @@ class _Operators:
         self.interior.flags.writeable = False
         self.triangles = tri
         self.basis_gradients = g
-        self.labels = {}            # {pinned: (labels, coupling, layout)}
+        self.labels = {}            # {pinned: (labels, coupling)}
+        self.layouts = {}           # {pinned: _BandLayout}, see _layout
         self.unperturbed = None     # see _unperturbed
         self.mass = None            # see _mass
 
@@ -392,9 +410,10 @@ class _Perturbation:
 
 def _factorize(matrix, layout: _BandLayout | None = None):
     """The factorization of a symmetric step block: every solver here
-    factorizes through this function.
+    factorizes through this function, which counts each factorization in
+    ``tally`` as "band" or "superlu".
 
-    Given the ``layout`` of a block of the mesh's pattern (``_labels``),
+    Given the ``layout`` of a block of the mesh's pattern (``_layout``),
     LAPACK's band Cholesky (``dpbtrf``) on the block's reverse
     Cuthill-McKee ordering (George & Liu, "Computer Solution of Large
     Sparse Positive Definite Systems", 1981), filled into one band array
@@ -414,12 +433,15 @@ def _factorize(matrix, layout: _BandLayout | None = None):
         band = layout.fill(matrix.data)
         factor, info = lapack.dpbtrf(band, overwrite_ab=1)
         if info == 0:
+            tally["band"] += 1
             return _BandCholesky(factor, layout.perm)
     try:
-        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FemError(f"sparse factorization failed: {exc}") from exc
+    tally["superlu"] += 1
+    return lu
 
 
 class _BandLayout:
@@ -434,6 +456,7 @@ class _BandLayout:
     march's steps."""
 
     def __init__(self, labels):
+        tally["layout"] += 1
         n = labels.shape[0]
         self.perm = csgraph.reverse_cuthill_mckee(labels.tocsr(),
                                                   symmetric_mode=True)
@@ -441,9 +464,10 @@ class _BandLayout:
         row = order[np.repeat(np.arange(n), np.diff(labels.indptr))]
         col = order[labels.indices]
         self.width = int(np.max(col - row))
-        self.entries = np.flatnonzero(row <= col)
+        # int32 halves them; a band of 2**31 slots would take 16 GiB
+        self.entries = np.flatnonzero(row <= col).astype(np.int32)
         self.slots = (col * (self.width + 1) + self.width + row
-                      - col)[self.entries]
+                      - col)[self.entries].astype(np.int32)
 
     def fill(self, data: np.ndarray) -> np.ndarray:
         """The band array of the block whose data is ``data``."""
@@ -467,15 +491,15 @@ class _BandCholesky:
 
 
 def _labels(mesh: Mesh, pinned: bool):
-    """``(labels, coupling, layout)``: the block of the mesh's pattern that
-    a step solves, its coupling to the pinned rows, each entry holding its
+    """``(labels, coupling)``: the block of the mesh's pattern that a step
+    solves and its coupling to the pinned rows, each entry holding its
     position in the pattern plus one (so that none is an explicit zero):
-    slices of them label the entries of theirs, and the block's band
-    ``layout``.  A march that pins the boundary rows solves the interior
-    block; their rows and columns are eliminated symmetrically, so the
-    block of a symmetric matrix stays symmetric.  Any other march solves
-    the whole matrix, with no coupling (None).  Built once per mesh and
-    pinned flag: none of them depends on ``dt``."""
+    slices of them label the entries of theirs.  A march that pins the
+    boundary rows solves the interior block; their rows and columns are
+    eliminated symmetrically, so the block of a symmetric matrix stays
+    symmetric.  Any other march solves the whole matrix, with no coupling
+    (None).  Built once per mesh and pinned flag: neither depends on
+    ``dt``."""
     cache = _operators(mesh)
     if pinned not in cache.labels:
         labels = cache.matrix(np.arange(1, cache.indices.size + 1,
@@ -485,8 +509,18 @@ def _labels(mesh: Mesh, pinned: bool):
             rows = labels[cache.interior]
             labels = rows[:, cache.interior]
             coupling = rows[:, mesh.boundary_vertices]
-        cache.labels[pinned] = labels, coupling, _BandLayout(labels)
+        cache.labels[pinned] = labels, coupling
     return cache.labels[pinned]
+
+
+def _layout(mesh: Mesh, pinned: bool) -> _BandLayout:
+    """The band layout of the block that ``_labels`` gives, built on the
+    block's first band factorization and kept with the mesh: a mesh whose
+    marches all condense never pays for it."""
+    layouts = _operators(mesh).layouts
+    if pinned not in layouts:
+        layouts[pinned] = _BandLayout(_labels(mesh, pinned)[0])
+    return layouts[pinned]
 
 
 def _positions(labels) -> np.ndarray:
@@ -505,7 +539,7 @@ def _unperturbed(mesh: Mesh, dt: float):
     M/dt - K(1)/2 of a Crank-Nicolson step on the mesh's pattern
     (read-only), and ``held``, the systems of that step by pinned flag,
     which ``_step_systems`` fills for steps with no perturbed cell; each
-    holds a band Cholesky factor on the block's layout (``_labels``).
+    holds a band Cholesky factor on the block's layout (``_layout``).
 
     The mesh's cache holds them for the last ``dt`` asked for, until the
     mesh dies.  Asking for another ``dt`` drops all of them before the new
@@ -548,11 +582,9 @@ class _Pcg:
     matrix's less eigenvalues 1.  Each solve starts from ``precond``'s
     solution.  Past ``PCG_MAX_ITERATIONS`` steps, or on a breakdown
     (p.Ap <= 0: a negative potential made ``a`` indefinite), SuperLU
-    factorizes ``a``, which then solves directly; ``_Pcg.fallbacks`` counts
-    those fallbacks.
+    factorizes ``a``, which then solves directly.  ``tally`` counts each CG
+    solve as "cg" and each fallback as "cg_fallback".
     """
-
-    fallbacks = 0
 
     def __init__(self, a, precond):
         self.a, self.precond, self.direct = a, precond, None
@@ -562,12 +594,13 @@ class _Pcg:
             x = self._cg(b)
             if x is not None:
                 return x
-            _Pcg.fallbacks += 1
+            tally["cg_fallback"] += 1
             self.direct = _factorize(self.a)
         return self.direct.solve(b)
 
     def _cg(self, b: np.ndarray) -> np.ndarray | None:
         """The CG solution, or None when CG breaks down or hits the cap."""
+        tally["cg"] += 1
         a, precond = self.a, self.precond
         tol = PCG_RTOL * _norm(b)
         x = precond.solve(b)
@@ -623,6 +656,7 @@ class _Window:
     """
 
     def __init__(self, labels, plus: np.ndarray, changed: np.ndarray):
+        tally["window"] += 1
         self.inner = np.flatnonzero(changed)
         self.outer = np.flatnonzero(~changed)
         rows = labels[self.inner]
@@ -762,12 +796,13 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
 
     Every factorization of a block on the mesh's pattern (the held ones,
     a static step's, a step whose window reaches every unknown) is band
-    Cholesky on the block's layout (``_labels``), or SuperLU's when the
-    block is not positive definite; a window's blocks are SuperLU's (see
-    ``_factorize``).
+    Cholesky on the block's layout (``_layout``, built on the first of
+    them), or SuperLU's when the block is not positive definite; a
+    window's blocks are SuperLU's (see ``_factorize``).  ``tally`` counts
+    the factorizations, CG solves and windows that each kind makes.
     """
     dt = grid.dt
-    labels, coupling, layout = _labels(mesh, pinned)
+    labels, coupling = _labels(mesh, pinned)
     plus, minus, held = _unperturbed(mesh, dt)
     fixed = None if callable(u) else _Perturbation(u, ops, mesh)
     static = fixed is not None and not fixed.lagged
@@ -782,7 +817,7 @@ def _step_systems(mesh: Mesh, grid: SegmentGrid, u, ops, pinned: bool):
 
     def factorize(s_plus):
         # the block on the mesh's pattern, on its band layout
-        return _factorize(_take(labels, s_plus), layout)
+        return _factorize(_take(labels, s_plus), _layout(mesh, pinned))
 
     def unperturbed():
         if pinned not in held:

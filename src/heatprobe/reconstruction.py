@@ -488,9 +488,9 @@ def run_segment(index: int, grid: SegmentGrid, init: np.ndarray,
 def check_settings(scn: Scenario, opts: Options, fine: Mesh,
                    sample_dt: float, reference_triangles: int) -> int:
     """Refuse, with ValueError, settings that no data can mend: a segment
-    length that does not partition the horizon, or an inversion on the
-    data's time step or mesh (inverse-crime guards).  Returns the number
-    of segments."""
+    length that does not partition the horizon, a run of more than
+    ``fem.MAX_STEPS`` steps, or an inversion on the data's time step or
+    mesh (inverse-crime guards).  Returns the number of segments."""
     horizon = scn.horizon if opts.horizon is None else opts.horizon
     if abs(opts.dt - sample_dt) < 1e-12:
         raise ValueError("inversion time step equals the reference sampling "
@@ -498,6 +498,7 @@ def check_settings(scn: Scenario, opts: Options, fine: Mesh,
     n_segments = round(horizon / opts.segment_length)
     if abs(n_segments * opts.segment_length - horizon) > 1e-9:
         raise ValueError("segment length does not partition the horizon")
+    fem.segment_grid(0.0, horizon, opts.dt)     # the run's whole grid
     if fine.num_cells == reference_triangles:
         raise ValueError("inversion mesh equals the reference mesh "
                          "(inverse-crime guard)")

@@ -69,8 +69,8 @@ def generate_reference(scn: Scenario, inversion_mesh: Mesh,
         raise SynthError("reference and inversion meshes must differ "
                          "(inverse-crime guard)")
     horizon = scn.horizon if horizon is None else float(horizon)
-    ref_mesh = build_disk_mesh(reference_triangles)
     grid = fem.segment_grid(0.0, horizon, sample_dt)
+    ref_mesh = build_disk_mesh(reference_triangles)
     f_fn, g_fn, h = samplers(ref_mesh)
 
     def truth(t: float) -> np.ndarray:
@@ -204,11 +204,26 @@ def save_measurement_set(mset: MeasurementSet, base_path):
 
 
 def load_measurement_set(base_path, reference_triangles: int) -> MeasurementSet:
+    """The pair that ``save_measurement_set`` wrote.  Besides what
+    ``load_trace_text`` refuses, sample times that differ between the two
+    files, or that are not the nodes 0, dt, 2 dt, ... of their first step
+    dt (to 1e-9 relative), as ``generate_reference`` gives them, raise
+    OSError."""
     times, clean, _, _ = load_trace_text(f"{base_path}_clean.txt")
     times_n, noisy, noise_level, seed = load_trace_text(f"{base_path}_noisy.txt")
     if len(times) != len(times_n) or not np.array_equal(times, times_n):
         raise OSError(f"{base_path}: clean and noisy traces disagree on "
                       f"sample times")
+    try:
+        fem.BoundaryTrace(times, clean)         # strictly increasing
+        dt = times[1] if len(times) > 1 else 1.0
+        nodes = np.arange(len(times)) * dt
+        if times[0] != 0.0 or np.any(np.abs(times - nodes)
+                                     > 1e-9 * np.maximum(nodes, dt)):
+            raise ValueError(f"sample times are not the nodes 0, dt, "
+                             f"2 dt, ... of dt = {dt}")
+    except ValueError as exc:
+        raise OSError(f"corrupt measurement {base_path}: {exc}") from exc
     return MeasurementSet(sample_times=times, clean=clean, noisy=noisy,
                           noise_level=noise_level, seed=seed,
                           reference_triangles=reference_triangles)

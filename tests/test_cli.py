@@ -42,6 +42,13 @@ def retoken(text, row, col, token):
     return "".join(lines)
 
 
+def swap_rows(text):
+    """``text`` with its third and fourth lines swapped."""
+    lines = text.splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    return "".join(lines)
+
+
 def file_bytes(directory):
     return {path.relative_to(directory): path.read_bytes()
             for path in pathlib.Path(directory).rglob("*") if path.is_file()}
@@ -801,7 +808,10 @@ BAD_SETTINGS = [("reconstruct", f"{flag}={value}") for flag in float_flags()
     ("sweep", "--noises=0.05,nan"), ("sweep", "--dampings=0.5,1.5"),
     ("sweep", "--schemes=dfp,xyz"), ("sweep", "--coarse-triangles=3000"),
     ("reconstruct", "--coarse-triangles=3000"),
-    ("reconstruct", "--coarse-triangles=10"), ("reconstruct", "--seed=-1")]
+    ("reconstruct", "--coarse-triangles=10"), ("reconstruct", "--seed=-1"),
+    # grids past fem.MAX_STEPS
+    ("reconstruct", "--dt=1e-9"),
+    ("reconstruct", "--dt=1e-300 --segment-length=1e-300")]
 
 
 class TestMainExitCodes:
@@ -809,18 +819,29 @@ class TestMainExitCodes:
                              ids=[" ".join(case) for case in BAD_SETTINGS])
     def test_bad_setting_is_refused_before_any_data_or_file(
             self, command, setting, tmp_path, capsys, monkeypatch):
-        """Every float flag at nan, inf and -inf, a bad sweep entry and a
+        """Every float flag at nan, inf and -inf, a bad sweep entry, a
         coarse mesh that the fine one cannot cover (or below the mesh
-        builder's minimum) exit 2 before the reference is generated and
-        with no file under --out."""
+        builder's minimum) and a run of more steps than ``fem.MAX_STEPS``
+        exit 2 before the reference is generated and with no file under
+        --out."""
         def never(*args, **kwargs):
             raise AssertionError("generated data for refused settings")
 
         monkeypatch.setattr(synth, "generate_reference", never)
         out = tmp_path / "runs"
-        assert cli.main([command, *PROBE, setting, "--out", str(out)]) \
-            == cli.EXIT_CONFIG
+        assert cli.main([command, *PROBE, *setting.split(),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_grid_past_the_step_limit_is_config_error(self, tmp_path,
+                                                             capsys):
+        """A reference of more steps than ``fem.MAX_STEPS`` is refused
+        before its arrays are made, with no file under --out."""
+        out = tmp_path / "data"
+        assert cli.main(["generate", *PROBE, "--sample-dt", "1e-12",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "MAX_STEPS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_scenario_is_config_error(self, capsys):
@@ -931,6 +952,38 @@ class TestMainExitCodes:
                          "--coarse-triangles", "300", "--horizon", "0.2",
                          "--out", str(tmp_path / "runs")]) == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files, damage", [
+        (("_clean.txt", "_noisy.txt"), swap_rows),
+        (("_clean.txt", "_noisy.txt"), lambda text: retoken(text, 1, 0,
+                                                            "0.0125")),
+        (("_clean.txt", "_noisy.txt"), lambda text: retoken(text, 3, 0,
+                                                            "0.025")),
+        (("_noisy.txt",), lambda text: retoken(text, 0, 2, "-0.5")),
+        (("_noisy.txt",), lambda text: retoken(text, 0, 3, "-3")),
+        (("_manifest.txt",), lambda text: text.replace(
+            "reference_triangles = 960", "reference_triangles = 5")),
+    ], ids=["rows-swapped", "first-time-not-zero", "time-off-the-lattice",
+            "negative-noise", "negative-seed", "tiny-reference-mesh"])
+    def test_data_that_generate_never_writes_is_io_error(
+            self, files, damage, null_data, tmp_path, capsys):
+        """Sample times out of order, not from 0 or off the lattice of
+        their first step, and a noise level, seed or reference mesh that
+        its field refuses make the data corrupt, not the flags: exit 4,
+        with no run directory."""
+        base = str(tmp_path / "m")
+        for suffix in ("_clean.txt", "_noisy.txt", "_manifest.txt"):
+            shutil.copy(null_data + suffix, base + suffix)
+        for suffix in files:
+            path = pathlib.Path(base + suffix)
+            path.write_text(damage(path.read_text()))
+        out = tmp_path / "runs"
+        assert cli.main(["reconstruct", "--scenario", "null",
+                         "--measurement", base, "--fine-triangles", "1000",
+                         "--coarse-triangles", "300", "--horizon", "0.2",
+                         "--out", str(out)]) == cli.EXIT_IO
+        assert "corrupt measurement" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-0.5"])
     def test_nonpositive_horizon_is_config_error(self, horizon, null_data,

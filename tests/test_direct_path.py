@@ -243,11 +243,10 @@ def make_scenario(name):
 def test_generate_reference_matches_plain_march(name, no_threads,
                                                 small_coarse, monkeypatch):
     scn = make_scenario(name)
-    calls = counted_splu(monkeypatch)
-    fast = synth.generate_reference(scn, small_coarse,
-                                    reference_triangles=3000, horizon=0.2)
+    fast, counts = work(synth.generate_reference, scn, small_coarse,
+                        reference_triangles=3000, horizon=0.2)
     # steps x (1 + picard_sweeps), and one S_OO for the window
-    assert len(calls) <= 20 * 2 + 1
+    assert factorizations(counts) <= 20 * 2 + 1
     monkeypatch.setattr(fem, "forward_solve", plain_forward)
     monkeypatch.setattr(fem, "source_load", plain_source_load)
     plain = synth.generate_reference(scn, small_coarse,
@@ -257,7 +256,7 @@ def test_generate_reference_matches_plain_march(name, no_threads,
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_marches_match_plain_march(name, no_threads, small_fine,
-                                   small_coarse, small_transfer, monkeypatch):
+                                   small_coarse, small_transfer):
     scn = make_scenario(name)
     mesh = small_fine
     grid = fem.segment_grid(0.25, 0.5, 0.0125)
@@ -269,24 +268,24 @@ def test_marches_match_plain_march(name, no_threads, small_fine,
 
     u_est = hm.prolong(hm.restrict(truth(0.4), small_transfer),
                        small_transfer)
-    calls = counted_splu(monkeypatch)
     for u, picard in ((truth, 1), (None, 1), (u_est, 0)):
-        calls.clear()
-        fast = fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
-            mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
+        fast, counts = work(fem.forward_solve, mesh, grid, u, scn.ops,
+                            fem.source_load(mesh, grid, f_fn, g_fn), init,
+                            picard_sweeps=picard)
+        fast = fast.values
         # a sampler's march also factorizes each window's S_OO
         windows = math.ceil(grid.steps / fem.CONDENSE_STEPS) if callable(u) \
             else 0
-        assert len(calls) <= grid.steps * (1 + picard) + windows
+        assert factorizations(counts) <= grid.steps * (1 + picard) + windows
         plain = plain_forward(mesh, grid, u, scn.ops, plain_source_load(
             mesh, grid, f_fn, g_fn), init, picard_sweeps=picard).values
         assert rel(fast, plain) <= RTOL
 
     trace = plain[:, mesh.boundary_vertices]
-    calls.clear()
-    fast = fem.dirichlet_solve(mesh, grid, u_est, scn.ops, fem.source_load(
-        mesh, grid, f_fn, None), trace, init).values
-    assert len(calls) <= grid.steps
+    fast, counts = work(fem.dirichlet_solve, mesh, grid, u_est, scn.ops,
+                        fem.source_load(mesh, grid, f_fn, None), trace, init)
+    fast = fast.values
+    assert factorizations(counts) <= grid.steps
     plain = plain_dirichlet(mesh, grid, u_est, scn.ops, plain_source_load(
         mesh, grid, f_fn, None), trace, init)
     assert rel(fast, plain) <= RTOL
@@ -297,22 +296,21 @@ def test_marches_match_plain_march(name, no_threads, small_fine,
 
 # -- what the fast paths promise beyond the tolerance ------------------------
 
-def counted_splu(monkeypatch):
-    """Record every factorization made through ``fem._factorize``, band
-    Cholesky or SuperLU."""
-    calls = []
-    original = fem._factorize
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "_factorize", counting)
-    return calls
+def work(march, *args, **kwargs):
+    """``(result, counts)``: what the call ``march(*args, **kwargs)`` of a
+    public march returns, and the solver work it made, the difference of
+    ``fem.tally`` across the call."""
+    before = fem.tally.copy()
+    result = march(*args, **kwargs)
+    return result, fem.tally - before
 
 
-def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
-                                                        monkeypatch):
+def factorizations(counts):
+    """Band Cholesky and SuperLU factorizations alike."""
+    return counts["band"] + counts["superlu"]
+
+
+def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine):
     """ex3's background march (u=None) factorizes at most once, and its
     trajectory is the one the per-step march with the same zero power
     component gives."""
@@ -321,30 +319,25 @@ def test_zero_power_march_is_static_and_bitwise_dynamic(small_fine,
     grid = fem.segment_grid(0.0, 0.1, 0.0125)
     load = fem.source_load(small_fine, grid, f_fn, g_fn)
     zero = np.zeros((1, small_fine.num_cells))
-    calls = counted_splu(monkeypatch)
-    static = fem.forward_solve(small_fine, grid, None, scn.ops, load, h,
-                               picard_sweeps=1).values
-    assert len(calls) <= 1
-    calls.clear()
-    dynamic = fem.forward_solve(small_fine, grid, lambda t: zero, scn.ops,
-                                load, h, picard_sweeps=1).values
-    assert len(calls) == 0
-    assert np.array_equal(static, dynamic)
+    static, counts = work(fem.forward_solve, small_fine, grid, None, scn.ops,
+                          load, h, picard_sweeps=1)
+    assert factorizations(counts) <= 1
+    dynamic, counts = work(fem.forward_solve, small_fine, grid,
+                           lambda t: zero, scn.ops, load, h, picard_sweeps=1)
+    assert factorizations(counts) == 0
+    assert np.array_equal(static.values, dynamic.values)
 
 
-def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
-    """Background and adjoint marches share one factorization across
-    segments of equal dt, a new dt gets a new one, and none is left once
-    the mesh is gone.  The mesh's cache holds the state of one dt, and the
-    band layout of the block they factorize, built once for every dt."""
+def test_unperturbed_factorization_is_held_per_dt():
+    """Background and adjoint marches share one band Cholesky
+    factorization across segments of equal dt, a new dt gets a new one,
+    and none is left once the mesh is gone.  The mesh's cache holds the
+    state of one dt, and the band layout of the block they factorize,
+    built once for every dt."""
     mesh = hm.build_disk_mesh(1000)
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(mesh)
-    calls = counted_splu(monkeypatch)
-    layouts = []
-    original = fem._BandLayout
-    monkeypatch.setattr(fem, "_BandLayout", lambda labels: layouts.append(
-        original(labels)) or layouts[-1])
+    before = fem.tally.copy()
 
     def segment(t_start, dt):
         grid = fem.segment_grid(t_start, t_start + 0.25, dt)
@@ -360,19 +353,28 @@ def test_unperturbed_factorization_is_held_per_dt(monkeypatch):
 
     segment(0.0, 0.0125)
     segment(0.25, 0.0125)                       # same dt, a new segment
-    assert len(calls) == 1
+    assert factorizations(fem.tally - before) == 1
     segment(0.5, 0.01)
-    assert len(calls) == 2
+    counts = fem.tally - before
+    assert counts["band"] == 2 and counts["superlu"] == 0
+    assert counts["layout"] == 1
     cache = fem._operators(mesh)
     dt, _, _, held = cache.unperturbed
     assert (dt, list(held)) == (0.01, [False])
-    assert isinstance(held[False][0], fem._BandCholesky)
-    assert len(layouts) == 1 and list(cache.labels) == [False]
-    assert cache.labels[False][2] is layouts[0]
-    cache, layout = weakref.ref(cache), weakref.ref(layouts.pop())
+    assert list(cache.labels) == list(cache.layouts) == [False]
+    cache, layout = weakref.ref(cache), weakref.ref(cache.layouts[False])
     del mesh
     gc.collect()
     assert cache() is None and layout() is None
+
+
+def test_condensing_reference_builds_no_band_layout(small_coarse):
+    """A reference march that condenses every step factorizes no block of
+    its mesh's pattern, so it builds no band layout for the mesh."""
+    _, counts = work(synth.generate_reference, scenario.builtin("ex1"),
+                     small_coarse, reference_triangles=3000, horizon=0.2)
+    assert counts["window"] == 1
+    assert counts["band"] == counts["layout"] == 0
 
 
 # -- one way to build a step --------------------------------------------------
@@ -385,8 +387,7 @@ def estimate(name, mesh, transfer):
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex4"])
-def test_static_march_factorizes_once(name, small_fine, small_transfer,
-                                      monkeypatch):
+def test_static_march_factorizes_once(name, small_fine, small_transfer):
     """A march with a constant estimate factorizes its step matrix once,
     Neumann and Dirichlet, also with a potential only: it does not go to
     CG on the held unperturbed factorization."""
@@ -395,18 +396,18 @@ def test_static_march_factorizes_once(name, small_fine, small_transfer,
     f_fn, g_fn, h = scenario.samplers(mesh)
     trace = np.ones((grid.num_times, mesh.num_boundary_vertices))
 
-    def marches(u):
-        yield fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
-            mesh, grid, f_fn, g_fn), h)
-        yield fem.dirichlet_solve(mesh, grid, u, scn.ops, fem.source_load(
-            mesh, grid, f_fn, None), trace, h)
-
-    for _ in marches(None):         # hold the unperturbed systems
-        pass
-    calls = counted_splu(monkeypatch)
-    for _ in marches(estimate(name, mesh, small_transfer)):
-        assert len(calls) == 1, name
-        calls.clear()
+    marches = [
+        lambda u: fem.forward_solve(mesh, grid, u, scn.ops, fem.source_load(
+            mesh, grid, f_fn, g_fn), h),
+        lambda u: fem.dirichlet_solve(mesh, grid, u, scn.ops, fem.source_load(
+            mesh, grid, f_fn, None), trace, h)]
+    for march in marches:           # hold the unperturbed systems
+        march(None)
+    u = estimate(name, mesh, small_transfer)
+    for march in marches:
+        _, counts = work(march, u)
+        assert factorizations(counts) == 1, name
+        assert counts["cg"] == 0, name
 
 
 @pytest.mark.parametrize("pinned", [False, True], ids=["whole", "interior"])
@@ -462,7 +463,7 @@ def test_step_is_the_matrix_of_every_cell(name, kind, pinned, small_fine,
 # -- preconditioned CG on the unperturbed factorization ----------------------
 
 def reaction_marches(mesh, transfer):
-    """The marches that ``fem._Pcg`` solves, as (label, march, plain march):
+    """The marches that CG solves, as (label, march, plain march):
     the ex3 reference (a sampler and Picard sweeps), forward and Dirichlet
     marches (a coarse estimate, prolonged) and the ex4 reference (time
     only).  Each march builds its own grid."""
@@ -503,22 +504,18 @@ def reaction_marches(mesh, transfer):
     ]
 
 
-def test_reaction_marches_factorize_once(small_fine, small_transfer,
-                                         monkeypatch):
+def test_reaction_marches_factorize_once(small_fine, small_transfer):
     """A march with a fixed estimate factorizes only the unperturbed
     operator (or its interior block), never a step's.  A reference march
     (20 steps, one window) factorizes two matrices a window: its S_OO and
     its unperturbed Schur complement.  CG never falls back."""
-    fallbacks = fem._Pcg.fallbacks
-    calls = counted_splu(monkeypatch)
     for label, march, _ in reaction_marches(small_fine, small_transfer):
-        calls.clear()
-        march()
+        _, counts = work(march)
         if label.endswith("reference"):
-            assert len(calls) == 2, label
+            assert factorizations(counts) == 2, label
         else:
-            assert len(calls) <= 1, label
-    assert fem._Pcg.fallbacks == fallbacks
+            assert factorizations(counts) <= 1, label
+        assert counts["cg_fallback"] == 0, label
 
 
 def test_pcg_fallback_solves_directly(small_fine, small_transfer,
@@ -527,13 +524,12 @@ def test_pcg_fallback_solves_directly(small_fine, small_transfer,
     of its step matrix, which gives the direct result."""
     monkeypatch.setattr(fem, "PCG_MAX_ITERATIONS", 0)
     for label, march, plain in reaction_marches(small_fine, small_transfer):
-        fallbacks = fem._Pcg.fallbacks
-        assert rel(march(), plain()) <= RTOL, label
-        assert fem._Pcg.fallbacks > fallbacks, label
+        fast, counts = work(march)
+        assert rel(fast, plain()) <= RTOL, label
+        assert counts["cg_fallback"] > 0, label
 
 
-def test_indefinite_static_step_falls_back_to_superlu(small_fine,
-                                                       monkeypatch):
+def test_indefinite_static_step_falls_back_to_superlu(small_fine):
     """A strong negative potential makes a static step's S+ indefinite:
     band Cholesky rejects it, so its one factorization is SuperLU's, and
     the Neumann and Dirichlet marches match the plain march."""
@@ -543,22 +539,18 @@ def test_indefinite_static_step_falls_back_to_superlu(small_fine,
     ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
     grid = fem.segment_grid(0.0, 0.05, 0.0125)
     f_fn, g_fn, h = scenario.samplers(mesh)
-    calls = counted_splu(monkeypatch)
-    superlu = []
-    original = fem.splu
-    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs:
-                        superlu.append(1) or original(*args, **kwargs))
-    fast = fem.forward_solve(mesh, grid, potential, ops,
-                             fem.source_load(mesh, grid, f_fn, g_fn), h)
-    assert len(calls) == len(superlu) == 1
+    fast, counts = work(fem.forward_solve, mesh, grid, potential, ops,
+                        fem.source_load(mesh, grid, f_fn, g_fn), h)
+    assert factorizations(counts) == counts["superlu"] == 1
     plain = plain_forward(mesh, grid, potential, ops,
                           plain_source_load(mesh, grid, f_fn, g_fn), h)
     assert rel(fast.values, plain.values) <= RTOL
 
     trace = plain.values[:, mesh.boundary_vertices]
-    fast = fem.dirichlet_solve(mesh, grid, potential, ops, fem.source_load(
-        mesh, grid, f_fn, None), trace, h).values
-    assert len(calls) == len(superlu) == 2
+    fast, counts = work(fem.dirichlet_solve, mesh, grid, potential, ops,
+                        fem.source_load(mesh, grid, f_fn, None), trace, h)
+    fast = fast.values
+    assert factorizations(counts) == counts["superlu"] == 1
     plain = plain_dirichlet(mesh, grid, potential, ops, plain_source_load(
         mesh, grid, f_fn, None), trace, h)
     assert rel(fast, plain) <= RTOL
@@ -574,10 +566,9 @@ def test_pcg_breakdown_solves_directly(small_fine):
     ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
     grid = fem.segment_grid(0.0, 0.05, 0.0125)
     f_fn, g_fn, h = scenario.samplers(mesh)
-    fallbacks = fem._Pcg.fallbacks
-    fast = fem.forward_solve(mesh, grid, lambda t: potential, ops,
-                             fem.source_load(mesh, grid, f_fn, g_fn), h)
-    assert fem._Pcg.fallbacks == fallbacks + grid.steps
+    fast, counts = work(fem.forward_solve, mesh, grid, lambda t: potential,
+                        ops, fem.source_load(mesh, grid, f_fn, g_fn), h)
+    assert counts["cg_fallback"] == grid.steps
     plain = plain_forward(mesh, grid, lambda t: potential, ops,
                           plain_source_load(mesh, grid, f_fn, g_fn), h)
     assert rel(fast.values, plain.values) <= RTOL
@@ -586,7 +577,7 @@ def test_pcg_breakdown_solves_directly(small_fine):
 def test_picard_sweeps_sample_each_step_once(small_fine):
     """The ex3 reference march samples the inclusions once per lattice step
     of its windows, at its midpoint (also past the grid's end, see
-    ``fem._step_systems``), and reads each half-step node's load once,
+    ``fem.forward_solve``), and reads each half-step node's load once,
     however many Picard sweeps the step runs."""
     scn = scenario.builtin("ex3")
     f_fn, g_fn, h = scenario.samplers(small_fine)
@@ -613,26 +604,25 @@ def test_picard_sweeps_sample_each_step_once(small_fine):
     assert loads == [1, 2, *range(3, 2 * grid.steps, 2)]
 
 
-def test_conductivity_reference_factorizes_every_step(small_fine,
-                                                      monkeypatch):
+def test_conductivity_reference_factorizes_every_step(small_fine):
     """One factorization per step (its Schur complement) and one per window
     (the block its inclusions do not reach)."""
     scn = scenario.builtin("ex1")
     f_fn, g_fn, h = scenario.samplers(small_fine)
     grid = fem.segment_grid(0.0, 0.3, 0.01)
-    calls = counted_splu(monkeypatch)
-    fem.forward_solve(small_fine, grid,
-                      lambda t: scenario.eval_truth(scn, t, small_fine),
-                      scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
-                      h, picard_sweeps=1)
+    _, counts = work(fem.forward_solve, small_fine, grid,
+                     lambda t: scenario.eval_truth(scn, t, small_fine),
+                     scn.ops, fem.source_load(small_fine, grid, f_fn, g_fn),
+                     h, picard_sweeps=1)
     windows = math.ceil(grid.steps / fem.CONDENSE_STEPS)
-    assert len(calls) == grid.steps + windows
+    assert counts["window"] == windows
+    assert factorizations(counts) == grid.steps + windows
 
 
 # -- static condensation of time-dependent conductivity marches --------------
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex5", "ex3", "ex4", "mixed"])
-def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
+def test_condensed_windows_match_plain_march(name, small_fine):
     """Neumann and Dirichlet marches over three windows, the last one short,
     each condensed on the unknowns its inclusions reach.  With a
     conductivity (ex1, ex2, ex5, and mixed, whose power weight is lagged
@@ -648,24 +638,27 @@ def test_condensed_windows_match_plain_march(name, small_fine, monkeypatch):
     def truth(t):
         return scenario.eval_truth(scn, t, mesh)
 
-    fallbacks = fem._Pcg.fallbacks
-    calls = counted_splu(monkeypatch)
-    fast = fem.forward_solve(mesh, grid, truth, scn.ops, fem.source_load(
-        mesh, grid, f_fn, g_fn), h, picard_sweeps=1).values
+    fast, counts = work(fem.forward_solve, mesh, grid, truth, scn.ops,
+                        fem.source_load(mesh, grid, f_fn, g_fn), h,
+                        picard_sweeps=1)
+    fast = fast.values
     reaction = name in ("ex3", "ex4")
     sweeps = 2 if name == "mixed" else 1
-    assert len(calls) == (2 * 3 if reaction else sweeps * grid.steps + 3)
+    assert counts["window"] == 3
+    assert factorizations(counts) == (2 * 3 if reaction
+                                      else sweeps * grid.steps + 3)
+    assert counts["cg_fallback"] == 0
     plain = plain_forward(mesh, grid, truth, scn.ops, plain_source_load(
         mesh, grid, f_fn, g_fn), h, picard_sweeps=1).values
     assert rel(fast, plain) <= RTOL
 
     trace = plain[:, mesh.boundary_vertices]
-    fast = fem.dirichlet_solve(mesh, grid, truth, scn.ops, fem.source_load(
-        mesh, grid, f_fn, None), trace, h).values
+    fast, counts = work(fem.dirichlet_solve, mesh, grid, truth, scn.ops,
+                        fem.source_load(mesh, grid, f_fn, None), trace, h)
     plain = plain_dirichlet(mesh, grid, truth, scn.ops, plain_source_load(
         mesh, grid, f_fn, None), trace, h)
-    assert rel(fast, plain) <= RTOL
-    assert fem._Pcg.fallbacks == fallbacks
+    assert rel(fast.values, plain) <= RTOL
+    assert counts["cg_fallback"] == 0
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex3", "ex4", "mixed"])
@@ -690,11 +683,11 @@ def test_condensed_march_is_a_prefix_of_a_longer_one(name, small_fine):
     assert np.array_equal(march(2 * fem.CONDENSE_STEPS)[:len(short)], short)
 
 
-def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
-                                                      monkeypatch):
-    """A potential on every cell leaves no unknown to condense: each step
-    runs CG on its whole matrix, preconditioned by the held unperturbed
-    factorization, and the march matches the plain march."""
+def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine):
+    """A potential on every cell leaves no unknown to condense: no window
+    is built, each solve runs CG on its step's whole matrix, preconditioned
+    by the held unperturbed factorization, and the march matches the plain
+    march."""
     mesh = small_fine
     grid = fem.segment_grid(0.0, 0.3, 0.01)
     ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
@@ -703,15 +696,12 @@ def test_reaction_on_every_cell_takes_whole_matrix_cg(small_fine,
     def everywhere(t):
         return np.full(mesh.num_cells, 2.0 + t)
 
-    calls = counted_splu(monkeypatch)
-    systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
-    solver, _, _ = next(systems)(init)
-    assert isinstance(solver, fem._Pcg)
-    assert solver.a.shape == (mesh.num_vertices,) * 2
-    del systems, solver
-    fast = fem.forward_solve(mesh, grid, everywhere, ops, fem.source_load(
-        mesh, grid, None, None), init).values
-    assert len(calls) <= 1
+    fast, counts = work(fem.forward_solve, mesh, grid, everywhere, ops,
+                        fem.source_load(mesh, grid, None, None), init)
+    fast = fast.values
+    # the startup step's two half steps, then one solve a step
+    assert counts["cg"] == grid.steps + 1 and counts["window"] == 0
+    assert factorizations(counts) <= 1
     plain = plain_forward(mesh, grid, everywhere, ops, plain_source_load(
         mesh, grid, None, None), init).values
     assert rel(fast, plain) <= RTOL
@@ -731,19 +721,18 @@ ops = [fem.InhomogeneityOp(fem.POTENTIAL, 0)]
 init = np.ones(mesh.num_vertices) + mesh.vertices[:, 0]
 def everywhere(t):
     return np.full(mesh.num_cells, 2.0 + t)
-systems, _ = fem._step_systems(mesh, grid, everywhere, ops, False)
-assert isinstance(next(systems)(init)[0], fem._Pcg)
-del systems
 y = fem.forward_solve(mesh, grid, everywhere, ops,
                       fem.source_load(mesh, grid, None, None), init)
+work = fem.tally.copy()
+assert work["cg"] and not work["window"]
+assert work["band"] + work["superlu"] <= 1
 print(hashlib.sha256(y.values.tobytes()).hexdigest())
 ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
 u = 0.5 * (np.linalg.norm(mesh.centroids - (0.3, 0.2), axis=1) <= 0.4)
-systems, _ = fem._step_systems(mesh, grid, u, ops, False)
-assert isinstance(next(systems)(init)[0], fem._BandCholesky)
-del systems
 y = fem.forward_solve(mesh, grid, u, ops,
                       fem.source_load(mesh, grid, None, None), init)
+work = fem.tally - work
+assert work["band"] == 1 and not work["superlu"] and not work["cg"]
 print(hashlib.sha256(y.values.tobytes()).hexdigest())
 """
 
@@ -764,7 +753,7 @@ def conductivity_march(mesh, grid, u):
                              np.ones(mesh.num_vertices) + mesh.vertices[:, 0])
 
 
-def test_condensing_every_cell_factorizes_each_step(small_fine, monkeypatch):
+def test_condensing_every_cell_factorizes_each_step(small_fine):
     """With every cell perturbed no unknown is left to condense: each step
     factorizes its whole matrix and no window factorizes."""
     grid = fem.segment_grid(0.0, 0.3, 0.01)
@@ -772,9 +761,9 @@ def test_condensing_every_cell_factorizes_each_step(small_fine, monkeypatch):
     def everywhere(t):
         return np.full(small_fine.num_cells, 0.5 + t)
 
-    calls = counted_splu(monkeypatch)
-    fast = conductivity_march(small_fine, grid, everywhere).values
-    assert len(calls) == grid.steps
+    fast, counts = work(conductivity_march, small_fine, grid, everywhere)
+    fast = fast.values
+    assert factorizations(counts) == grid.steps and counts["window"] == 0
     ops = [fem.InhomogeneityOp(fem.CONDUCTIVITY, 0)]
     plain = plain_forward(small_fine, grid, everywhere, ops,
                           plain_source_load(small_fine, grid, None, None),
@@ -783,17 +772,16 @@ def test_condensing_every_cell_factorizes_each_step(small_fine, monkeypatch):
     assert rel(fast, plain) <= RTOL
 
 
-def test_condensing_no_cell_takes_the_held_factorization(monkeypatch):
+def test_condensing_no_cell_takes_the_held_factorization():
     """With no cell perturbed every step is the unperturbed one: the march
     factorizes nothing and gives bitwise the unperturbed march."""
     mesh = hm.build_disk_mesh(1000)
     grid = fem.segment_grid(0.0, 0.3, 0.01)
     held = conductivity_march(mesh, grid, None).values
-    calls = counted_splu(monkeypatch)
-    zero = conductivity_march(mesh, grid,
-                              lambda t: np.zeros(mesh.num_cells)).values
-    assert len(calls) == 0
-    assert np.array_equal(zero, held)
+    zero, counts = work(conductivity_march, mesh, grid,
+                        lambda t: np.zeros(mesh.num_cells))
+    assert factorizations(counts) == 0
+    assert np.array_equal(zero.values, held)
 
 
 @pytest.mark.parametrize("bad_step", [4, 30], ids=["first-window",
@@ -928,7 +916,7 @@ def ex1_window(mesh, first, dt=0.01):
     changed = fem.assemble_reaction(mesh, touched).diagonal() != 0.0
     plus = fem.assemble_mass(mesh).data / dt + 0.5 * fem.assemble_stiffness(
         mesh, np.ones(mesh.num_cells)).data
-    labels, _, _ = fem._labels(mesh, False)
+    labels, _ = fem._labels(mesh, False)
     return split, fem._Window(labels.tocsr(), plus, changed)
 
 

@@ -550,6 +550,25 @@ class TestSegmentLoop:
         for name in times:
             assert len(times[name]) == len(set(times[name])) == steps + 1
 
+    def test_tally_counts_every_factorization(self, small_fine, small_coarse,
+                                              small_transfer, monkeypatch):
+        """Over an ex2 DFP run and the generation of its data, ``fem.tally``
+        counts every factorization, band Cholesky (the marches of the run)
+        and SuperLU (the reference march's windows): as many as a wrapper
+        of the one function that factorizes sees."""
+        calls = []
+        original = fem._factorize
+        monkeypatch.setattr(fem, "_factorize", lambda *args: calls.append(1)
+                            or original(*args))
+        before = fem.tally.copy()
+        scn, mset = self._mset(small_fine, name="ex2", horizon=0.3)
+        recon.run(scn, mset, self._opts(horizon=0.3, tol=0.03, scheme="dfp"),
+                  fine=small_fine, coarse=small_coarse,
+                  transfer=small_transfer)
+        work = fem.tally - before
+        assert work["band"] > 0 and work["superlu"] > 0
+        assert len(calls) == work["band"] + work["superlu"]
+
     def test_run_determinism(self, small_fine, small_coarse, small_transfer):
         scn, mset = self._mset(small_fine, name="ex1", horizon=0.5)
         a = recon.run(scn, mset, self._opts(horizon=0.5), fine=small_fine,

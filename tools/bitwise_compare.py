@@ -29,7 +29,10 @@ writes to WORKDIR:
 - the coarse cell of each fine centroid (``mesh.locate_cells``, the
   ``cell_map`` of a transfer) for the pairs in ``TRANSFERS``, and the
   heatmap raster's pixel cells (``cli._Raster``) of the meshes in
-  ``RASTERS``.
+  ``RASTERS``;
+- when the tree counts its solver work (``fem.tally``), the counts that
+  each window, the CLI run and the checkpointed run (their data
+  generation included) add to it.
 
 The script then compares meshes on the fields both trees hold (a parent's
 ``boundary_edges`` must be the change's loop ``boundary_vertices[i] ->
@@ -39,9 +42,12 @@ and files byte for byte (``summary.txt`` but its wall-time line;
 ``config.txt`` and the manifest are listed, as they record the output
 directory), and resumes the parent's checkpoints with the change's code to
 [0, 1], which must equal the change's fresh run.  Exit status 0 when
-everything matches.  For a change that moves results by rounding, every
-measured array, report field, file column or array that differs is
-printed with its maximum relative difference, max|a - b| / max|b|.
+everything matches.  Each solver-work count that differs is printed,
+when both trees count; it does not set the exit status, as a change may
+save work and keep every bit.  For a change that moves results by
+rounding, every measured array, report field, file column or array that
+differs is printed with its maximum relative difference, max|a - b| /
+max|b|.
 """
 
 import os
@@ -177,7 +183,19 @@ def _file_diffs(path_a, path_b):
 def dump(src, out):
     """Runs in the child process: everything one tree produces."""
     sys.path.insert(0, src)
-    from heatprobe import cli, mesh, reconstruction as recon, scenario, synth
+    from heatprobe import (cli, fem, mesh, reconstruction as recon,
+                           scenario, synth)
+    tally = getattr(fem, "tally", None)
+    work = {}
+
+    def counted(key, call, *args, **kw):
+        """``call(*args, **kw)``, its solver work recorded under ``key``."""
+        before = None if tally is None else tally.copy()
+        result = call(*args, **kw)
+        if tally is not None:
+            work[key] = dict(tally - before)
+        return result
+
     fine, coarse = mesh.build_disk_mesh(3000), mesh.build_disk_mesh(600)
     transfer = mesh.build_transfer(fine, coarse)
     scenarios = {name: scenario.builtin(name) for name in ("ex1", "ex2", "ex3")}
@@ -197,19 +215,21 @@ def dump(src, out):
         return recon.run(scenarios[name], data[name], opts,
                          fine=fine, coarse=coarse, transfer=transfer)
 
-    windows = {
-        "ex2_dfp": window("ex2", 1.0, tol=0.03, scheme="dfp"),
-        "ex2_bfg_cap5": window("ex2", 1.0, tol=0.03, scheme="bfg",
-                               rank_cap=5),
-        "ex2_dfp_r_zeta": window("ex2", 1.0, tol=0.03, scheme="dfp",
-                                 eta_hat_variant="r_zeta"),
-        "ex2_dfp_damp0.1": window("ex2", 1.0, tol=0.03, scheme="dfp",
-                                  damping=0.1),
-        "ex3_bfg": window("ex3", 0.5, tol=0.03, scheme="bfg"),
-        "ex1_bfg": window("ex1", 1.0, tol=0.10, scheme="bfg"),
-        "ex4_config_dfp": window("ex4_config", 1.0, tol=0.03, scheme="dfp"),
-        "mixed_dfp": window("mixed", 1.0, tol=0.03, scheme="dfp"),
+    specs = {
+        "ex2_dfp": ("ex2", 1.0, dict(tol=0.03, scheme="dfp")),
+        "ex2_bfg_cap5": ("ex2", 1.0, dict(tol=0.03, scheme="bfg",
+                                          rank_cap=5)),
+        "ex2_dfp_r_zeta": ("ex2", 1.0, dict(tol=0.03, scheme="dfp",
+                                            eta_hat_variant="r_zeta")),
+        "ex2_dfp_damp0.1": ("ex2", 1.0, dict(tol=0.03, scheme="dfp",
+                                             damping=0.1)),
+        "ex3_bfg": ("ex3", 0.5, dict(tol=0.03, scheme="bfg")),
+        "ex1_bfg": ("ex1", 1.0, dict(tol=0.10, scheme="bfg")),
+        "ex4_config_dfp": ("ex4_config", 1.0, dict(tol=0.03, scheme="dfp")),
+        "mixed_dfp": ("mixed", 1.0, dict(tol=0.03, scheme="dfp")),
     }
+    windows = {key: counted(key, window, name, horizon, **kw)
+               for key, (name, horizon, kw) in specs.items()}
     with open(os.path.join(out, "windows.pkl"), "wb") as fh:
         pickle.dump({k: _reports(v) for k, v in windows.items()}, fh)
     meshes, built = {}, {}
@@ -233,12 +253,16 @@ def dump(src, out):
     cfg = cli.RunConfig(scenario="ex1", horizon=2.0, fine_triangles=3000,
                         coarse_triangles=600, seed=1,
                         outdir=os.path.join(out, "cli"))
-    cli.cmd_reconstruct(cfg, measurement_base=cli.cmd_generate(cfg))
+    counted("cli", lambda: cli.cmd_reconstruct(
+        cfg, measurement_base=cli.cmd_generate(cfg)))
     opts = recon.Options(fine_triangles=3000, coarse_triangles=600,
                          horizon=0.5, tol=0.03, scheme="dfp")
-    recon.run(scenario.builtin("ex2"), data["ex2"], opts, fine=fine,
-              coarse=coarse, transfer=transfer,
-              checkpoint_dir=os.path.join(out, "ckpt"))
+    counted("ckpt", recon.run, scenario.builtin("ex2"), data["ex2"], opts,
+            fine=fine, coarse=coarse, transfer=transfer,
+            checkpoint_dir=os.path.join(out, "ckpt"))
+    if tally is not None:
+        with open(os.path.join(out, "work.pkl"), "wb") as fh:
+            pickle.dump(work, fh)
 
 
 def resume(src, parent_ckpt, out):
@@ -327,6 +351,8 @@ def compare(parent, change):
             f": {'; '.join(_report_diffs(wb[key], wa[key]))}"
         print(f"{key}: ranks {ranks}, reports "
               f"{'bit-identical' if same else 'DIFFER'}{diffs}")
+    _print_work(*(os.path.join(side, "work.pkl")
+                  for side in (parent, change)))
     for sub in ("cli", "ckpt"):
         fa = _files(os.path.join(parent, sub))
         fb = _files(os.path.join(change, sub))
@@ -343,6 +369,20 @@ def compare(parent, change):
                 print(f"  {f}: " + _file_diffs(os.path.join(change, sub, f),
                                               os.path.join(parent, sub, f)))
     return ok
+
+
+def _print_work(parent, change):
+    """Print each solver-work count that differs between the trees."""
+    if not (os.path.exists(parent) and os.path.exists(change)):
+        print("solver work: not compared (a tree has no fem.tally)")
+        return
+    wa, wb = _load(parent), _load(change)
+    for key in wa:
+        a, b = wa[key], wb.get(key, {})
+        differ = [f"{kind} {a.get(kind, 0)} -> {b.get(kind, 0)}"
+                  for kind in sorted(a.keys() | b.keys())
+                  if a.get(kind, 0) != b.get(kind, 0)]
+        print(f"{key} solver work: {'; '.join(differ) or 'same counts'}")
 
 
 def main(parent_src, change_src, workdir):
