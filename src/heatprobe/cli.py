@@ -422,7 +422,8 @@ def _write_summary(path, cfg: RunConfig, result: reconstruction.RunResult,
         if published is not None:
             fh.write(f"  reported benchmark total    {published:.2f}\n")
         warned = sum(r.warned for r in rows)
-        fh.write(f"\nsegments at iteration cap = {warned}\n")
+        fh.write("\nsegments stopped by a warning (iteration cap or no "
+                 f"kernel progress) = {warned}\n")
         med_res = float(np.median([r.residual for r in rows]))
         fh.write(f"median boundary residual = {med_res:.4f}\n")
         for comp in range(len(rows[0].jaccard) if rows else 0):
@@ -451,13 +452,17 @@ def _read_config_int(path: str, key: str) -> int:
         raise OSError(f"{path} has no integer {key} entry") from None
 
 
-def cmd_metrics(run_dir: str, scenario_name: str) -> str:
+def cmd_metrics(run_dir: str) -> str:
     """Score the finished segments of a run directory (those that
-    ``--resume`` restores) against the exact truth."""
-    scn = resolve_scenario(scenario_name)
+    ``--resume`` restores) against the exact truth of the scenario its
+    ``config.txt`` records."""
+    config = os.path.join(run_dir, "config.txt")
+    name = _read_config(config).get("scenario")
+    if not name:
+        raise OSError(f"{config} has no scenario entry")
+    scn = resolve_scenario(name)
     seg_dir = os.path.join(run_dir, "segments")
-    coarse = build_disk_mesh(_read_config_int(
-        os.path.join(run_dir, "config.txt"), "coarse_triangles"))
+    coarse = build_disk_mesh(_read_config_int(config, "coarse_triangles"))
     reports, _ = reconstruction.read_reports(
         seg_dir, (scn.num_components, coarse.num_cells))
     if not reports:
@@ -546,7 +551,6 @@ def main(argv=None) -> int:
 
     p_met = sub.add_parser("metrics", help="score a run directory")
     p_met.add_argument("--run", required=True)
-    p_met.add_argument("--scenario", required=True)
 
     p_sweep = sub.add_parser("sweep", help="grid over noise/damping/scheme")
     _add_run_flags(p_sweep)
@@ -566,7 +570,7 @@ def main(argv=None) -> int:
                                       resume=args.resume)
             print(f"run directory: {run_dir}")
         elif args.command == "metrics":
-            out = cmd_metrics(args.run, args.scenario)
+            out = cmd_metrics(args.run)
             print(f"metrics written to {out}")
         elif args.command == "sweep":
             cfg = _config_from_args(args)

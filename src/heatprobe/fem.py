@@ -10,7 +10,6 @@ the previous time level so every step is one symmetric sparse solve.
 from __future__ import annotations
 
 import collections
-import ctypes
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -238,20 +237,6 @@ class _Operators:
 
 
 _LOCAL_MASS = ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
-
-# The heap policy (glibc only): every block of 1 MiB or more gets its own
-# mapping, which free hands back to the system at once.  SuperLU reserves
-# several times a factor's size; a fixed threshold (glibc's dynamic one rises
-# to the largest block freed) keeps those reservations out of the heap, where
-# a live factor would keep their pages resident.
-_MMAP_THRESHOLD = 1 << 20
-try:
-    _LIBC = ctypes.CDLL(None)
-    _LIBC.gnu_get_libc_version                  # only glibc has it
-except (OSError, AttributeError, TypeError):    # not glibc
-    pass
-else:
-    _LIBC.mallopt(-3, _MMAP_THRESHOLD)          # M_MMAP_THRESHOLD
 
 
 _OPERATORS: dict[int, _Operators] = {}

@@ -98,9 +98,10 @@ class Options:
                 f"rank cap {self.rank_cap} is below the "
                 f"{INSTALLED_TERMS[self.scheme]} terms one {self.scheme} "
                 f"update installs")
-        steps = round(self.segment_length / self.dt)
-        if abs(steps * self.dt - self.segment_length) > 1e-12:
-            raise ScenarioError("segment length is not divisible by dt")
+        try:
+            fem.segment_grid(0.0, self.segment_length, self.dt)
+        except ValueError as exc:
+            raise ScenarioError(f"segment length refused: {exc}") from None
 
 
 @dataclass
@@ -495,9 +496,11 @@ def check_settings(scn: Scenario, opts: Options, fine: Mesh,
     if abs(opts.dt - sample_dt) < 1e-12:
         raise ValueError("inversion time step equals the reference sampling "
                          "step (inverse-crime guard)")
-    n_segments = round(horizon / opts.segment_length)
-    if abs(n_segments * opts.segment_length - horizon) > 1e-9:
-        raise ValueError("segment length does not partition the horizon")
+    try:
+        n_segments = fem.segment_grid(0.0, horizon, opts.segment_length).steps
+    except ValueError as exc:
+        raise ValueError(f"segment length {opts.segment_length} refused "
+                         f"for horizon {horizon}: {exc}") from None
     fem.segment_grid(0.0, horizon, opts.dt)     # the run's whole grid
     if fine.num_cells == reference_triangles:
         raise ValueError("inversion mesh equals the reference mesh "
@@ -544,7 +547,7 @@ def run(scn: Scenario, mset: MeasurementSet, opts: Options | None = None,
     opts = opts or Options()
     fine = fine or build_disk_mesh(opts.fine_triangles)
     n_segments = check_run(scn, mset, opts, fine)
-    steps = round(opts.segment_length / opts.dt)
+    steps = fem.segment_grid(0.0, opts.segment_length, opts.dt).steps
     if coarse is None:
         coarse, transfer = coarse_mesh(opts, fine)
     transfer = transfer or build_transfer(fine, coarse)

@@ -179,6 +179,9 @@ class TestRunConfig:
             cli.RunConfig(damping=1.5)
         with pytest.raises(sc.ScenarioError):
             cli.RunConfig(segment_length=0.1, dt=0.03)
+        # dt partitions the segment as fem.segment_grid's lattice test says:
+        # 84748 steps, 8474.8 to within its relative 1e-9
+        cli.RunConfig(segment_length=8474.8, dt=0.1, horizon=8474.8)
 
 
 class TestMetricsHelpers:
@@ -414,7 +417,7 @@ class TestCommands:
     def test_metrics_command(self, tmp_path, capsys):
         cfg = micro_config(tmp_path, scenario="ex1", noise=0.05)
         run_dir = cli.cmd_reconstruct(cfg)
-        out = cli.cmd_metrics(run_dir, "ex1")
+        out = cli.cmd_metrics(run_dir)
         assert os.path.exists(out)
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 5
@@ -617,8 +620,8 @@ class TestCheckpoints:
         (run_dir,) = os.listdir(out)
         path = out / run_dir / "segments" / "u_0001.csv"
         path.write_bytes(path.read_bytes()[:-5])
-        assert cli.main(["metrics", "--run", str(out / run_dir),
-                         "--scenario", "null"]) == cli.EXIT_IO
+        assert cli.main(["metrics", "--run", str(out / run_dir)]) \
+            == cli.EXIT_IO
         assert "u_0001.csv is truncated" in capsys.readouterr().err
 
     def test_metrics_refuses_a_bad_coarse_mesh_entry(self, short_run,
@@ -631,9 +634,22 @@ class TestCheckpoints:
         config = out / run_dir / "config.txt"
         config.write_text(config.read_text().replace(
             "coarse_triangles = 300", "coarse_triangles = 3x0"))
-        assert cli.main(["metrics", "--run", str(out / run_dir),
-                         "--scenario", "null"]) == cli.EXIT_IO
+        assert cli.main(["metrics", "--run", str(out / run_dir)]) \
+            == cli.EXIT_IO
         assert "coarse_triangles" in capsys.readouterr().err
+
+    def test_metrics_refuses_a_config_without_a_scenario(self, short_run,
+                                                          tmp_path, capsys):
+        """``metrics`` scores against the scenario that ``config.txt``
+        records; without that entry the run directory is corrupt."""
+        out = tmp_path / "runs"
+        shutil.copytree(short_run, out)
+        (run_dir,) = os.listdir(out)
+        config = out / run_dir / "config.txt"
+        config.write_text(config.read_text().replace("scenario = null\n", ""))
+        assert cli.main(["metrics", "--run", str(out / run_dir)]) \
+            == cli.EXIT_IO
+        assert "no scenario entry" in capsys.readouterr().err
 
     def test_metrics_refuses_a_run_of_another_shape(self, short_run,
                                                     tmp_path, capsys):
@@ -641,8 +657,11 @@ class TestCheckpoints:
         out = tmp_path / "runs"
         shutil.copytree(short_run, out)
         (run_dir,) = os.listdir(out)
-        assert cli.main(["metrics", "--run", str(out / run_dir),
-                         "--scenario", "ex2"]) == cli.EXIT_IO
+        config = out / run_dir / "config.txt"
+        config.write_text(config.read_text().replace(
+            "scenario = null", "scenario = ex2"))
+        assert cli.main(["metrics", "--run", str(out / run_dir)]) \
+            == cli.EXIT_IO
         err = capsys.readouterr().err
         assert "(1, 300)" in err and "(2, 300)" in err
         assert "does not fit the scenario" in err and "corrupt" not in err
@@ -662,7 +681,7 @@ class TestCheckpoints:
             return sc.eval_truth(scn, t, mesh)
 
         monkeypatch.setattr(cli, "eval_truth", truth)
-        cli.cmd_metrics(str(out / run_dir), "ex1")
+        cli.cmd_metrics(str(out / run_dir))
         assert len(times) == len(set(times)) == 2
         assert len(os.listdir(out / run_dir / "heatmaps_truth")) == 2
 
@@ -676,7 +695,7 @@ class TestCheckpoints:
         run_dir = out / run_dir
         table = run_dir / "segments" / "segments.csv"
         table.write_text("".join(table.read_text().splitlines(True)[:2]))
-        path = cli.cmd_metrics(str(run_dir), "null")
+        path = cli.cmd_metrics(str(run_dir))
         with open(run_dir / "metrics.csv") as fh:
             run = fh.readlines()
         with open(path) as fh:
@@ -1113,8 +1132,13 @@ class TestMainExitCodes:
         assert "solver error" in capsys.readouterr().err
 
     def test_missing_run_dir_for_metrics(self, capsys):
-        assert cli.main(["metrics", "--run", "absent", "--scenario", "ex1"]) \
-            == cli.EXIT_IO
+        assert cli.main(["metrics", "--run", "absent"]) == cli.EXIT_IO
+
+    def test_metrics_takes_no_scenario_flag(self, capsys):
+        """The scenario is the one the run recorded, never a flag's."""
+        with pytest.raises(SystemExit):
+            cli.main(["metrics", "--run", "absent", "--scenario", "ex1"])
+        assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
     def test_generate_ok(self, tmp_path, capsys):
         code = cli.main(["generate", "--scenario", "null", "--noise", "0",

@@ -13,7 +13,6 @@ that may move a result by more than ``RTOL`` (relative L2 over all time
 nodes).
 """
 
-import ctypes
 import dataclasses
 import gc
 import math
@@ -862,40 +861,6 @@ def test_window_death_frees_its_arrays(small_fine):
     del window
     gc.collect()
     assert data() is None
-
-
-# Prints how many bytes of blocks in their own mapping (glibc's mallinfo2
-# hblkhd) a 2 MiB array adds once an 8 MiB one was freed.
-MAPPED_AFTER_A_FREE = """
-import ctypes
-import numpy as np
-import heatprobe.fem
-
-class Mallinfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = Mallinfo2
-big = np.ones(8 << 17)
-del big
-before = libc.mallinfo2().hblkhd
-block = np.ones(2 << 17)
-print(libc.mallinfo2().hblkhd - before)
-"""
-
-
-@pytest.mark.skipif(sys.platform != "linux"
-                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
-                    reason="glibc's mallinfo2 reads the heap")
-def test_large_blocks_are_mapped_after_a_larger_one_is_freed(run_python):
-    """Once ``fem`` is imported, a block of 2 MiB gets its own mapping also
-    after one of 8 MiB was freed; glibc's dynamic threshold would have
-    risen to 8 MiB and taken it from the heap.  It runs in a fresh
-    interpreter: glibc serves a block of any size from a free heap chunk
-    that fits before it maps one, and earlier tests leave such chunks."""
-    assert int(run_python(MAPPED_AFTER_A_FREE)) >= 2 << 20
 
 
 # -- what a condensed step assembles -----------------------------------------
